@@ -22,12 +22,13 @@ presentation are classified by exhaustive finite-module computations.
 
 from __future__ import annotations
 
+from collections.abc import KeysView
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .finiterings import FiniteRing
-from .groebner import normal_form, syzygy_basis
+from .finiterings import FiniteRing, subgroup_tree
+from .groebner import DegreeOverflowError, normal_form, syzygy_basis
 from .linalg import RowSpace, kernel_of_map, span_in_low_block
 from .poly import Poly, exp_total, grevlex_key, monomials_upto
 from .tate import (MorphismPresentation, PresentationError, QpBase,
@@ -187,10 +188,11 @@ def _field_one(pres: RingPresentation):
     return pres.coeff_one()
 
 
-def _h_minus1_field(data: RelativeData, degree_cap: int,
+def _h_minus1_field(data: RelativeData, degree_cap: int, syz_images: list,
                     margin: int = 2) -> tuple[str, list[Poly] | None]:
-    """Kernel of the conormal differential versus the syzygy image, on exact
-    truncated coordinate spaces."""
+    """Kernel of the conormal differential versus the syzygy image (the
+    normal forms of the syzygies' relation components), on exact truncated
+    coordinate spaces."""
     pres = data.pres
     rel_gens = data.rel_gens
     p = len(rel_gens)
@@ -231,11 +233,7 @@ def _h_minus1_field(data: RelativeData, degree_cap: int,
         kernel_vectors.append(vec)
 
     # syzygy image span at growing working degree
-    ambient = list(rel_gens) + list(data.source_gens)
-    syz = syzygy_basis(ambient)
-    syz = [v[:p] for v in syz]
-    syz = [[pres.normal_form(c) for c in v] for v in syz]
-    syz = [v for v in syz if any(not c.is_zero for c in v)]
+    syz = [v for v in syz_images if any(not c.is_zero for c in v)]
 
     def attempt(work: int):
         wide = sorted(pres.staircase(work), key=grevlex_key)
@@ -309,8 +307,8 @@ def naive_cotangent_complex(arg, degree_cap: int | None = None,
     syz_images = [[pres.normal_form(c) for c in v[:len(data.rel_gens)]]
                   for v in syz]
     try:
-        h_minus1, witness = _h_minus1_field(data, cap)
-    except Exception:
+        h_minus1, witness = _h_minus1_field(data, cap, syz_images)
+    except DegreeOverflowError:
         h_minus1, witness = "inconclusive", None
         flags.append("h_minus1_overflow")
     if h_minus1 == "inconclusive":
@@ -431,44 +429,14 @@ class _FiniteModel:
                                         a[i * self.rank:(i + 1) * self.rank]))
         return tuple(out)
 
-    def submodule(self, gens: list[tuple], arity: int) -> set:
-        """Coordinate set of the B-submodule of B^arity generated by gens
-        (tuples of Polys)."""
-        zero = (0,) * (self.rank * arity)
-        scaled = []
-        for g in gens:
-            flat = self.vec_encode(g)
-            for b in range(self.rank):
-                v = self.vec_scale_basis(b, flat, arity)
-                if any(v):
-                    scaled.append(v)
-        closure = {zero}
-        frontier = [zero]
-        while frontier:
-            x = frontier.pop()
-            for g in scaled:
-                y = self.vec_add(x, g, arity)
-                if y not in closure:
-                    closure.add(y)
-                    frontier.append(y)
-        return closure
-
-    def all_vectors(self, arity: int):
-        """Odometer sweep over B^arity coordinate tuples."""
-        mods = self.moduli * arity
-        width = len(mods)
-        coords = [0] * width
-        while True:
-            yield tuple(coords)
-            pos = 0
-            while pos < width:
-                coords[pos] += 1
-                if coords[pos] < mods[pos]:
-                    break
-                coords[pos] = 0
-                pos += 1
-            if pos == width:
-                return
+    def submodule(self, gens: list[tuple], arity: int) -> KeysView:
+        """Coordinate vectors of the B-submodule of B^arity generated by gens
+        (tuples of Polys): the additive span of the basis multiples."""
+        flats = [self.vec_encode(g) for g in gens]
+        scaled = [self.vec_scale_basis(b, flat, arity)
+                  for flat in flats for b in range(self.rank)]
+        return subgroup_tree((0,) * (self.rank * arity), scaled,
+                             lambda u, v: self.vec_add(u, v, arity)).keys()
 
 
 def exp_mul_(a: tuple, b: tuple) -> tuple:

@@ -5,11 +5,14 @@ associative structure constants on the basis; multiplication extends
 bilinearly, so verifying the axioms on basis tuples verifies them everywhere.
 Builders cover Z/m, GF(p^k), quotients F_p[x_1..x_k]/I of cardinality <= 4096,
 and finite products, which is exactly the test-ring zoo the infinitesimal
-classifiers quantify over.
+classifiers quantify over.  Equal builder calls return the same ring object,
+so per-ring data (inverses, nilradical, ideal lattice, divided powers) is
+computed once per process.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -34,15 +37,13 @@ class FiniteRingElement:
 
     def __add__(self, other: "FiniteRingElement") -> "FiniteRingElement":
         self._check(other)
-        m = self.parent.moduli
-        return FiniteRingElement(self.parent, tuple(
-            (a + b) % m[i] for i, (a, b) in enumerate(zip(self.coords,
-                                                          other.coords))))
+        return FiniteRingElement(self.parent, tuple([
+            (a + b) % m for a, b, m in zip(self.coords, other.coords,
+                                           self.parent.moduli)]))
 
     def __neg__(self) -> "FiniteRingElement":
-        m = self.parent.moduli
-        return FiniteRingElement(self.parent, tuple(
-            (-a) % m[i] for i, a in enumerate(self.coords)))
+        return FiniteRingElement(self.parent, tuple([
+            -a % m for a, m in zip(self.coords, self.parent.moduli)]))
 
     def __sub__(self, other):
         return self + (-other)
@@ -100,7 +101,7 @@ class FiniteRingElement:
         return self.parent is other.parent and self.coords == other.coords
 
     def __hash__(self):
-        return hash((id(self.parent), self.coords))
+        return hash(self.coords)    # __eq__ tells rings apart
 
     def key(self) -> tuple:
         """Deterministic sort key."""
@@ -123,6 +124,8 @@ class FiniteRing:
         self.lift_model = lift_model
         self._inverses: dict = {}
         self._nilradical = None
+        self._nil_ideals = None         # memo of enumerate_nilpotent_ideals
+        self._pd_structures: dict = {}  # ideal -> enumerate_pd_structures
         self.cardinality = 1
         for m in moduli:
             self.cardinality *= m
@@ -131,16 +134,18 @@ class FiniteRing:
                 f"cardinality {self.cardinality} exceeds cap {CARDINALITY_CAP}")
         self.zero = FiniteRingElement(self, (0,) * len(moduli))
         self.one = FiniteRingElement(self, one_coords)
+        # the additive generators: unit coordinate vectors
+        self.basis = [FiniteRingElement(self, tuple(int(j == i)
+                                                    for j in range(len(moduli))))
+                      for i in range(len(moduli))]
         self._verify_basis_axioms()
 
     # Bilinearity of the product reduces commutativity/associativity on all
     # tuples to the basis tuples, so this check is exhaustive in effect.
     def _verify_basis_axioms(self):
-        basis = [FiniteRingElement(self, tuple(1 if j == i else 0
-                                               for j in range(len(self.moduli))))
-                 for i in range(len(self.moduli))]
-        for i, a in enumerate(basis):
-            for j, b in enumerate(basis):
+        basis = self.basis
+        for a in basis:
+            for b in basis:
                 if (a * b) != (b * a):
                     raise ValueError(f"{self.name}: basis product not commutative")
                 for c in basis:
@@ -231,6 +236,21 @@ def nilradical(ring) -> frozenset:
 
 
 # -- builders ---------------------------------------------------------------
+
+_INTERNED: dict = {}
+
+
+def _interned(moduli: tuple, basis_products: tuple, one_coords: tuple,
+              name: str, basis_names: tuple, **kwargs) -> FiniteRing:
+    """The one FiniteRing with this structure and these names, so per-ring
+    memos are computed once per process."""
+    key = (moduli, basis_products, one_coords, name, basis_names)
+    ring = _INTERNED.get(key)
+    if ring is None:
+        # setdefault keeps one winner when `--jobs` threads race here
+        ring = _INTERNED.setdefault(key, FiniteRing(*key, **kwargs))
+    return ring
+
 
 @lru_cache(maxsize=None)
 def zmod(m: int) -> FiniteRing:
@@ -374,9 +394,9 @@ def fp_quotient(p: int, varnames: tuple, relations: list[Poly]) -> FiniteRing:
     names = tuple(mono_name(m) for m in stairs)
     from .poly import render_poly
     rel_txt = ",".join(render_poly(g, varnames) for g in gens)
-    return FiniteRing((p,) * len(stairs), tuple(basis_products),
-                      nf_coords(Poly.constant(one, nvars)),
-                      f"GF({p})[{','.join(varnames)}]/({rel_txt})", names)
+    return _interned((p,) * len(stairs), tuple(basis_products),
+                     nf_coords(Poly.constant(one, nvars)),
+                     f"GF({p})[{','.join(varnames)}]/({rel_txt})", names)
 
 
 def product_ring(a: FiniteRing, b: FiniteRing) -> FiniteRing:
@@ -395,12 +415,12 @@ def product_ring(a: FiniteRing, b: FiniteRing) -> FiniteRing:
     lift = None
     if a.lift_model and b.lift_model:
         lift = ("product", a, b)
-    return FiniteRing(a.moduli + b.moduli, tuple(products),
-                      a.one_coords + b.one_coords,
-                      f"Prod({a.name},{b.name})",
-                      tuple(f"({n},0)" for n in a.basis_names)
-                      + tuple(f"(0,{n})" for n in b.basis_names),
-                      is_field=False, lift_model=lift)
+    return _interned(a.moduli + b.moduli, tuple(products),
+                     a.one_coords + b.one_coords,
+                     f"Prod({a.name},{b.name})",
+                     tuple(f"({n},0)" for n in a.basis_names)
+                     + tuple(f"(0,{n})" for n in b.basis_names),
+                     is_field=False, lift_model=lift)
 
 
 def dual_numbers(p: int) -> FiniteRing:
@@ -412,40 +432,33 @@ def dual_numbers(p: int) -> FiniteRing:
 
 # -- ideals and quotients ----------------------------------------------------
 
+def subgroup_tree(zero, gens, add=operator.add) -> dict:
+    """Subgroup of a finite abelian group generated by gens, as a search
+    tree: each element maps to the generator g it was reached by (its parent
+    is element - g), zero maps to None.  In a finite group every -g is a
+    multiple of g, so adding generators alone closes the subgroup."""
+    gens = [g for g in dict.fromkeys(gens) if g != zero]
+    tree = {zero: None}
+    frontier = [zero]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = add(x, g)
+            if y not in tree:
+                tree[y] = g
+                frontier.append(y)
+    return tree
+
+
 def additive_closure(ring, gens) -> frozenset:
     """Subgroup of (R,+) generated by gens."""
-    seen = {ring.zero}
-    queue = [g for g in gens]
-    while queue:
-        x = queue.pop()
-        if x in seen:
-            continue
-        new = {x}
-        for y in list(seen):
-            z = x + y
-            if z not in seen:
-                new.add(z)
-        for z in new:
-            if z not in seen:
-                seen.add(z)
-                queue.extend(z + g for g in gens)
-    # close again until stable (handles generator sums of sums)
-    changed = True
-    while changed:
-        changed = False
-        for x in list(seen):
-            for g in gens:
-                z = x + g
-                if z not in seen:
-                    seen.add(z)
-                    changed = True
-    return frozenset(seen)
+    return frozenset(subgroup_tree(ring.zero, gens))
 
 
 def ideal_generated(ring, gens) -> frozenset:
-    """Ideal of a finite ring generated by gens."""
-    scaled = [r * g for g in gens for r in ring.elements()]
-    return additive_closure(ring, scaled)
+    """Ideal of a finite ring generated by gens: the additive span of the
+    e * g for e in the additive basis, since R is spanned by that basis."""
+    return additive_closure(ring, [e * g for g in gens for e in ring.basis])
 
 
 def is_ideal(ring, subset: frozenset) -> bool:
@@ -533,9 +546,12 @@ class QuotientRing:
         self._zero_rep = rep_of[ring.zero]
         self.zero = QuotientElement(self, self._zero_rep)
         self.one = QuotientElement(self, rep_of[ring.one])
+        self.basis = [self.project(b) for b in ring.basis]
         self.cardinality = ring.cardinality // len(ideal)
         self.name = name or f"{ring.name}/I{len(ideal)}"
         self._nilradical = None
+        self._nil_ideals = None
+        self._pd_structures: dict = {}
 
     def _wrap(self, rep):
         return QuotientElement(self, self._rep_of[rep])

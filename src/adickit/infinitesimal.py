@@ -19,7 +19,8 @@ from itertools import product as iproduct
 from math import comb, factorial
 
 from .finiterings import (FiniteRing, QuotientRing, additive_closure,
-                          canonical_scalar_map, ideal_generated, reduced_ring)
+                          canonical_scalar_map, ideal_generated, reduced_ring,
+                          subgroup_tree)
 from .poly import Poly
 from .tate import (IntegerBase, MorphismPresentation, PresentationError,
                    RingPresentation)
@@ -92,10 +93,6 @@ def de_rham_point_set(pres: RingPresentation, ring,
     return ps
 
 
-def reduce_point(pt: tuple, quotient: QuotientRing) -> tuple:
-    return tuple(quotient.project(e) for e in pt)
-
-
 # -- nilpotent ideals and divided powers --------------------------------------
 
 def nilpotency_exponent(ring, ideal: frozenset) -> int:
@@ -114,22 +111,25 @@ def nilpotency_exponent(ring, ideal: frozenset) -> int:
 
 
 def enumerate_nilpotent_ideals(ring) -> list[tuple[frozenset, int]]:
-    """All ideals inside the nilradical, each with its nilpotency exponent."""
-    nil = ring.nilradical()
-    zero_ideal = frozenset({ring.zero})
-    seen = {zero_ideal}
-    frontier = [zero_ideal]
-    while frontier:
-        ideal = frontier.pop()
-        for x in nil:
-            if x in ideal:
-                continue
-            bigger = ideal_generated(ring, list(ideal) + [x])
-            if bigger not in seen:
-                seen.add(bigger)
-                frontier.append(bigger)
-    ideals = sorted(seen, key=lambda I: (len(I), sorted(x.key() for x in I)))
-    return [(I, nilpotency_exponent(ring, I)) for I in ideals]
+    """All ideals inside the nilradical, each with its nilpotency exponent;
+    computed once per ring, returned as a fresh list."""
+    if ring._nil_ideals is None:
+        nil = ring.nilradical()
+        zero_ideal = frozenset({ring.zero})
+        seen = {zero_ideal}
+        frontier = [zero_ideal]
+        while frontier:
+            ideal = frontier.pop()
+            for x in nil:
+                if x in ideal:
+                    continue
+                bigger = ideal_generated(ring, list(ideal) + [x])
+                if bigger not in seen:
+                    seen.add(bigger)
+                    frontier.append(bigger)
+        ideals = sorted(seen, key=lambda I: (len(I), sorted(x.key() for x in I)))
+        ring._nil_ideals = [(I, nilpotency_exponent(ring, I)) for I in ideals]
+    return list(ring._nil_ideals)
 
 
 @dataclass
@@ -204,29 +204,20 @@ def _additive_generators(ring, ideal: frozenset) -> list:
     return gens
 
 
-def _spanning_tree(ring, ideal: frozenset, gens: list) -> dict:
-    """element -> (parent, generator) decomposition of (I, +)."""
-    tree = {ring.zero: None}
-    frontier = [ring.zero]
-    while frontier:
-        x = frontier.pop(0)
-        for g in gens:
-            y = x + g
-            if y not in tree:
-                tree[y] = (x, g)
-                frontier.append(y)
-    return tree
-
-
 def enumerate_pd_structures(ring, ideal: frozenset) -> list[PDStructure]:
-    """All divided-power structures on the ideal, by constrained search.
-
-    Values at each level are chosen on additive generators, extended along a
-    spanning tree by the addition axiom, and everything is re-verified
-    exhaustively; the count is whatever the axioms admit.
-    """
+    """All divided-power structures on the ideal, by constrained search;
+    computed once per (ring, ideal), returned as a fresh list."""
     if len(ideal) > PD_IDEAL_CAP:
         raise ValueError(f"ideal size {len(ideal)} exceeds PD cap {PD_IDEAL_CAP}")
+    if ideal not in ring._pd_structures:
+        ring._pd_structures[ideal] = _search_pd_structures(ring, ideal)
+    return list(ring._pd_structures[ideal])
+
+
+def _search_pd_structures(ring, ideal: frozenset) -> list[PDStructure]:
+    """Values at each level are chosen on additive generators, extended along
+    a spanning tree of (I, +) by the addition axiom, and everything is
+    re-verified exhaustively; the count is whatever the axioms admit."""
     e = nilpotency_exponent(ring, ideal)
     elements = sorted(ideal, key=lambda x: x.key())
     identity = {x: x for x in elements}
@@ -235,36 +226,29 @@ def enumerate_pd_structures(ring, ideal: frozenset) -> list[PDStructure]:
         return [trivial] if trivial.verify() else []
 
     gens = _additive_generators(ring, ideal)
-    tree = _spanning_tree(ring, ideal, gens)
+    tree = subgroup_tree(ring.zero, gens)      # element -> generator
     ring_elems = sorted(ring.elements(), key=lambda x: x.key())
 
     def extend_level(n: int, lower: dict, gen_values: dict):
         """gamma_n on all of I from generator values, along the tree."""
-        gamma_n = {ring.zero: ring.zero}
-
         def gamma(k, x):
             if k == 0:
                 return ring.one
-            if k == n:
-                return gamma_n[x]
             if k > e:
                 return ring.zero
             return lower[k][x]
 
-        order = [ring.zero]
-        seen = {ring.zero}
-        while len(order) < len(tree):
-            for x in tree:
-                if x in seen or x in gamma_n:
-                    continue
-                parent, g = tree[x]
-                if parent in gamma_n:
-                    total = gamma_n[parent] + gen_values[g]
-                    for i in range(1, n):
-                        total = total + gamma(i, parent) * gamma(n - i, g)
-                    gamma_n[x] = total
-                    seen.add(x)
-                    order.append(x)
+        # the tree lists every parent before its children
+        gamma_n = {}
+        for x, g in tree.items():
+            if g is None:
+                gamma_n[x] = ring.zero
+                continue
+            parent = x - g
+            total = gamma_n[parent] + gen_values[g]
+            for i in range(1, n):
+                total = total + gamma(i, parent) * gamma(n - i, g)
+            gamma_n[x] = total
         return gamma_n
 
     results = []
@@ -344,13 +328,15 @@ def crystalline_point_set(pres: RingPresentation, ring,
     for ideal, _e in enumerate_nilpotent_ideals(ring):
         if len(ideal) > PD_IDEAL_CAP:
             continue
-        for pd in enumerate_pd_structures(ring, ideal):
-            quotient = QuotientRing(ring, ideal)
-            qmap = None
-            if base_map is not None:
-                qmap = (lambda q: (lambda c: q.project(base_map(c))))(quotient)
-            pts = point_set(pres, quotient, qmap)
-            index.append((ideal, pd, quotient, pts))
+        structures = enumerate_pd_structures(ring, ideal)
+        if not structures:
+            continue
+        quotient = QuotientRing(ring, ideal)
+        qmap = None
+        if base_map is not None:
+            qmap = lambda c: quotient.project(base_map(c))  # noqa: E731
+        pts = point_set(pres, quotient, qmap)
+        index.extend((ideal, pd, quotient, pts) for pd in structures)
 
     # union-find over (index, point) nodes
     parent: dict = {}

@@ -51,9 +51,6 @@ class RowSpace:
     def contains(self, vec: list) -> bool:
         return not any(self._reduce(vec))
 
-    def contains_all(self, vecs) -> bool:
-        return all(self.contains(v) for v in vecs)
-
     @property
     def dim(self) -> int:
         return len(self.rows)

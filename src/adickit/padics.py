@@ -87,10 +87,6 @@ class PadicNumber:
         return self._abs is None and self._rep == 0
 
     @property
-    def is_exact(self) -> bool:
-        return self._abs is None
-
-    @property
     def valuation(self) -> int | None:
         """p-adic valuation; None for exact zero (conventionally +infinity)."""
         if self.is_zero:

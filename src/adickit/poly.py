@@ -236,12 +236,6 @@ class Poly:
             total = total + term
         return total
 
-    def truncate_degree(self, cap: int) -> tuple["Poly", bool]:
-        """Drop terms of total degree > cap; also reports whether any were
-        dropped."""
-        kept = {e: c for e, c in self.terms.items() if exp_total(e) <= cap}
-        return Poly(self.nvars, kept, normalize=False), len(kept) != len(self.terms)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented

@@ -232,11 +232,6 @@ class RingPresentation:
             return self.base.one
         return Fraction(1)
 
-    def coeff_from_int(self, n: int):
-        if isinstance(self.base, FiniteRing):
-            return self.base.from_int(n)
-        return Fraction(n)
-
     def var(self, name: str) -> Poly:
         return Poly.variable(self.varnames.index(name), self.nvars,
                              self.coeff_one())

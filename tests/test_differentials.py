@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from adickit import differentials
 from adickit.differentials import (classify_morphism, de_rham_complex,
                                    etale_integration, kahler_differentials,
                                    naive_cotangent_complex)
 from adickit.finiterings import gf, zmod
+from adickit.groebner import DegreeOverflowError
 from adickit.localization import rational_localization
 from adickit.poly import Poly
 from adickit.tate import (MorphismPresentation, PresentationError, QpBase,
@@ -60,6 +62,24 @@ def test_cotangent_simple_laurent_acyclic(line):
     loc, _ = rational_localization(line, T ** 2 + line.const(1), line.const(1))
     cx = naive_cotangent_complex(loc)
     assert cx.h_minus1 == "zero" and cx.h0 == "zero"
+
+
+def test_cotangent_h_minus1_bug_raises(q2, monkeypatch):
+    # only a degree overflow may become an inconclusive H^-1
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("not an overflow")
+    monkeypatch.setattr(differentials, "_h_minus1_field", broken)
+    with pytest.raises(ZeroDivisionError):
+        naive_cotangent_complex(pres_over(q2, ("T",), [{(2,): 1}]))
+
+
+def test_cotangent_h_minus1_overflow_is_flagged(q2, monkeypatch):
+    def overflow(*args, **kwargs):
+        raise DegreeOverflowError("degree guard")
+    monkeypatch.setattr(differentials, "_h_minus1_field", overflow)
+    cx = naive_cotangent_complex(pres_over(q2, ("T",), [{(2,): 1}]))
+    assert cx.h_minus1 == "inconclusive"
+    assert "h_minus1_overflow" in cx.flags
 
 
 def test_cotangent_nilpotent_both_nonzero(q2):

@@ -1,9 +1,15 @@
+import threading
+import time
+from itertools import combinations
+
 import pytest
 
+from adickit import finiterings
 from adickit.finiterings import (QuotientRing, canonical_scalar_map,
                                  dual_numbers, fp_quotient, gf,
                                  ideal_generated, is_ideal, nilradical,
                                  product_ring, reduced_ring, zmod)
+from adickit.infinitesimal import default_corpus
 from adickit.poly import Poly
 
 
@@ -116,3 +122,79 @@ def test_canonical_scalar_maps():
     # Z/4 -> F_2 exists, F_2 -> Z/4 does not
     assert canonical_scalar_map(z4, f2) is not None
     assert canonical_scalar_map(f2, z4) is None
+
+
+# -- ideal closure against a brute-force oracle ---------------------------------
+
+def brute_ideal(ring, gens, multiples):
+    """Independent oracle: the sums r_1 g_1 + ... + r_k g_k, built one
+    generator at a time from the brute-force multiple sets R g."""
+    span = {ring.zero}
+    for g in gens:
+        span = {x + y for x in span for y in multiples[g]}
+    return frozenset(span)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_ideal_generated_matches_brute_force(p):
+    for ring in default_corpus(p):
+        elems = list(ring.elements())
+        multiples = {g: frozenset(r * g for r in elems) for g in elems}
+        oracle = {}                 # (Rg, Rh) -> brute-force Rg + Rh
+        for g in elems:
+            assert ideal_generated(ring, [g]) == multiples[g]
+        for g, h in combinations(elems, 2):
+            key = (multiples[g], multiples[h])
+            if key not in oracle:
+                oracle[key] = brute_ideal(ring, [g, h], multiples)
+            ideal = ideal_generated(ring, [g, h])
+            assert ideal == oracle[key], (ring.name, g, h)
+
+
+# -- interning --------------------------------------------------------------------
+
+def test_equal_builders_return_the_same_ring():
+    first, second = default_corpus(2), default_corpus(2)
+    assert all(a is b for a, b in zip(first, second))
+    assert len({id(r) for r in first}) == len(first)
+    # so elements built from either compare equal
+    assert first[1].one == second[1].one
+    assert dual_numbers(3) is fp_quotient(
+        3, ("eps",), [Poly(1, {(2,): gf(3, 1).one})])
+
+
+def test_isomorphic_rings_with_other_names_stay_distinct():
+    eps = fp_quotient(3, ("eps",), [Poly(1, {(2,): gf(3, 1).one})])
+    x = fp_quotient(3, ("x",), [Poly(1, {(2,): gf(3, 1).one})])
+    assert eps is not x
+    assert eps.basis_products == x.basis_products
+    assert eps.name == "GF(3)[eps]/(eps^2)" and x.name == "GF(3)[x]/(x^2)"
+    assert repr(eps.element((0, 1))) == "eps"
+    assert repr(x.element((0, 1))) == "x"
+    assert eps.one != x.one
+
+
+def test_interning_keeps_one_ring_when_threads_race(monkeypatch):
+    # `run --jobs K` builds corpora on K threads at once; a slow constructor
+    # holds every thread inside the intern table's check-then-insert window
+    class SlowRing(finiterings.FiniteRing):
+        def __init__(self, *args, **kwargs):
+            time.sleep(0.05)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(finiterings, "FiniteRing", SlowRing)
+    relations = [Poly(1, {(3,): gf(5, 1).one})]
+    built = []
+    start = threading.Barrier(8)
+
+    def build():
+        start.wait()
+        built.append(fp_quotient(5, ("race",), relations))
+
+    threads = [threading.Thread(target=build) for _ in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert len(built) == 8 and all(r is built[0] for r in built)

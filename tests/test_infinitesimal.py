@@ -76,14 +76,44 @@ def test_point_search_cap():
         point_set(big, zmod(4))
 
 
+def ceil_div(a, b):
+    return -(-a // b)
+
+
 def test_nilpotent_ideal_enumeration():
-    z4 = enumerate_nilpotent_ideals(zmod(4))
-    assert [(len(I), e) for I, e in z4] == [(1, 1), (2, 2)]
-    pp = enumerate_nilpotent_ideals(product_ring(F2, F2))
-    assert [(len(I), e) for I, e in pp] == [(1, 1)]
-    chain = enumerate_nilpotent_ideals(
-        fp_quotient(2, ("x",), [Poly(1, {(4,): F2.one})]))
-    assert [(len(I), e) for I, e in chain] == [(1, 1), (2, 2), (4, 2), (8, 4)]
+    for p in (2, 3):
+        field = gf(p, 1)
+        # Z/p^k: the k ideals (p^j), j = 1..k, with (p^j)^e = 0 iff je >= k
+        for k in range(1, 5):
+            found = enumerate_nilpotent_ideals(zmod(p ** k))
+            assert [(len(I), e) for I, e in found] == \
+                [(p ** (k - j), ceil_div(k, j)) for j in range(k, 0, -1)]
+        # F_p[x]/(x^4): the chain (x^4) = 0 < (x^3) < (x^2) < (x)
+        chain = enumerate_nilpotent_ideals(
+            fp_quotient(p, ("x",), [Poly(1, {(4,): field.one})]))
+        assert [(len(I), e) for I, e in chain] == \
+            [(p ** (4 - j), ceil_div(4, j)) for j in range(4, 0, -1)]
+        assert all(a <= b for (a, _), (b, _) in zip(chain, chain[1:]))
+        # F_p x F_p is reduced: only the zero ideal
+        reduced = enumerate_nilpotent_ideals(product_ring(field, field))
+        assert [(len(I), e) for I, e in reduced] == [(1, 1)]
+
+
+def test_enumeration_memos_hand_out_fresh_lists():
+    Z4 = zmod(4)
+    ideals = enumerate_nilpotent_ideals(Z4)
+    expected = list(ideals)
+    ideals.clear()
+    assert enumerate_nilpotent_ideals(Z4) == expected
+    ideal = expected[-1][0]
+    structures = enumerate_pd_structures(Z4, ideal)
+    expected_pd = list(structures)
+    assert expected_pd
+    structures.append(structures[0])
+    structures.reverse()
+    again = enumerate_pd_structures(Z4, ideal)
+    assert again == expected_pd
+    assert again[0] is expected_pd[0]       # searched once, kept on the ring
 
 
 def test_pd_structures_on_two_in_z4():
