@@ -213,11 +213,11 @@ def _h_minus1_field(data: RelativeData, degree_cap: int, syz_images: list,
     images = []
     for i in range(p):
         for m in source:
-            vec = []
+            vec = {}
             for j in range(len(data.rel_vars)):
                 nf = pres.normal_form(jac[i][j].mul_term(m, one))
-                coords = [nf.terms.get(mm, None) for mm in target]
-                vec.extend(c if c is not None else (one - one) for c in coords)
+                vec.update((j * len(target) + t_index[mm], c)
+                           for mm, c in nf.terms.items() if mm in t_index)
             images.append(vec)
     kernel = kernel_of_map(images, len(target) * len(data.rel_vars), one)
     if not kernel:
@@ -246,21 +246,17 @@ def _h_minus1_field(data: RelativeData, degree_cap: int, syz_images: list,
         for s in syz:
             sdeg = max((c.total_degree() for c in s if not c.is_zero), default=0)
             for m in monomials_upto(pres.nvars, max(work - sdeg, 0)):
-                vec = []
-                for c in s:
+                vec = {}
+                for i, c in enumerate(s):
                     nf = pres.normal_form(c.mul_term(m, one))
-                    row = [(one - one)] * wwidth
-                    for mm, cc in nf.terms.items():
-                        row[w_index[mm]] = cc
-                    vec.extend(row)
+                    vec.update((i * wwidth + w_index[mm], cc)
+                               for mm, cc in nf.terms.items())
                 vectors.append(vec)
         space = span_in_low_block(vectors, low_cols, p * wwidth, one)
-        flat = []
-        for kv in kernel_vectors:
-            row = []
-            for comp in kv:
-                row.extend(comp.terms.get(m, one - one) for m in source)
-            flat.append(row)
+        flat = [{i * width + k: comp.terms[m]
+                 for i, comp in enumerate(kv)
+                 for k, m in enumerate(source) if m in comp.terms}
+                for kv in kernel_vectors]
         ok = all(space.contains(r) for r in flat)
         return ok, space.dim
 
@@ -697,16 +693,25 @@ def de_rham_complex(arg, top_degree: int) -> DeRhamComplexData:
 
 
 def _form_coords(form: dict, subsets: list, monomials: list, index: dict,
-                 zero, pres) -> list:
+                 pres) -> dict:
+    """Sparse coordinates of a k-form's normal form in the truncated block
+    (subset, staircase monomial); terms beyond the block are dropped."""
     width = len(monomials)
-    vec = [zero] * (width * len(subsets))
     pos = {s: i for i, s in enumerate(subsets)}
+    vec = {}
     for s, c in form.items():
+        off = pos[s] * width
         nf = pres.normal_form(c)
-        for m, cc in nf.terms.items():
-            if m in index:
-                vec[pos[s] * width + index[m]] = cc
+        vec.update((off + index[m], cc) for m, cc in nf.terms.items()
+                   if m in index)
     return vec
+
+
+def _nonzero_forms(relations: list) -> list:
+    """The relation forms with a nonzero coefficient; the others (the
+    degree-0 relations NF(g) = 0) add nothing to a span."""
+    return [rel for rel in relations
+            if any(not c.is_zero for c in rel.values())]
 
 
 def _truncated_rank(subsets: list, relations: list, data: RelativeData,
@@ -723,18 +728,17 @@ def _truncated_rank(subsets: list, relations: list, data: RelativeData,
     monomials = sorted(pres.staircase(work), key=grevlex_key)
     index = {m: i for i, m in enumerate(monomials)}
     width = len(monomials) * len(subsets)
-    zero = one - one
     low_in_block = [i for i, m in enumerate(monomials) if exp_total(m) <= cap]
     low_cols = []
     for s in range(len(subsets)):
         low_cols.extend(s * len(monomials) + i for i in low_in_block)
     vectors = []
-    for rel in relations:
+    for rel in _nonzero_forms(relations):
         reldeg = max((c.total_degree() for c in rel.values()), default=0)
         for m in monomials_upto(pres.nvars, max(work - reldeg, 0)):
             shifted = {s: c.mul_term(m, one) for s, c in rel.items()}
             vectors.append(_form_coords(shifted, subsets, monomials, index,
-                                        zero, pres))
+                                        pres))
     span = span_in_low_block(vectors, low_cols, width, one)
     return len(low_cols) - span.dim
 
@@ -757,16 +761,15 @@ def _form_zero_in_quotient(form: dict, cx: DeRhamComplexData,
     monomials = sorted(pres.staircase(work), key=grevlex_key)
     index = {m: i for i, m in enumerate(monomials)}
     subsets = cx.generators[k]
-    zero = one - one
     span = RowSpace(len(monomials) * len(subsets), one)
-    for rel in cx.relations.get(k, []):
+    for rel in _nonzero_forms(cx.relations.get(k, [])):
         reldeg = max((c.total_degree() for c in rel.values()), default=0)
         for m in monomials_upto(pres.nvars, max(work - reldeg, 0)):
             shifted = {s: c.mul_term(m, one) for s, c in rel.items()}
             span.insert(_form_coords(shifted, subsets, monomials, index,
-                                     zero, pres))
+                                     pres))
     return span.contains(_form_coords(reduced, subsets, monomials, index,
-                                      zero, pres))
+                                      pres))
 
 
 # -- the explicit integration primitive ----------------------------------------

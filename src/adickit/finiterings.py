@@ -330,9 +330,13 @@ def gf(p: int, k: int = 1) -> FiniteRing:
                       lift_model=("intpoly", tuple(modulus)))
 
 
+_FP_QUOTIENTS: dict = {}
+
+
 def fp_quotient(p: int, varnames: tuple, relations: list[Poly]) -> FiniteRing:
     """F_p[x_1..x_k]/(relations) when the quotient is finite and within the
-    cardinality cap."""
+    cardinality cap.  Equal arguments give the same interned ring without
+    running Buchberger again."""
     base = gf(p, 1)
     nvars = len(varnames)
 
@@ -354,6 +358,17 @@ def fp_quotient(p: int, varnames: tuple, relations: list[Poly]) -> FiniteRing:
         if rel.nvars != nvars:
             raise ValueError("relation variable count mismatch")
         gens.append(rel.map_coeffs(to_base))
+    key = (p, tuple(varnames), tuple(gens))
+    ring = _FP_QUOTIENTS.get(key)
+    if ring is None:
+        # setdefault keeps one winner when `--jobs` threads race here
+        ring = _FP_QUOTIENTS.setdefault(key, _fp_quotient(p, varnames, gens))
+    return ring
+
+
+def _fp_quotient(p: int, varnames: tuple, gens: list[Poly]) -> FiniteRing:
+    base = gf(p, 1)
+    nvars = len(varnames)
     basis = buchberger(gens)
     from .groebner import is_unit_ideal
     if is_unit_ideal(basis):

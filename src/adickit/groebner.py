@@ -10,8 +10,10 @@ from.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
+
 from .poly import (Poly, exp_coprime, exp_div, exp_divides, exp_lcm,
-                   exp_total, grevlex_key, monomials_upto)
+                   exp_mul, exp_total, grevlex_key, monomials_upto)
 
 DEGREE_GUARD = 64
 
@@ -43,33 +45,74 @@ def normal_form(f: Poly, basis: list[Poly], *, degree_guard: int = DEGREE_GUARD,
     Returns the remainder, or (remainder, quotients) when track=True with
     f = sum(quotients[i] * basis[i]) + remainder.
     """
-    quotients = [Poly.zero(f.nvars) for _ in basis] if track else None
-    remainder = Poly.zero(f.nvars)
-    work = f
-    while not work.is_zero:
-        exp, coeff = work.leading()
-        if exp_total(exp) > degree_guard:
+    # reduction happens inside one term dict, making the coefficient
+    # operations of the Poly expression `work - g.mul_term(shift, factor)` in
+    # the same order, so tracked p-adic precision and PrecisionLossError come
+    # out as Poly arithmetic gives them
+    leads = [(i, *g.leading(), g.terms) for i, g in enumerate(basis)
+             if not g.is_zero]
+    inverses: dict = {}
+    quotients = [{} for _ in basis] if track else None
+    remainder: dict = {}
+    work = dict(f.terms)
+    # max-heap of work's monomials: grevlex order is (-degree, reversed
+    # exponent) ascending; stale entries are skipped when popped
+    pending = [(-sum(e),) + e[::-1] for e in work]
+    heapify(pending)
+    while pending:
+        key = heappop(pending)
+        exp = key[:0:-1]
+        if exp not in work:
+            continue
+        if -key[0] > degree_guard:
             raise DegreeOverflowError(
                 f"reduction exceeded degree guard {degree_guard}")
-        for i, g in enumerate(basis):
-            if g.is_zero:
-                continue
-            gexp, gcoeff = g.leading()
-            if exp_divides(gexp, exp):
-                factor = coeff * gcoeff ** -1
-                shift = exp_div(exp, gexp)
-                work = work - g.mul_term(shift, factor)
-                if track:
-                    quotients[i] = quotients[i] + Poly(
-                        f.nvars, {shift: factor})
-                break
+        coeff = work[exp]
+        div = next((lead for lead in leads if exp_divides(lead[1], exp)), None)
+        if div is None:
+            _add_term(remainder, exp, coeff)
+            terms = [(exp, -coeff)]
         else:
-            remainder = remainder + Poly(f.nvars, {exp: coeff},
-                                         normalize=False)
-            work = work - Poly(f.nvars, {exp: coeff}, normalize=False)
+            i, gexp, gcoeff, gterms = div
+            if i not in inverses:
+                inverses[i] = gcoeff ** -1
+            factor = coeff * inverses[i]
+            shift = exp_div(exp, gexp)
+            # a zero factor (from a zero term a zero divisor left behind)
+            # only drops that term
+            terms = ([(exp_mul(e, shift), -(factor * c))
+                      for e, c in gterms.items()] if factor else
+                     [(exp, -coeff)])
+        for e, c in terms:
+            if e in work:
+                s = work[e] + c
+                if s:
+                    work[e] = s
+                else:
+                    del work[e]
+            else:
+                work[e] = c
+                heappush(pending, (-sum(e),) + e[::-1])
+        if div is not None and track and factor:
+            _add_term(quotients[div[0]], shift, factor)
+        if exp in work:
+            heappush(pending, key)
+    remainder = Poly(f.nvars, remainder, normalize=False)
     if track:
-        return remainder, quotients
+        return remainder, [Poly(f.nvars, q, normalize=False)
+                           for q in quotients]
     return remainder
+
+
+def _add_term(terms: dict, exp: tuple, coeff) -> None:
+    if exp in terms:
+        s = terms[exp] + coeff
+        if s:
+            terms[exp] = s
+        else:
+            del terms[exp]
+    else:
+        terms[exp] = coeff
 
 
 def _s_pair(f: Poly, g: Poly) -> tuple[Poly, tuple, tuple]:

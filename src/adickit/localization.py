@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .groebner import DegreeOverflowError, unit_certificate
-from .linalg import RowSpace, kernel_of_map, span_in_low_block
+from .linalg import RowSpace, kernel_of_map, solve, span_in_low_block
 from .poly import Poly, exp_total, grevlex_key
 from .tate import (IntegerBase, MorphismPresentation, PresentationError,
                    QpBase, RingPresentation)
@@ -137,11 +137,8 @@ class ExactnessReport:
                 "degree_cap": self.degree_cap, "precision": self.precision}
 
 
-def _coords(poly: Poly, index: dict, width: int):
-    vec = [Fraction(0)] * width
-    for e, c in poly.terms.items():
-        vec[index[e]] = c
-    return vec
+def _negated(vec: dict) -> dict:
+    return {k: -c for k, c in vec.items()}
 
 
 class _TruncatedRing:
@@ -153,8 +150,11 @@ class _TruncatedRing:
         self.index = {m: i for i, m in enumerate(self.monomials)}
         self.width = len(self.monomials)
 
-    def nf_coords(self, poly: Poly):
-        return _coords(self.pres.normal_form(poly), self.index, self.width)
+    def nf_coords(self, poly: Poly, offset: int = 0) -> dict:
+        """Sparse staircase coordinates of NF(poly), shifted by offset
+        columns."""
+        return {offset + self.index[e]: c
+                for e, c in self.pres.normal_form(poly).terms.items()}
 
     def low_indices(self, degree: int):
         return [i for i, m in enumerate(self.monomials)
@@ -196,15 +196,15 @@ def gluing_sequence_check(cov: BinaryCovering, degree_cap: int = 6,
 
     # (i) injectivity of B -> B1 (+) B2 on degree <= cap.  Normal forms are
     # exact, so a kernel vector is a genuine algebraic counterexample.
-    alpha_cap = [C1.nf_coords(into_loc1(m)) + C2.nf_coords(into_loc2(m))
-                 for m in Bc.monomials]
+    alpha_cap = [C1.nf_coords(into_loc1(m)) |
+                 C2.nf_coords(into_loc2(m), C1.width) for m in Bc.monomials]
     kernel = kernel_of_map(alpha_cap, C1.width + C2.width, one)
     left = "exact" if not kernel else "failed"
     detail["left_kernel_dim"] = len(kernel)
 
     # (ii) kernel of the difference map on the cap-level middle term.
     beta_cap = [C12.nf_coords(loc1_into_joint(m)) for m in C1.monomials]
-    beta_cap += [[-c for c in C12.nf_coords(loc2_into_joint(m))]
+    beta_cap += [_negated(C12.nf_coords(loc2_into_joint(m)))
                  for m in C2.monomials]
     ker_beta = kernel_of_map(beta_cap, C12.width, one)
     detail["middle_kernel_dim"] = len(ker_beta)
@@ -213,8 +213,8 @@ def gluing_sequence_check(cov: BinaryCovering, degree_cap: int = 6,
         Bw = _TruncatedRing(cov.base_pres, work)
         W1 = _TruncatedRing(cov.loc_fg, work)
         W2 = _TruncatedRing(cov.loc_gf, work)
-        vectors = [W1.nf_coords(into_loc1(m)) + W2.nf_coords(into_loc2(m))
-                   for m in Bw.monomials]
+        vectors = [W1.nf_coords(into_loc1(m)) |
+                   W2.nf_coords(into_loc2(m), W1.width) for m in Bw.monomials]
         low_cols = W1.low_indices(degree_cap) + \
             [W1.width + i for i in W2.low_indices(degree_cap)]
         space = span_in_low_block(vectors, low_cols, W1.width + W2.width, one)
@@ -226,17 +226,11 @@ def gluing_sequence_check(cov: BinaryCovering, degree_cap: int = 6,
         W2 = _TruncatedRing(cov.loc_gf, work)
         W12 = _TruncatedRing(cov.joint, work)
         images = [W12.nf_coords(loc1_into_joint(m)) for m in W1.monomials]
-        images += [[-c for c in W12.nf_coords(loc2_into_joint(m))]
+        images += [_negated(W12.nf_coords(loc2_into_joint(m)))
                    for m in W2.monomials]
         space = span_in_low_block(images, W12.low_indices(degree_cap),
                                   W12.width, one)
-        ok = True
-        for k in range(C12.width):
-            vec = [Fraction(0)] * C12.width
-            vec[k] = one
-            if not space.contains(vec):
-                ok = False
-                break
+        ok = all(space.contains({k: one}) for k in range(C12.width))
         return ok, space.dim
 
     def settle(attempt):
@@ -301,10 +295,12 @@ def joint_surjection_lift(cov: BinaryCovering, s1: list[Poly], s2: list[Poly],
             lifted = Poly(target_pres.nvars, {m + (0,): one}, normalize=False)
             images.append(tr.nf_coords(lifted))
         rhs = tr.nf_coords(element)
-        from .linalg import solve
-        rows = [[images[i][w] for i in range(len(images))]
-                for w in range(tr.width)]
-        sol = solve(rows, rhs, one)
+        rows = [[Fraction(0)] * len(images) for _ in range(tr.width)]
+        for i, image in enumerate(images):
+            for w, c in image.items():
+                rows[w][i] = c
+        sol = solve(rows, [rhs.get(w, Fraction(0)) for w in range(tr.width)],
+                    one)
         if sol is None:
             return None
         return Poly(B.nvars, {m: c for m, c in zip(Bt.monomials, sol) if c})
@@ -348,13 +344,7 @@ def joint_surjection_lift(cov: BinaryCovering, s1: list[Poly], s2: list[Poly],
         for m in sub_monos:
             if sum(m) + d <= work:
                 span.insert(Bt.nf_coords(gp.mul_term(m, one)))
-    ok = True
-    for k in low:
-        vec = [Fraction(0)] * Bt.width
-        vec[k] = one
-        if not span.contains(vec):
-            ok = False
-            break
+    ok = all(span.contains({k: one}) for k in low)
     return JointSurjectionResult(generators,
                                  "certified" if ok else "failed", perturbed,
                                  {"span_dim": span.dim})

@@ -1,8 +1,16 @@
+import os
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import adickit
 from adickit.tate import QpBase, free_presentation
+
+# tests that spawn `python -m adickit.cli` need the package they import here
+_SRC = str(Path(adickit.__file__).resolve().parent.parent)
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 @pytest.fixture

@@ -245,6 +245,33 @@ def test_de_rham_etale_collapses(q2):
     assert cx.truncated_ranks[1] == 0   # Omega^1 = 0
 
 
+def test_zero_relation_forms_feed_no_rows(q2, monkeypatch):
+    # the degree-0 relations NF(g) = 0 are kept on the complex, but rank and
+    # membership checks must not eliminate their all-zero multiples
+    fed = []
+    real_span, real_insert = differentials.span_in_low_block, \
+        differentials.RowSpace.insert
+
+    def span(vectors, *args):
+        fed.extend(vectors)
+        return real_span(vectors, *args)
+
+    def insert(self, vec):
+        fed.append(vec)
+        return real_insert(self, vec)
+
+    monkeypatch.setattr(differentials, "span_in_low_block", span)
+    monkeypatch.setattr(differentials.RowSpace, "insert", insert)
+    B = pres_over(q2, ("T",), [{(2,): 1, (1,): -1}])
+    cx = de_rham_complex(B, 1)
+    assert cx.relations[0] and all(c.is_zero for rel in cx.relations[0]
+                                   for c in rel.values())
+    assert cx.truncated_ranks[0] == 2
+    assert cx.is_zero_form({(): B.var("T") * B.var("T") - B.var("T")})
+    assert not cx.is_zero_form({(): B.var("T")})
+    assert fed and all(fed)
+
+
 def test_d_squared_zero_exhaustive(q2):
     from adickit.poly import monomials_upto
     cases = [

@@ -174,6 +174,26 @@ def test_isomorphic_rings_with_other_names_stay_distinct():
     assert eps.one != x.one
 
 
+def test_equal_fp_quotients_skip_buchberger(monkeypatch):
+    calls = []
+    real = finiterings.buchberger
+
+    def counting(gens, **kwargs):
+        calls.append(gens)
+        return real(gens, **kwargs)
+
+    monkeypatch.setattr(finiterings, "buchberger", counting)
+    # integer and GF(5) coefficients map to the same relation over GF(5)
+    first = fp_quotient(5, ("lookup",), [Poly(1, {(2,): 1, (0,): -1})])
+    F5 = gf(5, 1)
+    second = fp_quotient(5, ("lookup",),
+                         [Poly(1, {(2,): F5.one, (0,): F5.from_int(4)})])
+    assert first is second and len(calls) == 1
+    assert fp_quotient(5, ("other",),
+                       [Poly(1, {(2,): 1, (0,): -1})]) is not first
+    assert len(calls) == 2
+
+
 def test_interning_keeps_one_ring_when_threads_race(monkeypatch):
     # `run --jobs K` builds corpora on K threads at once; a slow constructor
     # holds every thread inside the intern table's check-then-insert window

@@ -127,3 +127,77 @@ def test_koszul_syzygy_is_generated():
             shifted = [c.mul_term(m, ONE) for c in s]
             space.insert(flatten(shifted))
     assert space.contains(flatten(koszul))
+
+
+# -- normal_form oracles ------------------------------------------------------
+
+def _random_poly(rng, nvars, nterms, degree):
+    return Poly(nvars, {tuple(rng.randint(0, degree) for _ in range(nvars)):
+                        Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                        for _ in range(nterms)})
+
+
+def _reduction_cases(seed, count=40):
+    """(f, reduced Groebner basis G) pairs on one to three variables."""
+    import random
+    rng = random.Random(seed)
+    while count:
+        nvars = rng.randint(1, 3)
+        gens = [_random_poly(rng, nvars, rng.randint(1, 3), 2)
+                for _ in range(rng.randint(1, 3))]
+        basis = buchberger(gens)
+        if not basis or is_unit_ideal(basis):
+            continue
+        count -= 1
+        yield _random_poly(rng, nvars, rng.randint(0, 6), 4), basis
+
+
+def test_normal_form_remainder_matches_sympy():
+    import pytest
+    sympy = pytest.importorskip("sympy")
+
+    def to_expr(poly, xs):
+        return sum((sympy.Rational(c.numerator, c.denominator) *
+                    sympy.Mul(*(x ** k for x, k in zip(xs, e)))
+                    for e, c in poly.terms.items()), sympy.Integer(0))
+
+    for f, basis in _reduction_cases(11):
+        xs = sympy.symbols(f"x0:{f.nvars}")
+        _, expected = sympy.reduced(to_expr(f, xs),
+                                    [to_expr(g, xs) for g in basis], *xs,
+                                    order="grevlex")
+        assert sympy.expand(to_expr(normal_form(f, basis), xs) -
+                            expected) == 0
+
+
+def test_tracked_normal_form_is_an_exact_division():
+    for f, basis in _reduction_cases(12):
+        rem, quotients = normal_form(f, basis, track=True)
+        total = rem
+        for q, g in zip(quotients, basis):
+            total = total + q * g
+        assert total == f
+        assert rem == normal_form(f, basis)
+
+
+def test_degree_guard_fires_only_above_the_guard():
+    import pytest
+    from adickit.groebner import DegreeOverflowError
+    for f, basis in _reduction_cases(13, count=15):
+        if f.is_zero:
+            continue
+        degree = f.total_degree()
+        normal_form(f, basis, degree_guard=degree)
+        with pytest.raises(DegreeOverflowError):
+            normal_form(f, basis, degree_guard=degree - 1)
+
+
+def test_zero_term_left_by_a_zero_divisor_drops_out():
+    # over Z/4, reducing 2*x^4 by x^2 + 2 leaves the term (2*2)*x^2 = 0*x^2,
+    # which lies on a leading monomial; it must drop, not stall the reduction
+    from adickit.finiterings import zmod
+    c = zmod(4).from_int
+    g = Poly(1, {(2,): c(1), (0,): c(2)})
+    rem, quotients = normal_form(Poly(1, {(4,): c(2)}), [g], track=True)
+    assert rem.is_zero
+    assert quotients[0] * g == Poly(1, {(4,): c(2)})
