@@ -445,7 +445,6 @@ class Options:
     precision: int = 8
     prime: int = 2
     strict: bool = False
-    jobs: int = 1
     corpus: list | None = None
 
 
@@ -930,12 +929,10 @@ class RunOutcome:
     exit_code: int
 
 
-def _execute_command(options: Options, env: dict, item: CommandStmt) -> dict:
-    worker = Session(options)
-    worker.env = env
+def _execute_command(session: Session, item: CommandStmt) -> dict:
     try:
-        report = worker.run_command(item)
-        if options.strict and _has_inconclusive(report):
+        report = session.run_command(item)
+        if session.options.strict and _has_inconclusive(report):
             report["strict_failure"] = "inconclusive verdict under --strict"
         return report
     except ScriptError as exc:
@@ -948,39 +945,25 @@ def _execute_command(options: Options, env: dict, item: CommandStmt) -> dict:
 
 
 def run_script(script: SessionScript, options: Options | None = None) -> RunOutcome:
-    """Declarations run in order; commands see only earlier names, so under
-    --jobs they run on environment snapshots with output order preserved."""
+    """Declarations and commands run in script order, so a command sees
+    only the names declared before it."""
     options = options or Options()
     session = Session(options)
-    slots: list = []
-    pending: list = []          # (slot index, command, env snapshot)
+    reports: list = []
     for item in script.items:
         if isinstance(item, Declaration):
             try:
                 session.declare(item)
             except ScriptError as exc:
-                slots.append({"command": f"declaration {item.name}",
-                              "error": str(exc), "version": VERSION})
+                reports.append({"command": f"declaration {item.name}",
+                                "error": str(exc), "version": VERSION})
             except Exception as exc:
-                slots.append({"command": f"declaration {item.name}",
-                              "error": f"{exc} at {item.line}:{item.col}",
-                              "version": VERSION})
+                reports.append({"command": f"declaration {item.name}",
+                                "error": f"{exc} at {item.line}:{item.col}",
+                                "version": VERSION})
             continue
-        slots.append(None)
-        pending.append((len(slots) - 1, item, dict(session.env)))
+        reports.append(_execute_command(session, item))
 
-    if options.jobs > 1 and len(pending) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=options.jobs) as pool:
-            futures = [(idx, pool.submit(_execute_command, options, env, item))
-                       for idx, item, env in pending]
-        for idx, fut in futures:
-            slots[idx] = fut.result()
-    else:
-        for idx, item, env in pending:
-            slots[idx] = _execute_command(options, env, item)
-
-    reports = [s for s in slots if s is not None]
     exit_code = 0
     for rep in reports:
         if "error" in rep or "strict_failure" in rep:
@@ -1011,7 +994,6 @@ def main(argv: list | None = None) -> int:
     run.add_argument("--corpus", default=None,
                      help="comma-separated ring specs, e.g. 'Zmod(4),GF(2)'")
     run.add_argument("--strict", action="store_true")
-    run.add_argument("--jobs", type=int, default=1)
     run.add_argument("--out", default=None)
     args = parser.parse_args(argv)
 
@@ -1030,7 +1012,7 @@ def main(argv: list | None = None) -> int:
             print(f"parse error in --corpus: {exc}", file=sys.stderr)
             return 2
     options = Options(degree=args.degree, precision=args.precision,
-                      prime=args.prime, strict=args.strict, jobs=args.jobs,
+                      prime=args.prime, strict=args.strict,
                       corpus=corpus)
     outcome = run_script(script, options)
     payload = render_reports(outcome.reports)

@@ -247,7 +247,7 @@ def _interned(moduli: tuple, basis_products: tuple, one_coords: tuple,
     key = (moduli, basis_products, one_coords, name, basis_names)
     ring = _INTERNED.get(key)
     if ring is None:
-        # setdefault keeps one winner when `--jobs` threads race here
+        # setdefault keeps one winner when threads race here
         ring = _INTERNED.setdefault(key, FiniteRing(*key, **kwargs))
     return ring
 
@@ -361,7 +361,7 @@ def fp_quotient(p: int, varnames: tuple, relations: list[Poly]) -> FiniteRing:
     key = (p, tuple(varnames), tuple(gens))
     ring = _FP_QUOTIENTS.get(key)
     if ring is None:
-        # setdefault keeps one winner when `--jobs` threads race here
+        # setdefault keeps one winner when threads race here
         ring = _FP_QUOTIENTS.setdefault(key, _fp_quotient(p, varnames, gens))
     return ring
 

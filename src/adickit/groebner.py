@@ -90,7 +90,7 @@ def normal_form(f: Poly, basis: list[Poly], *, degree_guard: int = DEGREE_GUARD,
                     work[e] = s
                 else:
                     del work[e]
-            else:
+            elif c:     # factor * c vanishes when factor is a zero divisor
                 work[e] = c
                 heappush(pending, (-sum(e),) + e[::-1])
         if div is not None and track and factor:

@@ -57,7 +57,10 @@ class PointSet:
 
 
 def point_set(pres: RingPresentation, ring, base_map=None) -> PointSet:
-    """All base-compatible homomorphisms pres -> ring, by exhaustive search."""
+    """All base-compatible homomorphisms pres -> ring, by a depth-first
+    search over the variables in order that tests each relation as soon as
+    its last variable is fixed.  Candidates run in key order, so the points
+    come out sorted by their keys."""
     coeff = base_map or _scalar_map(pres, ring)
     if coeff is None:
         raise PresentationError(
@@ -65,19 +68,81 @@ def point_set(pres: RingPresentation, ring, base_map=None) -> PointSet:
     n = pres.nvars
     if ring.cardinality ** n > POINT_SEARCH_CAP:
         raise PresentationError("point search space exceeds the cap")
+    stages, top, consistent = _stage_relations(pres.gens, n, coeff)
     elems = sorted(ring.elements(), key=lambda e: e.key())
+    # powers[j][k] = elems[j] ** k for every exponent a fixed variable takes
+    powers = []
+    for x in elems:
+        row = [ring.one]
+        for _ in range(top):
+            row.append(row[-1] * x)
+        powers.append(row)
+    zero = ring.zero
     points = []
-    for candidate in iproduct(elems, repeat=n):
-        pt = list(candidate)
-        ok = True
-        for g in pres.gens:
-            if g.evaluate(pt, coeff, ring.zero):
-                ok = False
-                break
-        if ok:
-            points.append(tuple(pt))
-    points.sort(key=lambda pt: tuple(e.key() for e in pt))
+    prefix: list = []           # indices into elems of the fixed variables
+
+    def value(terms):
+        total = zero
+        for c, factors in terms:
+            for i, k in factors:
+                c = c * powers[prefix[i]][k]
+            total = total + c
+        return total
+
+    def search(d: int):
+        if d == n:
+            points.append(tuple(elems[j] for j in prefix))
+            return
+        # each relation as its coefficients in x_d, highest power first
+        tests = [[value(terms) for terms in reversed(rel)]
+                 for rel in stages[d]]
+        for j, x in enumerate(elems):
+            for coeffs in tests:
+                acc = coeffs[0]
+                for a in coeffs[1:]:
+                    acc = acc * x + a
+                if acc:
+                    break
+            else:
+                prefix.append(j)
+                search(d + 1)
+                prefix.pop()
+
+    if consistent:
+        search(0)
     return PointSet(pres, ring, tuple(points), f"X({ring.name})")
+
+
+def _stage_relations(gens: list, n: int, coeff):
+    """Map every coefficient into the ring once and bucket each relation by
+    its last variable: stages[d] lists the relations whose highest variable
+    with a nonzero term is x_d, each as a list over the powers k of x_d of
+    the terms [(coefficient, ((i, e_i), ...)), ...] in x_0..x_{d-1} that
+    multiply x_d^k.  Also returns the highest exponent of a variable below
+    the last one, and False when a relation with no variable is nonzero."""
+    stages = [[] for _ in range(n)]
+    top = 0
+    consistent = True
+    for g in gens:
+        terms = []
+        for e, c in g.terms.items():
+            c = coeff(c)
+            if c:
+                terms.append((e, c))
+        if not terms:
+            continue
+        last = max((i for e, _ in terms for i in range(n) if e[i]),
+                   default=-1)
+        if last < 0:
+            consistent = False
+            continue
+        rel = [[] for _ in range(max(e[last] for e, _ in terms) + 1)]
+        for e, c in terms:
+            factors = tuple((i, k) for i, k in enumerate(e[:last]) if k)
+            top = max([top, *(k for _, k in factors)])
+            rel[e[last]].append((c, factors))
+        stages[last].append(rel)
+    return stages, top, consistent
 
 
 def de_rham_point_set(pres: RingPresentation, ring,

@@ -178,12 +178,6 @@ def test_cli_out_file(tmp_path):
     assert json.loads(target.read_text())[0]["verdict"] == "etale"
 
 
-def test_jobs_preserve_output_order():
-    seq = run_script(parse_script(FIXTURE_SCRIPT), Options(jobs=1))
-    par = run_script(parse_script(FIXTURE_SCRIPT), Options(jobs=4))
-    assert render_reports(seq.reports) == render_reports(par.reports)
-
-
 def test_build_ring_from_spec():
     from adickit.cli import build_ring
     assert build_ring("Zmod(4)").cardinality == 4

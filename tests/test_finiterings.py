@@ -195,8 +195,9 @@ def test_equal_fp_quotients_skip_buchberger(monkeypatch):
 
 
 def test_interning_keeps_one_ring_when_threads_race(monkeypatch):
-    # `run --jobs K` builds corpora on K threads at once; a slow constructor
-    # holds every thread inside the intern table's check-then-insert window
+    # a library user may build the same ring on several threads at once; a
+    # slow constructor holds every thread inside the intern table's
+    # check-then-insert window
     class SlowRing(finiterings.FiniteRing):
         def __init__(self, *args, **kwargs):
             time.sleep(0.05)

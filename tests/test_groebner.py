@@ -4,7 +4,7 @@ from itertools import permutations
 from adickit.groebner import (buchberger, buchberger_tracked, is_unit_ideal,
                               normal_form, quotient_dimension,
                               staircase_for, syzygy_basis, unit_certificate)
-from adickit.poly import Poly
+from adickit.poly import Poly, grevlex_key
 
 ONE = Fraction(1)
 
@@ -152,22 +152,47 @@ def _reduction_cases(seed, count=40):
         yield _random_poly(rng, nvars, rng.randint(0, 6), 4), basis
 
 
+def _to_sympy(sympy, poly, xs):
+    return sum((sympy.Rational(c.numerator, c.denominator) *
+                sympy.Mul(*(x ** k for x, k in zip(xs, e)))
+                for e, c in poly.terms.items()), sympy.Integer(0))
+
+
 def test_normal_form_remainder_matches_sympy():
     import pytest
     sympy = pytest.importorskip("sympy")
-
-    def to_expr(poly, xs):
-        return sum((sympy.Rational(c.numerator, c.denominator) *
-                    sympy.Mul(*(x ** k for x, k in zip(xs, e)))
-                    for e, c in poly.terms.items()), sympy.Integer(0))
-
     for f, basis in _reduction_cases(11):
         xs = sympy.symbols(f"x0:{f.nvars}")
-        _, expected = sympy.reduced(to_expr(f, xs),
-                                    [to_expr(g, xs) for g in basis], *xs,
-                                    order="grevlex")
-        assert sympy.expand(to_expr(normal_form(f, basis), xs) -
+        _, expected = sympy.reduced(_to_sympy(sympy, f, xs),
+                                    [_to_sympy(sympy, g, xs) for g in basis],
+                                    *xs, order="grevlex")
+        assert sympy.expand(_to_sympy(sympy, normal_form(f, basis), xs) -
                             expected) == 0
+
+
+def test_buchberger_matches_sympy():
+    import random
+
+    import pytest
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(13)
+    for _ in range(30):
+        nvars = rng.randint(2, 3)
+        gens = [g for g in (_random_poly(rng, nvars, rng.randint(1, 3), 2)
+                            for _ in range(rng.randint(2, 3))) if not g.is_zero]
+        if not gens:
+            continue
+        xs = sympy.symbols(f"x0:{nvars}")
+        exprs = [_to_sympy(sympy, g, xs) for g in gens]
+        expected = []
+        for h in sympy.groebner(exprs, *xs, order="grevlex").exprs:
+            poly = Poly(nvars, {e: Fraction(int(c.p), int(c.q)) for e, c in
+                                sympy.Poly(h, *xs).terms()})
+            expected.append(poly.scale(poly.leading()[1] ** -1))
+        expected.sort(key=lambda g: grevlex_key(g.leading()[0]))
+        basis = buchberger(gens)
+        assert all(g.leading()[1] == 1 for g in basis)
+        assert basis == expected
 
 
 def test_tracked_normal_form_is_an_exact_division():
@@ -201,3 +226,13 @@ def test_zero_term_left_by_a_zero_divisor_drops_out():
     rem, quotients = normal_form(Poly(1, {(4,): c(2)}), [g], track=True)
     assert rem.is_zero
     assert quotients[0] * g == Poly(1, {(4,): c(2)})
+
+
+def test_zero_product_off_the_leading_monomials_is_not_stored():
+    # over Z/4, reducing 2*x^3 by x^2 + 2 subtracts 2*x*(x^2 + 2), whose term
+    # (2*2)*x = 0*x lands on no monomial of the remainder
+    from adickit.finiterings import zmod
+    c = zmod(4).from_int
+    g = Poly(1, {(2,): c(1), (0,): c(2)})
+    rem = normal_form(Poly(1, {(3,): c(2)}), [g])
+    assert rem.is_zero and rem.terms == {}

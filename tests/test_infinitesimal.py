@@ -1,8 +1,10 @@
 from fractions import Fraction
+from itertools import product as iproduct
 
 import pytest
 
-from adickit.finiterings import (dual_numbers, fp_quotient, gf, product_ring,
+from adickit.finiterings import (canonical_scalar_map, dual_numbers,
+                                 fp_quotient, gf, product_ring, reduced_ring,
                                  zmod)
 from adickit.infinitesimal import (classify_lifting, crystalline_point_set,
                                    de_rham_point_set, default_corpus,
@@ -72,8 +74,55 @@ def test_de_rham_point_set_z4():
 
 def test_point_search_cap():
     big = z_pres(tuple(f"x{i}" for i in range(12)), [])
-    with pytest.raises(PresentationError):
+    with pytest.raises(PresentationError, match="exceeds the cap"):
         point_set(big, zmod(4))
+
+
+def _brute_force_keys(pres, ring):
+    """The exhaustive sweep over |R|^n candidates that the staged search
+    replaced, as the reference."""
+    coeff = canonical_scalar_map(None, ring)
+    elems = sorted(ring.elements(), key=lambda e: e.key())
+    points = [pt for pt in iproduct(elems, repeat=pres.nvars)
+              if not any(g.evaluate(list(pt), coeff, ring.zero)
+                         for g in pres.gens)]
+    points.sort(key=lambda pt: tuple(e.key() for e in pt))
+    return [tuple(e.key() for e in pt) for pt in points]
+
+
+def test_point_set_matches_brute_force():
+    rings = default_corpus(2) + default_corpus(3) + [zmod(16)]
+    rings += [reduced_ring(r)[0] for r in rings]
+    names = ("Y", "V", "W")
+    presentations = [
+        z_pres((), []), z_pres((), [{(): 0}]), z_pres((), [{(): 6}]),
+        z_pres(names[:1], [{(2,): 1, (1,): 1, (0,): 12}]),
+        z_pres(names[:2], [{(2, 0): 1, (1, 0): 1, (0, 0): 12},
+                           {(0, 1): 1, (1, 0): -1, (0, 0): -3}, {(0, 0): 6}]),
+        z_pres(names[:2], [{(1, 1): 1}, {(0, 2): 1, (0, 0): -1}]),
+        z_pres(names, [{(2, 0, 0): 1, (1, 0, 0): -1}]),         # first only
+        z_pres(names, [{(0, 2, 0): 1}]),                        # middle only
+        z_pres(names, [{(0, 0, 3): 1, (0, 0, 1): -1}]),         # last only
+        z_pres(names, [{(1, 1, 0): 1, (0, 0, 1): -1, (0, 0, 0): 3}]),
+        z_pres(names, [{(1, 1, 0): 1}, {(0, 0, 2): 1, (0, 1, 0): 1},
+                       {(0, 0, 0): 0}]),
+        z_pres(names, [{(2, 1, 0): 1, (0, 0, 1): -1, (0, 0, 0): 1}]),
+    ]
+    compared = 0
+    for pres in presentations:
+        for ring in rings:
+            if ring.cardinality ** pres.nvars > 512:
+                continue
+            assert point_set(pres, ring).keys() == \
+                _brute_force_keys(pres, ring), (pres.gens, ring.name)
+            compared += 1
+    assert compared > 200
+    # coefficients are mapped before the search: a fraction fails even where
+    # an earlier relation has no root
+    halves = RingPresentation(IntegerBase(), ("Y",), [
+        Poly(1, {(0,): Fraction(1)}), Poly(1, {(1,): Fraction(1, 2)})])
+    with pytest.raises(ValueError, match="fraction"):
+        point_set(halves, zmod(4))
 
 
 def ceil_div(a, b):
