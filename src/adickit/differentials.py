@@ -184,10 +184,6 @@ class CotangentComplexData:
         }
 
 
-def _field_one(pres: RingPresentation):
-    return pres.coeff_one()
-
-
 def _h_minus1_field(data: RelativeData, degree_cap: int, syz_images: list,
                     margin: int = 2) -> tuple[str, list[Poly] | None]:
     """Kernel of the conormal differential versus the syzygy image (the
@@ -198,7 +194,7 @@ def _h_minus1_field(data: RelativeData, degree_cap: int, syz_images: list,
     p = len(rel_gens)
     if p == 0:
         return "zero", None
-    one = _field_one(pres)
+    one = pres.coeff_one()
     jac = [[pres.normal_form(g.derivative(j)) for j in data.rel_vars]
            for g in rel_gens]
     maxdeg = max((e.total_degree() for row in jac for e in row if not e.is_zero),
@@ -210,15 +206,11 @@ def _h_minus1_field(data: RelativeData, degree_cap: int, syz_images: list,
     target_deg = degree_cap + maxdeg
     target = sorted(pres.staircase(target_deg), key=grevlex_key)
     t_index = {m: i for i, m in enumerate(target)}
+    t_offsets = [j * len(target) for j in range(len(data.rel_vars))]
     images = []
-    for i in range(p):
-        for m in source:
-            vec = {}
-            for j in range(len(data.rel_vars)):
-                nf = pres.normal_form(jac[i][j].mul_term(m, one))
-                vec.update((j * len(target) + t_index[mm], c)
-                           for mm, c in nf.terms.items() if mm in t_index)
-            images.append(vec)
+    for row in jac:
+        images.extend(_multiple_coords(dict(enumerate(row)), source,
+                                       t_offsets, t_index, pres))
     kernel = kernel_of_map(images, len(target) * len(data.rel_vars), one)
     if not kernel:
         return "zero", None
@@ -239,19 +231,19 @@ def _h_minus1_field(data: RelativeData, degree_cap: int, syz_images: list,
         wide = sorted(pres.staircase(work), key=grevlex_key)
         w_index = {m: i for i, m in enumerate(wide)}
         wwidth = len(wide)
-        low_cols = []
-        for i in range(p):
-            low_cols.extend(i * wwidth + w_index[m] for m in source)
+        w_offsets = [i * wwidth for i in range(p)]
+        low_cols = [off + w_index[m] for off in w_offsets for m in source]
         vectors = []
         for s in syz:
             sdeg = max((c.total_degree() for c in s if not c.is_zero), default=0)
-            for m in monomials_upto(pres.nvars, max(work - sdeg, 0)):
-                vec = {}
-                for i, c in enumerate(s):
-                    nf = pres.normal_form(c.mul_term(m, one))
-                    vec.update((i * wwidth + w_index[mm], cc)
-                               for mm, cc in nf.terms.items())
-                vectors.append(vec)
+            if sdeg > work:     # its normal form has terms beyond the block
+                raise DegreeOverflowError(
+                    f"syzygy image of degree {sdeg} exceeds working degree "
+                    f"{work}")
+            vectors.extend(_multiple_coords(
+                dict(enumerate(s)),
+                monomials_upto(pres.nvars, max(work - sdeg, 0)),
+                w_offsets, w_index, pres))
         space = span_in_low_block(vectors, low_cols, p * wwidth, one)
         flat = [{i * width + k: comp.terms[m]
                  for i, comp in enumerate(kv)
@@ -692,26 +684,40 @@ def de_rham_complex(arg, top_degree: int) -> DeRhamComplexData:
     return DeRhamComplexData(data, top_degree, generators, relations, ranks)
 
 
-def _form_coords(form: dict, subsets: list, monomials: list, index: dict,
-                 pres) -> dict:
-    """Sparse coordinates of a k-form's normal form in the truncated block
-    (subset, staircase monomial); terms beyond the block are dropped."""
-    width = len(monomials)
-    pos = {s: i for i, s in enumerate(subsets)}
-    vec = {}
+def _multiple_coords(form: dict, monomials: list, offsets, index: dict,
+                     pres) -> list[dict]:
+    """Sparse coordinates of NF(m * form) for each m in a downward-closed
+    monomial list, in the truncated block: the coefficient on key s sits at
+    offsets[s] + index[staircase monomial]; terms beyond the block are
+    dropped."""
+    vectors = [{} for _ in monomials]
     for s, c in form.items():
-        off = pos[s] * width
-        nf = pres.normal_form(c)
-        vec.update((off + index[m], cc) for m, cc in nf.terms.items()
-                   if m in index)
-    return vec
+        off = offsets[s]
+        for vec, nf in zip(vectors, pres.multiples_nf(c, monomials)):
+            vec.update((off + index[m], cc) for m, cc in nf.terms.items()
+                       if m in index)
+    return vectors
 
 
-def _nonzero_forms(relations: list) -> list:
-    """The relation forms with a nonzero coefficient; the others (the
-    degree-0 relations NF(g) = 0) add nothing to a span."""
-    return [rel for rel in relations
-            if any(not c.is_zero for c in rel.values())]
+def _relation_block(relations: list, subsets: list, work: int,
+                    pres) -> tuple:
+    """The truncated block of the k-forms at a working degree (staircase
+    monomials, their index, the subsets' column offsets) and the coordinates
+    of the multiples of every relation form that fit it.  Forms whose
+    coefficients are all zero (the degree-0 relations NF(g) = 0) add nothing
+    to a span and are skipped."""
+    monomials = sorted(pres.staircase(work), key=grevlex_key)
+    index = {m: i for i, m in enumerate(monomials)}
+    offsets = {s: i * len(monomials) for i, s in enumerate(subsets)}
+    vectors = []
+    for rel in relations:
+        if all(c.is_zero for c in rel.values()):
+            continue
+        reldeg = max(c.total_degree() for c in rel.values())
+        vectors.extend(_multiple_coords(
+            rel, monomials_upto(pres.nvars, max(work - reldeg, 0)), offsets,
+            index, pres))
+    return monomials, index, offsets, vectors
 
 
 def _truncated_rank(subsets: list, relations: list, data: RelativeData,
@@ -723,30 +729,18 @@ def _truncated_rank(subsets: list, relations: list, data: RelativeData,
     pres = data.pres
     if not pres.has_field_coefficients():
         return -1   # not computed over finite non-field bases
-    one = pres.coeff_one()
-    work = cap + margin
-    monomials = sorted(pres.staircase(work), key=grevlex_key)
-    index = {m: i for i, m in enumerate(monomials)}
-    width = len(monomials) * len(subsets)
-    low_in_block = [i for i, m in enumerate(monomials) if exp_total(m) <= cap]
-    low_cols = []
-    for s in range(len(subsets)):
-        low_cols.extend(s * len(monomials) + i for i in low_in_block)
-    vectors = []
-    for rel in _nonzero_forms(relations):
-        reldeg = max((c.total_degree() for c in rel.values()), default=0)
-        for m in monomials_upto(pres.nvars, max(work - reldeg, 0)):
-            shifted = {s: c.mul_term(m, one) for s, c in rel.items()}
-            vectors.append(_form_coords(shifted, subsets, monomials, index,
-                                        pres))
-    span = span_in_low_block(vectors, low_cols, width, one)
+    monomials, _, offsets, vectors = _relation_block(relations, subsets,
+                                                     cap + margin, pres)
+    low_cols = [off + i for off in offsets.values()
+                for i, m in enumerate(monomials) if exp_total(m) <= cap]
+    span = span_in_low_block(vectors, low_cols,
+                             len(monomials) * len(subsets), pres.coeff_one())
     return len(low_cols) - span.dim
 
 
 def _form_zero_in_quotient(form: dict, cx: DeRhamComplexData,
                            cap: int | None = None) -> bool:
-    data = cx.data
-    pres = data.pres
+    pres = cx.data.pres
     reduced = {s: pres.normal_form(c) for s, c in form.items()}
     reduced = {s: c for s, c in reduced.items() if not c.is_zero}
     if not reduced:
@@ -754,22 +748,17 @@ def _form_zero_in_quotient(form: dict, cx: DeRhamComplexData,
     k = len(next(iter(reduced)))
     if not pres.has_field_coefficients():
         raise PresentationError("quotient membership needs field coefficients")
-    one = pres.coeff_one()
     cap = cap if cap is not None else pres.degree_cap
-    formdeg = max(c.total_degree() for c in reduced.values())
-    work = max(cap, formdeg) + 2
-    monomials = sorted(pres.staircase(work), key=grevlex_key)
-    index = {m: i for i, m in enumerate(monomials)}
+    work = max(cap, max(c.total_degree() for c in reduced.values())) + 2
     subsets = cx.generators[k]
-    span = RowSpace(len(monomials) * len(subsets), one)
-    for rel in _nonzero_forms(cx.relations.get(k, [])):
-        reldeg = max((c.total_degree() for c in rel.values()), default=0)
-        for m in monomials_upto(pres.nvars, max(work - reldeg, 0)):
-            shifted = {s: c.mul_term(m, one) for s, c in rel.items()}
-            span.insert(_form_coords(shifted, subsets, monomials, index,
-                                     pres))
-    return span.contains(_form_coords(reduced, subsets, monomials, index,
-                                      pres))
+    monomials, index, offsets, vectors = _relation_block(
+        cx.relations.get(k, []), subsets, work, pres)
+    span = RowSpace(len(monomials) * len(subsets), pres.coeff_one())
+    for vec in vectors:
+        span.insert(vec)
+    unit = [(0,) * pres.nvars]
+    return span.contains(_multiple_coords(reduced, unit, offsets, index,
+                                          pres)[0])
 
 
 # -- the explicit integration primitive ----------------------------------------

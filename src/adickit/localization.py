@@ -150,11 +150,13 @@ class _TruncatedRing:
         self.index = {m: i for i, m in enumerate(self.monomials)}
         self.width = len(self.monomials)
 
-    def nf_coords(self, poly: Poly, offset: int = 0) -> dict:
-        """Sparse staircase coordinates of NF(poly), shifted by offset
+    def coords(self, nf: Poly, offset: int = 0) -> dict:
+        """Sparse staircase coordinates of a normal form, shifted by offset
         columns."""
-        return {offset + self.index[e]: c
-                for e, c in self.pres.normal_form(poly).terms.items()}
+        return {offset + self.index[e]: c for e, c in nf.terms.items()}
+
+    def nf_coords(self, poly: Poly, offset: int = 0) -> dict:
+        return self.coords(self.pres.normal_form(poly), offset)
 
     def low_indices(self, degree: int):
         return [i for i, m in enumerate(self.monomials)
@@ -341,9 +343,9 @@ def joint_surjection_lift(cov: BinaryCovering, s1: list[Poly], s2: list[Poly],
         frontier = new
     for gp in products:
         d = gp.total_degree()
-        for m in sub_monos:
-            if sum(m) + d <= work:
-                span.insert(Bt.nf_coords(gp.mul_term(m, one)))
+        shifts = [m for m in sub_monos if sum(m) + d <= work]
+        for nf in B.multiples_nf(gp, shifts):
+            span.insert(Bt.coords(nf))
     ok = all(span.contains({k: one}) for k in low)
     return JointSurjectionResult(generators,
                                  "certified" if ok else "failed", perturbed,

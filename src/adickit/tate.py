@@ -17,11 +17,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .finiterings import FiniteRing, FiniteRingElement
-from .groebner import (DegreeOverflowError, buchberger, normal_form,
-                       quotient_dimension, staircase_for)
+from .groebner import (DEGREE_GUARD, DegreeOverflowError, buchberger,
+                       normal_form, quotient_dimension, staircase_for)
 from .norms import ExactNorm, norm_max
 from .padics import DEFAULT_PRECISION, PadicNumber, PrecisionLossError
-from .poly import Poly, exp_coprime, exp_total, grevlex_key, render_poly
+from .poly import (Poly, exp_coprime, exp_divides, exp_total, grevlex_key,
+                   render_poly)
 
 DEFAULT_DEGREE_CAP = 8
 
@@ -219,6 +220,7 @@ class RingPresentation:
         self.declared = frozenset(declared)
         self.integral_generators = tuple(integral_generators)
         self._basis = None
+        self._border: dict = {}     # monomial -> NF terms, None if standard
         self._dim = None
 
     # -- coefficient domain helpers ----------------------------------------
@@ -298,6 +300,63 @@ class RingPresentation:
 
     def normal_form(self, f: Poly) -> Poly:
         return normal_form(f, self.groebner_basis())
+
+    def multiples_nf(self, c: Poly, monomials: list) -> list[Poly]:
+        """NF(m * c) for each m in monomials, built incrementally.
+
+        NF(x_i * m' * c) = NF(x_i * NF(m' * c)) is exact, since f - NF(f) lies
+        in the ideal and the remainder modulo the basis is unique, and x_i
+        times a normal form only needs NF(x_i * s) for its staircase terms s:
+        these come from a per-presentation table, so after warm-up nothing is
+        divided.  Predecessors missing from the list are built on the way.
+        Grevlex reduction never raises the degree, so this raises exactly
+        when reducing m * c from scratch would.
+        """
+        if c.is_zero:
+            return [c] * len(monomials)
+        cdeg = c.total_degree()
+        if any(exp_total(m) + cdeg > DEGREE_GUARD for m in monomials):
+            raise DegreeOverflowError(
+                f"reduction exceeded degree guard {DEGREE_GUARD}")
+        basis = self.groebner_basis()
+        done: dict = {}
+        for m in monomials:
+            chain = []      # walk down to a multiple already built
+            while m not in done and any(m):
+                i = next(k for k, e in enumerate(m) if e)
+                chain.append((m, i))
+                m = m[:i] + (m[i] - 1,) + m[i + 1:]
+            if m not in done:
+                done[m] = normal_form(c, basis).terms
+            for up, i in reversed(chain):
+                done[up] = self._times_var_nf(i, done[m], basis)
+                m = up
+        return [Poly(self.nvars, done[m], normalize=False) for m in monomials]
+
+    def _times_var_nf(self, i: int, terms: dict, basis: list[Poly]) -> dict:
+        """The terms of NF(x_i * f) for f in normal form."""
+        border = self._border
+        out: dict = {}
+        for s, a in terms.items():
+            t = s[:i] + (s[i] + 1,) + s[i + 1:]
+            if t not in border:
+                mono = Poly(self.nvars, {t: self.coeff_one()}, normalize=False)
+                border[t] = (normal_form(mono, basis).terms
+                             if any(exp_divides(g.leading()[0], t)
+                                    for g in basis) else None)
+            red = border[t]
+            pieces = ([(t, a)] if red is None else
+                      [(e, a * b) for e, b in red.items()])
+            for e, b in pieces:
+                if e in out:
+                    v = out[e] + b
+                    if v:
+                        out[e] = v
+                    else:
+                        del out[e]
+                elif b:
+                    out[e] = b
+        return out
 
     def normal_form_series(self, f: TateSeries) -> TateSeries:
         """Reduce a truncated p-adic series against the cached basis.

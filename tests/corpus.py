@@ -164,3 +164,32 @@ def shared_oracle_corpus():
     B = A.extend((), [Poly(1, {(1,): F2.one})])
     entries.append(("F2:A/(S) over A", B, char2_rings()))
     return entries
+
+
+# the Qp(2, 8) presentations of the benchmark's `jacobian` workload, with the
+# seed's sign flips and variable names fixed
+JACOBIAN_DECLARATIONS = """
+Q = Qp(2, 8);
+A1 = Tate(Q, [T]);
+A2 = Tate(Q, [X, Y]);
+B1 = Quot(A1, [u], [u^2 + u - 1]);
+B2 = Quot(A2, [u, v], [u^2 + u + 1, v^2 + v - 1]);
+D2 = Quot(A2, [u], [u^2 + u + 1]);
+C1 = Quot(B1, [w], [w^2 + w + 1]);
+L1 = Loc(A1, T^2 + T + 3, 4);
+KD = Quot(A1, [u], [u^2 - u - 2*T]);
+"""
+
+
+def script_names(text: str) -> dict:
+    """The values an `adic-kit run` script declares, by name."""
+    from adickit.cli import Declaration, Options, Session, parse_script
+    session = Session(Options())
+    for item in parse_script(text).items:
+        if isinstance(item, Declaration):
+            session.declare(item)
+    return session.env
+
+
+def jacobian_presentations() -> dict:
+    return script_names(JACOBIAN_DECLARATIONS)

@@ -82,6 +82,16 @@ def test_cotangent_h_minus1_overflow_is_flagged(q2, monkeypatch):
     assert "h_minus1_overflow" in cx.flags
 
 
+def test_cotangent_syzygy_above_working_degree_is_flagged(q2):
+    # the syzygy (Y^6, -X) of (X^5, X^4 Y^6) does not fit the working degree
+    # cap + 2 = 3, so its span cannot be truncated there
+    B = pres_over(q2, ("X", "Y"), [{(5, 0): 1}, {(4, 6): 1}])
+    cx = naive_cotangent_complex(B, degree_cap=1)
+    assert cx.h_minus1 == "inconclusive"
+    assert "h_minus1_overflow" in cx.flags
+    assert naive_cotangent_complex(B, degree_cap=4).h_minus1 == "nonzero"
+
+
 def test_cotangent_nilpotent_both_nonzero(q2):
     B = pres_over(q2, ("T",), [{(2,): 1}])
     cx = naive_cotangent_complex(B)
@@ -321,3 +331,164 @@ def test_integration_kernel_witness():
 def test_integration_characteristic_p_disabled():
     with pytest.raises(PresentationError):
         etale_integration(Poly(1, {(0,): ONE}), 0, characteristic=2)
+
+
+# -- the incremental normal forms against the from-scratch loop -----------------
+
+def _reference_coords(form, subsets, monomials, index, pres):
+    """The from-scratch loop the incremental normal forms replaced: the
+    normal form of each coefficient, in the truncated block."""
+    vec = {}
+    for s, c in form.items():
+        off = subsets.index(s) * len(monomials)
+        vec.update((off + index[m], cc)
+                   for m, cc in pres.normal_form(c).terms.items()
+                   if m in index)
+    return vec
+
+
+def _reference_relation_vectors(relations, subsets, work, pres):
+    from adickit.poly import grevlex_key, monomials_upto
+    one = pres.coeff_one()
+    monomials = sorted(pres.staircase(work), key=grevlex_key)
+    index = {m: i for i, m in enumerate(monomials)}
+    vectors = []
+    for rel in relations:
+        if all(c.is_zero for c in rel.values()):
+            continue
+        reldeg = max(c.total_degree() for c in rel.values())
+        for m in monomials_upto(pres.nvars, max(work - reldeg, 0)):
+            shifted = {s: c.mul_term(m, one) for s, c in rel.items()}
+            vectors.append(_reference_coords(shifted, subsets, monomials,
+                                             index, pres))
+    return vectors, monomials, index
+
+
+def _reference_truncated_rank(cx, k, margin=4):
+    from adickit.linalg import span_in_low_block
+    pres = cx.data.pres
+    cap = pres.degree_cap
+    subsets = cx.generators[k]
+    vectors, monomials, _ = _reference_relation_vectors(
+        cx.relations.get(k, []), subsets, cap + margin, pres)
+    low_cols = [s * len(monomials) + i for s in range(len(subsets))
+                for i, m in enumerate(monomials) if sum(m) <= cap]
+    span = span_in_low_block(vectors, low_cols,
+                             len(monomials) * len(subsets), pres.coeff_one())
+    return len(low_cols) - span.dim
+
+
+def _reference_is_zero_form(cx, form):
+    from adickit.linalg import RowSpace
+    pres = cx.data.pres
+    reduced = {s: pres.normal_form(c) for s, c in form.items()}
+    reduced = {s: c for s, c in reduced.items() if not c.is_zero}
+    if not reduced:
+        return True
+    k = len(next(iter(reduced)))
+    subsets = cx.generators[k]
+    work = max(pres.degree_cap,
+               max(c.total_degree() for c in reduced.values())) + 2
+    vectors, monomials, index = _reference_relation_vectors(
+        cx.relations.get(k, []), subsets, work, pres)
+    span = RowSpace(len(monomials) * len(subsets), pres.coeff_one())
+    for vec in vectors:
+        span.insert(vec)
+    return span.contains(_reference_coords(reduced, subsets, monomials,
+                                           index, pres))
+
+
+def _drham_case(label):
+    from corpus import jacobian_presentations, ring_pres
+    if label == "X^2,XY":
+        # not smooth: its 1- and 2-forms do not vanish
+        return pres_over(QpBase(2, 8), ("X", "Y"), [{(2, 0): 1}, {(1, 1): 1}])
+    if label == "GF(3)":
+        # u^2 + u - X over GF(3)[X]: a smooth curve, its 1-forms do not vanish
+        return ring_pres(gf(3), ("X", "u"),
+                         [{(0, 2): 1, (0, 1): 1, (1, 0): -1}])
+    return jacobian_presentations()[label]
+
+
+@pytest.mark.parametrize("label", ["B1", "B2", "C1", "D2", "L1", "X^2,XY",
+                                   "GF(3)"])
+def test_de_rham_matches_from_scratch_loop(label):
+    import random
+
+    from adickit.poly import monomials_upto, times_int
+    pres = _drham_case(label)
+    cx = de_rham_complex(pres, 3)
+    for k in range(4):
+        assert cx.truncated_ranks[k] == _reference_truncated_rank(cx, k)
+    # membership of d(g * x) (zero: it lies in dI + I.Omega) and of random
+    # forms
+    rng = random.Random(f"drham:{label}")
+    one = pres.coeff_one()
+    last = Poly.variable(pres.nvars - 1, pres.nvars, one)
+    forms = [cx.form_d({(): g * last}, reduce=False)
+             for g in cx.data.rel_gens]
+    monos = monomials_upto(pres.nvars, 3)
+    for k, count in ((0, 2), (1, 1), (2, 1)):
+        for subset in rng.sample(cx.generators[k],
+                                 min(count, len(cx.generators[k]))):
+            forms.append({subset: Poly(pres.nvars, {
+                m: times_int(one, rng.randint(1, 4))
+                for m in rng.sample(monos, 3)})})
+    forms = [f for f in forms if f]
+    answers = [cx.is_zero_form(f) for f in forms]
+    assert answers == [_reference_is_zero_form(cx, f) for f in forms]
+    assert True in answers and False in answers
+
+
+def test_cotangent_complex_matches_from_scratch_multiples(monkeypatch):
+    # H^-1 (verdict and witness) through the incremental normal forms equals
+    # H^-1 with every multiple m * c reduced from scratch
+    from corpus import classifier_fixtures, jacobian_presentations
+    from adickit.tate import RingPresentation
+    named = jacobian_presentations()
+    cases = [pres for _, pres, _ in classifier_fixtures()]
+    cases += [named[k] for k in ("B1", "C1", "D2", "L1", "KD")]
+    cases.append(_drham_case("X^2,XY"))
+    cases.append(_drham_case("GF(3)"))
+
+    def summary(cx):
+        return cx.h_minus1, cx.h_minus1_witness, cx.h0, cx.flags
+
+    fast = [summary(naive_cotangent_complex(pres)) for pres in cases]
+
+    def from_scratch(self, c, monomials):
+        one = self.coeff_one()
+        return [self.normal_form(c.mul_term(m, one)) for m in monomials]
+
+    monkeypatch.setattr(RingPresentation, "multiples_nf", from_scratch)
+    assert fast == [summary(naive_cotangent_complex(pres)) for pres in cases]
+    assert {h for h, *_ in fast} >= {"zero", "nonzero"}
+
+
+def test_de_rham_normal_form_count_bound(monkeypatch):
+    # from-scratch reduction of every relation multiple made 5476
+    # groebner.normal_form calls here; incremental normal forms make 24
+    from corpus import jacobian_presentations
+
+    from adickit import groebner, tate
+    calls = []
+    real = groebner.normal_form
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    for module in (groebner, tate, differentials):
+        monkeypatch.setattr(module, "normal_form", counting)
+    de_rham_complex(jacobian_presentations()["B2"], 3)
+    assert 0 < len(calls) < 2700
+
+
+@pytest.mark.xfail(strict=True, reason="known defect: the Fitting test sees "
+                   "units of the polynomial ring only")
+def test_classify_kd_is_etale():
+    # (2u - 1)^2 = 1 + 8T is a unit in Q_2<T>, so Q_2<T>[u]/(u^2 - u - 2T)
+    # is etale; today the Jacobian route reports none with h0 nonzero
+    from corpus import jacobian_presentations
+    verdict = classify_morphism(jacobian_presentations()["KD"])
+    assert verdict.verdict == "etale"

@@ -205,3 +205,83 @@ def test_declared_flags_are_inert(line):
     ext = flagged.extend(("u",), [])
     assert "strongly_sheafy" in ext.declared
     assert ext.integral_generators == ("T",)
+
+
+# -- incremental normal forms of monomial multiples ----------------------------
+
+def _random_poly(rng, pres, degree, coeff):
+    from adickit.poly import monomials_upto
+    monos = monomials_upto(pres.nvars, degree)
+    return Poly(pres.nvars, {m: coeff(rng.randint(-4, 4))
+                             for m in rng.sample(monos, min(5, len(monos)))})
+
+
+def _multiples_case(label):
+    """(presentation, coefficient constructor): positive-dimensional,
+    zero-dimensional, free, localized and tower presentations over Qp(2,8)
+    and a non-trivial Groebner basis over GF(3)."""
+    from corpus import jacobian_presentations, qp_pres, ring_pres
+    named = jacobian_presentations()
+    F3 = gf(3)
+    zero_dim = qp_pres(QpBase(2, 8), ("u", "v"),
+                       [{(2, 0): 1, (1, 0): 1, (0, 0): 1},
+                        {(0, 2): 1, (1, 1): -1, (0, 0): -1}])
+    gf3 = ring_pres(F3, ("x", "y"), [{(2, 0): 1, (0, 1): 1},
+                                     {(0, 2): 1, (1, 0): 1, (0, 0): 1}])
+    return {"B2": (named["B2"], Fraction), "zero-dim": (zero_dim, Fraction),
+            "free": (named["A2"], Fraction), "L1": (named["L1"], Fraction),
+            "C1": (named["C1"], Fraction), "GF(3)": (gf3, F3.from_int)}[label]
+
+
+@pytest.mark.parametrize("label", ["B2", "zero-dim", "free", "L1", "C1",
+                                   "GF(3)"])
+def test_multiples_nf_matches_from_scratch(label):
+    # the oracle is the from-scratch reduction of every multiple
+    import random
+
+    from adickit.poly import monomials_upto
+    pres, coeff = _multiples_case(label)
+    rng = random.Random(f"multiples:{label}")
+    one = pres.coeff_one()
+    monos = monomials_upto(pres.nvars, 4 if pres.nvars < 4 else 3)
+    samples = [_random_poly(rng, pres, 4, coeff) for _ in range(4)]
+    samples.append(Poly.zero(pres.nvars))
+    for c in samples:                     # unreduced: leading terms included
+        got = pres.multiples_nf(c, monos)
+        assert got == [pres.normal_form(c.mul_term(m, one)) for m in monos]
+    # a request that is not downward closed, out of order, with a repeat
+    c = samples[0]
+    scattered = [monos[-1], monos[len(monos) // 2], (0,) * pres.nvars,
+                 monos[-1]]
+    assert pres.multiples_nf(c, scattered) == \
+        [pres.normal_form(c.mul_term(m, one)) for m in scattered]
+
+
+def test_multiples_nf_degree_guard():
+    # a from-scratch reduction of m * c overflows exactly when
+    # deg(m) + deg(c) exceeds the guard, and so must the helper
+    from corpus import jacobian_presentations
+
+    from adickit.groebner import DEGREE_GUARD, DegreeOverflowError, normal_form
+    B2 = jacobian_presentations()["B2"]
+    one = B2.coeff_one()
+    c = B2.var("u") * B2.var("u") * B2.var("X") + B2.var("Y")   # degree 3
+    for top in (DEGREE_GUARD - 3, DEGREE_GUARD - 2):
+        for m in [(top, 0, 0, 0), (0, 0, 0, top),
+                  (0, top // 3, top // 3, top - 2 * (top // 3))]:
+            try:
+                old = normal_form(c.mul_term(m, one), B2.groebner_basis())
+            except DegreeOverflowError as exc:
+                old = str(exc)
+            try:
+                new = B2.multiples_nf(c, [m])[0]
+            except DegreeOverflowError as exc:
+                new = str(exc)
+            assert new == old
+            assert isinstance(new, str) == (sum(m) + 3 > DEGREE_GUARD)
+    with pytest.raises(DegreeOverflowError,
+                       match=f"degree guard {DEGREE_GUARD}"):
+        B2.multiples_nf(c, [(0, 0, 0, 0), (DEGREE_GUARD - 2, 0, 0, 0)])
+    # the zero polynomial never overflows, as its multiples reduce to nothing
+    assert B2.multiples_nf(Poly.zero(B2.nvars), [(DEGREE_GUARD, 0, 0, 0)]) \
+        == [Poly.zero(B2.nvars)]
