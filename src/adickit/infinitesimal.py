@@ -4,7 +4,9 @@ The de Rham point set of a presentation over a finite ring R is its point set
 over R/Nil(R): the colimit over nilpotent ideals stabilizes at the nilradical,
 the largest one.  The crystalline point set runs instead over pairs (I, gamma)
 of a nilpotent ideal with a divided-power structure, ordered by PD-compatible
-inclusion, and is computed as explicit equivalence classes.
+inclusion, and is computed as explicit equivalence classes.  On a ring of
+p-power order a divided-power structure is the one map gamma_p, solved for
+on additive generators of the ideal from cosets of its p-torsion.
 
 A morphism is etale / lisse / non-ramifie in the lifting sense when the
 canonical map from its points to its completed points is bijective /
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .finiterings import (FiniteRing, QuotientRing, additive_closure,
                           canonical_scalar_map, ideal_generated, reduced_ring,
@@ -27,6 +29,7 @@ from .tate import (IntegerBase, MorphismPresentation, PresentationError,
 
 POINT_SEARCH_CAP = 1_000_000
 PD_IDEAL_CAP = 16
+PD_SEARCH_CAP = 4096
 
 
 def _scalar_map(pres: RingPresentation, ring):
@@ -199,169 +202,153 @@ def enumerate_nilpotent_ideals(ring) -> list[tuple[frozenset, int]]:
 
 @dataclass
 class PDStructure:
-    """Divided powers gamma_n on a nilpotent ideal, with gamma_n = 0 for
-    n > e as the finite representation convention."""
+    """Divided powers on a nilpotent ideal I of a ring of p-power order (a
+    Z_(p)-algebra), kept as the one map gamma_p: I -> I that fixes them:
+    gamma_{p^(j+1)} = u_j^-1 gamma_p(gamma_{p^j}), u_j = (p^(j+1))! /
+    (p! (p^j)!^p), and gamma_n is prod_j gamma_{p^j}^a_j over the base-p
+    digits a_j of n, divided by n! / prod_j (p^j)!^a_j; both integers are
+    prime to p (Berthelot-Ogus, Notes on Crystalline Cohomology, section 3).
+    p is None only on the zero ideal of a ring of other order."""
     ring: object
     ideal: tuple            # sorted elements
-    exponent: int
-    gammas: dict            # level -> {element: element}, levels 1..exponent
+    p: int | None
+    delta: dict             # gamma_p: {element: element}
 
     def gamma(self, n: int, x):
-        if n == 0:
-            return self.ring.one
-        if n > self.exponent:
-            return self.ring.zero
-        return self.gammas[n][x]
+        R, p = self.ring, self.p
+        if n == 0 or p is None:
+            return R.one if n == 0 else R.zero
+        char = R.characteristic
+        value, weight, level, j, rest = R.one, 1, x, 0, n
+        while rest:                             # level = gamma_{p^j}(x)
+            rest, a = divmod(rest, p)
+            value = value * level ** a
+            weight *= factorial(p ** j) ** a
+            u = factorial(p ** (j + 1)) // (factorial(p)
+                                            * factorial(p ** j) ** p)
+            level = self.delta[level].times_int(pow(u, -1, char))
+            j += 1
+        return value.times_int(pow(factorial(n) // weight, -1, char))
 
-    def verify(self) -> bool:
-        R, e = self.ring, self.exponent
-        ideal = self.ideal
-        for x in ideal:
-            if self.gamma(1, x) != x:
-                return False
-        for n in range(2, 2 * e + 1):
+    def verify(self, top: int | None = None) -> bool:
+        """Check every divided-power axiom for 1 <= n <= top (default p^3):
+        gamma_n(x) in I, n! gamma_n(x) = x^n, and the sum, scalar, product
+        and composition rules on all elements, pairs and scalars."""
+        R, ideal = self.ring, self.ideal
+        top = top or (self.p ** 3 if self.p else 1)
+        members = set(ideal)
+        scaled = [(a, [(x, a * x) for x in ideal]) for a in R.elements()]
+        g = [{x: R.one for x in ideal}]         # g[n][x] = gamma_n(x)
+        for n in range(1, top + 1):
+            g.append({x: self.gamma(n, x) for x in ideal})
             for x in ideal:
-                # n! gamma_n(x) = x^n
-                lhs = self.gamma(n, x).times_int(factorial(n))
-                if lhs != x ** n:
+                if g[n][x] not in members or \
+                        g[n][x].times_int(factorial(n)) != x ** n:
                     return False
-        for n in range(1, 2 * e + 1):
+                if any(sum((g[i][x] * g[n - i][y] for i in range(n + 1)),
+                           R.zero) != g[n][x + y] for y in ideal):
+                    return False
+            for a, products in scaled:
+                an = a ** n
+                if any(g[n][ax] != an * g[n][x] for x, ax in products):
+                    return False
+        for m in range(1, top + 1):
             for x in ideal:
-                for y in ideal:
-                    total = R.zero
-                    for i in range(0, n + 1):
-                        total = total + self.gamma(i, x) * self.gamma(n - i, y)
-                    if total != self.gamma(n, (x + y)):
-                        return False
-        for n in range(1, e + 1):
-            for a in R.elements():
-                for x in ideal:
-                    if self.gamma(n, a * x) != (a ** n) * self.gamma(n, x):
-                        return False
-        for m in range(1, e + 1):
-            for n in range(1, e + 1):
-                for x in ideal:
-                    lhs = self.gamma(m, x) * self.gamma(n, x)
-                    rhs = self.gamma(m + n, x).times_int(comb(m + n, n))
-                    if lhs != rhs:
-                        return False
+                if any(g[m][x] * g[n][x] != g[m + n][x].times_int(
+                        comb(m + n, n)) for n in range(1, top + 1 - m)):
+                    return False
+                if any(g[m][g[n][x]] != g[m * n][x].times_int(
+                        factorial(m * n) // (factorial(m) * factorial(n) ** m))
+                       for n in range(1, top // m + 1)):
+                    return False
         return True
 
     def restricts_to(self, other: "PDStructure") -> bool:
-        """Does self (on a larger ideal) restrict to other on its ideal?"""
-        if not set(other.ideal) <= set(self.ideal):
-            return False
-        levels = max(self.exponent, other.exponent)
-        for n in range(1, levels + 1):
-            for x in other.ideal:
-                if self.gamma(n, x) != other.gamma(n, x):
-                    return False
-        return True
+        """Does self (on a larger ideal) restrict to other on its ideal?
+        gamma_p fixes every level, so it is the one map compared."""
+        return all(x in self.delta and self.delta[x] == other.delta[x]
+                   for x in other.ideal)
 
 
 def _additive_generators(ring, ideal: frozenset) -> list:
-    gens = []
-    span = {ring.zero}
+    gens, span = [], {ring.zero}
     for x in sorted(ideal, key=lambda e: e.key()):
         if x not in span:
             gens.append(x)
-            span = set(additive_closure(ring, list(gens)))
+            span = additive_closure(ring, gens)
     return gens
 
 
+def _prime_of(ring) -> int | None:
+    """p when the ring has p-power order, else None."""
+    n = ring.cardinality
+    p = next((d for d in range(2, n + 1) if n % d == 0), None)
+    while p and n % p == 0:
+        n //= p
+    return p if n == 1 else None
+
+
 def enumerate_pd_structures(ring, ideal: frozenset) -> list[PDStructure]:
-    """All divided-power structures on the ideal, by constrained search;
-    computed once per (ring, ideal), returned as a fresh list."""
+    """All divided-power structures on the ideal, by the gamma_p coset
+    solver; computed once per (ring, ideal), returned as a fresh list."""
     if len(ideal) > PD_IDEAL_CAP:
         raise ValueError(f"ideal size {len(ideal)} exceeds PD cap {PD_IDEAL_CAP}")
     if ideal not in ring._pd_structures:
-        ring._pd_structures[ideal] = _search_pd_structures(ring, ideal)
+        ring._pd_structures[ideal] = _solve_pd_structures(ring, ideal)
     return list(ring._pd_structures[ideal])
 
 
-def _search_pd_structures(ring, ideal: frozenset) -> list[PDStructure]:
-    """Values at each level are chosen on additive generators, extended along
-    a spanning tree of (I, +) by the addition axiom, and everything is
-    re-verified exhaustively; the count is whatever the axioms admit."""
-    e = nilpotency_exponent(ring, ideal)
-    elements = sorted(ideal, key=lambda x: x.key())
-    identity = {x: x for x in elements}
-    if e == 1:
-        trivial = PDStructure(ring, tuple(elements), 1, {1: identity})
-        return [trivial] if trivial.verify() else []
-
+def _solve_pd_structures(ring, ideal: frozenset) -> list[PDStructure]:
+    """Over a Z_(p)-algebra, delta: I -> I is gamma_p of a divided-power
+    structure iff (1) p! delta(x) = x^p, (2) delta(a x) = a^p delta(x) for
+    a in R, and (3) delta(x + y) = delta(x) + delta(y) + S(x, y) with
+    S(x, y) = sum_{0<i<p} x^i y^(p-i) / (i! (p-i)!) (Stacks Project,
+    "Divided Power Algebra", divided powers on Z_(p)-algebras).  By (3),
+    delta is fixed by its values on additive generators g of I, each from
+    the coset {v in I : p! v = g^p} of I[p], which gives (1) on all of I.
+    S is a 2-cocycle, so (3) on the pairs (x, g) gives it on all pairs; given
+    (1) and (3), (2) is additive in a and in x, so the additive basis of R
+    times the generators checks it."""
+    elements = tuple(sorted(ideal, key=lambda x: x.key()))
+    zero, p = ring.zero, _prime_of(ring)
+    if len(elements) == 1:
+        return [PDStructure(ring, elements, p, {zero: zero})]
+    if p is None:
+        raise ValueError(f"divided powers need a ring of prime-power order; "
+                         f"{ring.name} has {ring.cardinality} elements")
     gens = _additive_generators(ring, ideal)
-    tree = subgroup_tree(ring.zero, gens)      # element -> generator
-    ring_elems = sorted(ring.elements(), key=lambda x: x.key())
+    cosets = [[v for v in elements if v.times_int(factorial(p)) == g ** p]
+              for g in gens]
+    count = prod(len(c) for c in cosets)
+    if count > PD_SEARCH_CAP:
+        raise ValueError(f"PD search on an ideal of size {len(ideal)} needs "
+                         f"{count} candidates, over PD_SEARCH_CAP = "
+                         f"{PD_SEARCH_CAP}")
+    weights = {i: pow(factorial(i) * factorial(p - i), -1,
+                      ring.characteristic) for i in range(1, p)}
 
-    def extend_level(n: int, lower: dict, gen_values: dict):
-        """gamma_n on all of I from generator values, along the tree."""
-        def gamma(k, x):
-            if k == 0:
-                return ring.one
-            if k > e:
-                return ring.zero
-            return lower[k][x]
+    def cross(x, y):
+        return sum(((x ** i * y ** (p - i)).times_int(w)
+                    for i, w in weights.items()), zero)
 
-        # the tree lists every parent before its children
-        gamma_n = {}
-        for x, g in tree.items():
-            if g is None:
-                gamma_n[x] = ring.zero
-                continue
-            parent = x - g
-            total = gamma_n[parent] + gen_values[g]
-            for i in range(1, n):
-                total = total + gamma(i, parent) * gamma(n - i, g)
-            gamma_n[x] = total
-        return gamma_n
-
+    # delta along the subgroup tree by (3), parents first; then (3) on the
+    # pairs (x, g) that are not tree edges, and (2)
+    tree = subgroup_tree(zero, gens)
+    edges = [(x, x - g, g, cross(x - g, g))
+             for x, g in tree.items() if g is not None]
+    pairs = [(x, g, x + g, cross(x, g))
+             for x in elements for g in gens if tree[x + g] != g]
+    scalars = [(a * g, a ** p, g) for a in ring.basis for g in gens]
     results = []
-
-    def search(level: int, gammas: dict):
-        if level > e:
-            cand = PDStructure(ring, tuple(elements), e, dict(gammas))
-            if cand.verify():
-                results.append(cand)
-            return
-        fact = factorial(level)
-
-        def gamma_lower(k, x):
-            if k == 0:
-                return ring.one
-            if k > e:
-                return ring.zero
-            return gammas[k][x]
-
-        for values in iproduct(ring_elems, repeat=len(gens)):
-            gen_values = dict(zip(gens, values))
-            ok = True
-            for g, v in gen_values.items():
-                if v.times_int(fact) != g ** level:
-                    ok = False
-                    break
-                # gamma_m(g) gamma_level(g) = C(m+level, m) gamma_{m+level}(g),
-                # which vanishes once m+level exceeds the exponent
-                for m in range(1, level):
-                    if m + level > e and gamma_lower(m, g) * v:
-                        ok = False
-                        break
-                if not ok:
-                    break
-                if 2 * level > e and v * v:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            gamma_n = extend_level(level, gammas, gen_values)
-            # quick prune before recursing
-            if any(gamma_n[x].times_int(fact) != x ** level for x in elements):
-                continue
-            gammas[level] = gamma_n
-            search(level + 1, gammas)
-            del gammas[level]
-
-    search(2, {1: identity})
+    for values in iproduct(*cosets):
+        value = dict(zip(gens, values))
+        delta = {zero: zero}
+        for x, parent, g, s in edges:
+            delta[x] = delta[parent] + value[g] + s
+        if all(delta[xg] == delta[x] + value[g] + s
+               for x, g, xg, s in pairs) and \
+                all(delta[ag] == ap * value[g] for ag, ap, g in scalars):
+            results.append(PDStructure(ring, elements, p, delta))
     return results
 
 
@@ -374,15 +361,18 @@ class CrystallinePoints:
     classes: list           # list of frozensets of (index, point-key) nodes
     index: list             # list of (ideal, PDStructure, QuotientRing, PointSet)
 
+    def __post_init__(self):
+        self._class_of = {node: i for i, cls in enumerate(self.classes)
+                          for node in cls}
+
     def __len__(self):
         return len(self.classes)
 
     def class_of(self, idx: int, pt: tuple) -> int:
-        key = (idx, tuple(e.key() for e in pt))
-        for i, cls in enumerate(self.classes):
-            if key in cls:
-                return i
-        raise KeyError("point not in any class")
+        cls = self._class_of.get((idx, tuple(e.key() for e in pt)))
+        if cls is None:
+            raise KeyError("point not in any class")
+        return cls
 
 
 def crystalline_point_set(pres: RingPresentation, ring,
@@ -527,17 +517,17 @@ def classify_lifting(arg, test_rings: list, mode: str = "dR",
                             if len(ideal) == 1)
             targets = set()
             for i, (_ideal, _pd, quot, pts) in enumerate(crys.index):
+                q_coeff = _scalar_map(B, quot)
                 for bpt in pts.points:
                     cls = crys.class_of(i, bpt)
-                    q_coeff = _scalar_map(B, quot)
                     bka = tuple(e.key() for e in _restrict_point(
                         mor, bpt, quot, q_coeff))
                     for apt in y_points.points:
                         if tuple(quot.project(e).key() for e in apt) == bka:
                             targets.add((cls, tuple(e.key() for e in apt)))
             images = []
+            zero_quot = crys.index[zero_idx][2]
             for pt in x_points.points:
-                zero_quot = crys.index[zero_idx][2]
                 pushed = tuple(zero_quot.project(e) for e in pt)
                 cls = crys.class_of(zero_idx, pushed)
                 aimg = tuple(e.key() for e in _restrict_point(

@@ -158,6 +158,13 @@ class _TruncatedRing:
     def nf_coords(self, poly: Poly, offset: int = 0) -> dict:
         return self.coords(self.pres.normal_form(poly), offset)
 
+    def monomial_coords(self, monomials: list, offset: int = 0) -> list:
+        """coords of NF(m) for each exponent m, built incrementally as the
+        multiples of the constant 1."""
+        one = Poly.constant(self.pres.coeff_one(), self.pres.nvars)
+        return [self.coords(nf, offset)
+                for nf in self.pres.multiples_nf(one, monomials)]
+
     def low_indices(self, degree: int):
         return [i for i, m in enumerate(self.monomials)
                 if exp_total(m) <= degree]
@@ -174,19 +181,22 @@ def gluing_sequence_check(cov: BinaryCovering, degree_cap: int = 6,
     coordinates position by position.
     """
     one = Fraction(1)
-    nb1, nb2, nj = cov.loc_fg.nvars, cov.loc_gf.nvars, cov.joint.nvars
 
-    def into_loc1(mono):  # B monomial -> loc_fg polynomial
-        return Poly(nb1, {mono + (0,): one}, normalize=False)
+    def padded(monomials):  # B -> loc_fg, loc_gf and (x.., u) -> (x.., u, v)
+        return [m + (0,) for m in monomials]
 
-    def into_loc2(mono):
-        return Poly(nb2, {mono + (0,): one}, normalize=False)
+    def loc2_into_joint(monomials):  # (x.., v) -> (x.., u, v)
+        return [m[:-1] + (0, m[-1]) for m in monomials]
 
-    def loc1_into_joint(mono):  # (x.., u) -> (x.., u, v)
-        return Poly(nj, {mono + (0,): one}, normalize=False)
+    def alpha(T1, T2, base_monomials):  # B -> B1 (+) B2
+        lifted = padded(base_monomials)
+        return [a | b for a, b in zip(T1.monomial_coords(lifted),
+                                      T2.monomial_coords(lifted, T1.width))]
 
-    def loc2_into_joint(mono):  # (x.., v) -> (x.., u, v)
-        return Poly(nj, {mono[:-1] + (0, mono[-1]): one}, normalize=False)
+    def beta(T12, loc1_monomials, loc2_monomials):  # B1 (+) B2 -> B12
+        return T12.monomial_coords(padded(loc1_monomials)) + [
+            _negated(v) for v in
+            T12.monomial_coords(loc2_into_joint(loc2_monomials))]
 
     detail: dict = {}
 
@@ -198,16 +208,13 @@ def gluing_sequence_check(cov: BinaryCovering, degree_cap: int = 6,
 
     # (i) injectivity of B -> B1 (+) B2 on degree <= cap.  Normal forms are
     # exact, so a kernel vector is a genuine algebraic counterexample.
-    alpha_cap = [C1.nf_coords(into_loc1(m)) |
-                 C2.nf_coords(into_loc2(m), C1.width) for m in Bc.monomials]
+    alpha_cap = alpha(C1, C2, Bc.monomials)
     kernel = kernel_of_map(alpha_cap, C1.width + C2.width, one)
     left = "exact" if not kernel else "failed"
     detail["left_kernel_dim"] = len(kernel)
 
     # (ii) kernel of the difference map on the cap-level middle term.
-    beta_cap = [C12.nf_coords(loc1_into_joint(m)) for m in C1.monomials]
-    beta_cap += [_negated(C12.nf_coords(loc2_into_joint(m)))
-                 for m in C2.monomials]
+    beta_cap = beta(C12, C1.monomials, C2.monomials)
     ker_beta = kernel_of_map(beta_cap, C12.width, one)
     detail["middle_kernel_dim"] = len(ker_beta)
 
@@ -215,8 +222,7 @@ def gluing_sequence_check(cov: BinaryCovering, degree_cap: int = 6,
         Bw = _TruncatedRing(cov.base_pres, work)
         W1 = _TruncatedRing(cov.loc_fg, work)
         W2 = _TruncatedRing(cov.loc_gf, work)
-        vectors = [W1.nf_coords(into_loc1(m)) |
-                   W2.nf_coords(into_loc2(m), W1.width) for m in Bw.monomials]
+        vectors = alpha(W1, W2, Bw.monomials)
         low_cols = W1.low_indices(degree_cap) + \
             [W1.width + i for i in W2.low_indices(degree_cap)]
         space = span_in_low_block(vectors, low_cols, W1.width + W2.width, one)
@@ -227,9 +233,7 @@ def gluing_sequence_check(cov: BinaryCovering, degree_cap: int = 6,
         W1 = _TruncatedRing(cov.loc_fg, work)
         W2 = _TruncatedRing(cov.loc_gf, work)
         W12 = _TruncatedRing(cov.joint, work)
-        images = [W12.nf_coords(loc1_into_joint(m)) for m in W1.monomials]
-        images += [_negated(W12.nf_coords(loc2_into_joint(m)))
-                   for m in W2.monomials]
+        images = beta(W12, W1.monomials, W2.monomials)
         space = span_in_low_block(images, W12.low_indices(degree_cap),
                                   W12.width, one)
         ok = all(space.contains({k: one}) for k in range(C12.width))
@@ -292,10 +296,7 @@ def joint_surjection_lift(cov: BinaryCovering, s1: list[Poly], s2: list[Poly],
     def solve_preimage(target_pres, element: Poly):
         """b in B (poly model) with the same normal form in the localization."""
         tr = _TruncatedRing(target_pres, work)
-        images = []
-        for m in Bt.monomials:
-            lifted = Poly(target_pres.nvars, {m + (0,): one}, normalize=False)
-            images.append(tr.nf_coords(lifted))
+        images = tr.monomial_coords([m + (0,) for m in Bt.monomials])
         rhs = tr.nf_coords(element)
         rows = [[Fraction(0)] * len(images) for _ in range(tr.width)]
         for i, image in enumerate(images):

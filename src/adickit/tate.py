@@ -221,6 +221,7 @@ class RingPresentation:
         self.integral_generators = tuple(integral_generators)
         self._basis = None
         self._border: dict = {}     # monomial -> NF terms, None if standard
+        self._staircases: dict = {}     # degree -> staircase monomials
         self._dim = None
 
     # -- coefficient domain helpers ----------------------------------------
@@ -394,8 +395,13 @@ class RingPresentation:
         return self._dim
 
     def staircase(self, max_degree: int | None = None) -> list[tuple]:
+        """Standard monomials of degree <= max_degree (default the degree
+        cap); enumerated once per degree, returned as a fresh list."""
         cap = self.degree_cap if max_degree is None else max_degree
-        return staircase_for(self.nvars, self.groebner_basis(), cap)
+        if cap not in self._staircases:
+            self._staircases[cap] = staircase_for(
+                self.nvars, self.groebner_basis(), cap)
+        return list(self._staircases[cap])
 
     # -- structure -----------------------------------------------------------
 

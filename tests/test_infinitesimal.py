@@ -1,12 +1,15 @@
+import time
 from fractions import Fraction
 from itertools import product as iproduct
+from math import factorial
 
 import pytest
 
 from adickit.finiterings import (canonical_scalar_map, dual_numbers,
-                                 fp_quotient, gf, product_ring, reduced_ring,
-                                 zmod)
-from adickit.infinitesimal import (classify_lifting, crystalline_point_set,
+                                 fp_quotient, gf, ideal_generated,
+                                 product_ring, reduced_ring, zmod)
+from adickit.infinitesimal import (PD_IDEAL_CAP, PDStructure,
+                                   classify_lifting, crystalline_point_set,
                                    de_rham_point_set, default_corpus,
                                    enumerate_nilpotent_ideals,
                                    enumerate_pd_structures, point_set)
@@ -189,6 +192,139 @@ def test_pd_structures_on_dual_numbers_all_verify():
     assert found  # the count is computed, not asserted
     for pd in found:
         assert pd.verify()
+
+
+def _structures_by_delta(ring, ideal):
+    elements = sorted(ideal, key=lambda x: x.key())
+    return {tuple(pd.delta[x].key() for x in elements): pd
+            for pd in enumerate_pd_structures(ring, ideal)}
+
+
+def test_pd_canonical_structure_on_p_power_ideals():
+    # (p^j) in Z/p^k carries the structure gamma_n(x) = x^n / n! that Z_(p)
+    # induces; compare every level up to p^3 with the rational value
+    checked = 0
+    for p in (2, 3):
+        for k in range(2, 5):
+            R = zmod(p ** k)
+            for ideal, _e in enumerate_nilpotent_ideals(R):
+                if len(ideal) > PD_IDEAL_CAP:
+                    continue
+                elements = sorted(ideal, key=lambda x: x.key())
+
+                def canonical(n, x):
+                    q = Fraction(x.coords[0] ** n, factorial(n))
+                    return R.from_int(q.numerator * pow(q.denominator, -1,
+                                                        p ** k))
+                delta = tuple(canonical(p, x).key() for x in elements)
+                pd = _structures_by_delta(R, ideal).get(delta)
+                assert pd is not None, (R.name, len(ideal))
+                assert all(pd.gamma(n, x) == canonical(n, x)
+                           for n in range(p ** 3 + 1) for x in elements)
+                checked += 1
+    assert checked == 17
+
+
+def _pd_test_rings():
+    return default_corpus(2) + default_corpus(3) + [zmod(16)]
+
+
+def test_pd_gammas_map_ideal_into_ideal():
+    for ring in _pd_test_rings():
+        for ideal, _e in enumerate_nilpotent_ideals(ring):
+            if len(ideal) > PD_IDEAL_CAP:
+                continue
+            for pd in enumerate_pd_structures(ring, ideal):
+                top = pd.p ** 3 if pd.p else 1
+                assert all(pd.gamma(n, x) in ideal for x in ideal
+                           for n in range(1, top + 1)), ring.name
+
+
+def test_pd_solver_matches_brute_force():
+    # every map gamma_p: I -> I, with the levels it forces, checked on every
+    # axiom for n <= p^3; equal to the solver's set on every small ideal
+    compared = 0
+    for ring in _pd_test_rings():
+        if ring.cardinality > 16:
+            continue
+        p = next(d for d in range(2, 4) if ring.cardinality % d == 0)
+        for ideal, _e in enumerate_nilpotent_ideals(ring):
+            if len(ideal) > 4:
+                continue
+            elements = tuple(sorted(ideal, key=lambda x: x.key()))
+            brute = set()
+            for values in iproduct(elements, repeat=len(elements)):
+                delta = dict(zip(elements, values))
+                if PDStructure(ring, elements, p, delta).verify(p ** 3):
+                    brute.add(tuple(v.key() for v in values))
+            assert set(_structures_by_delta(ring, ideal)) == brute, \
+                (ring.name, len(ideal))
+            compared += 1
+    assert compared == 21
+
+
+def test_pd_structures_on_two_in_z8_and_z16():
+    # regression: the old "gamma_n = 0 for n > e" convention found none,
+    # but gamma_{2^j}(2) has valuation 1 for every j
+    for k in (3, 4):
+        R = zmod(2 ** k)
+        two = R.from_int(2)
+        found = enumerate_pd_structures(R, ideal_generated(R, [two]))
+        assert len(found) == 2
+        assert {pd.gamma(2, two) for pd in found} == \
+            {R.from_int(2), R.from_int(2 + 2 ** (k - 1))}
+        # gamma_4(2) = 2^4 / 4! = 2/3 in the induced structure, never 0
+        fourth = {pd.gamma(4, two) for pd in found}
+        assert R.from_int(2 * pow(3, -1, 2 ** k)) in fourth
+        assert R.zero not in fourth
+        assert all(pd.verify() for pd in found)
+
+
+def test_pd_structures_on_x3_keep_gamma_in_ideal():
+    # regression: candidate values ranged over all of R, so gamma_2(x^3) was
+    # x^2 or x^2 + x^3 on two of four returned structures
+    R = fp_quotient(2, ("x",), [Poly(1, {(4,): F2.one})])
+    x3 = R.element((0, 0, 0, 1))
+    ideal = ideal_generated(R, [x3])
+    assert len(ideal) == 2
+    found = enumerate_pd_structures(R, ideal)
+    assert {pd.gamma(2, x3) for pd in found} == {R.zero, x3}
+    assert all(pd.verify() for pd in found)
+
+
+def test_pd_structures_on_maximal_ideal_of_f2xy_are_fast():
+    R = fp_quotient(2, ("x", "y"), [Poly(2, {(2, 0): F2.one}),
+                                    Poly(2, {(0, 2): F2.one})])
+    ideal = R.nilradical()
+    assert len(ideal) == 8
+    R._pd_structures.pop(ideal, None)
+    start = time.perf_counter()
+    found = enumerate_pd_structures(R, ideal)
+    assert time.perf_counter() - start < 1.0
+    # x, y, xy square to 0, so gamma_2 is free on the generators up to (2)
+    assert len(found) == 64
+    assert all(pd.verify(4) for pd in found[::8])
+
+
+def test_pd_search_cap():
+    # 16 elements, four additive generators with square 0: 16^4 candidates
+    R = fp_quotient(2, ("x", "y", "z"), [Poly(3, {e: F2.one}) for e in
+                                         ((2, 0, 0), (0, 2, 0), (0, 0, 2))])
+    names = {name: b for name, b in zip(R.basis_names, R.basis)}
+    ideal = ideal_generated(R, [names["x*y"], names["x*z"], names["y*z"]])
+    assert len(ideal) == 16
+    with pytest.raises(ValueError, match=r"65536 candidates, over "
+                                         r"PD_SEARCH_CAP = 4096"):
+        enumerate_pd_structures(R, ideal)
+
+
+def test_pd_structures_need_prime_power_order():
+    Z12 = zmod(12)
+    with pytest.raises(ValueError, match="prime-power order"):
+        enumerate_pd_structures(Z12, ideal_generated(Z12, [Z12.from_int(6)]))
+    Z6 = zmod(6)
+    only = enumerate_pd_structures(Z6, frozenset({Z6.zero}))
+    assert len(only) == 1 and only[0].gamma(3, Z6.zero) == Z6.zero
 
 
 def test_crystalline_reduces_to_points_on_fields():

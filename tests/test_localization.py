@@ -184,3 +184,37 @@ def test_localized_pieces_classify_etale(line):
         cov = binary_covering(line, f, g)
         assert classify_morphism(cov.loc_fg).verdict == "etale"
         assert classify_morphism(cov.loc_gf).verdict == "etale"
+
+
+def _scratch_coords(tr, monomials, offset=0):
+    """The from-scratch loop that monomial_coords replaced: one normal form
+    per monomial."""
+    one = tr.pres.coeff_one()
+    return [tr.nf_coords(Poly(tr.pres.nvars, {m: one}), offset)
+            for m in monomials]
+
+
+def test_monomial_coords_match_from_scratch(line):
+    from adickit.localization import _TruncatedRing
+    T = line.var("T")
+    covs = [binary_covering(line, T, line.const(c)) for c in (1, 2)]
+    covs += _negative_controls(line)
+    for cov in covs:
+        for pres in (cov.loc_fg, cov.joint):
+            tr = _TruncatedRing(pres, 7)
+            monos = [m + (0,) * (pres.nvars - cov.base_pres.nvars)
+                     for m in _TruncatedRing(cov.base_pres, 7).monomials]
+            monos += list(reversed(tr.monomials))
+            assert tr.monomial_coords(monos, 3) == \
+                _scratch_coords(tr, monos, 3)
+
+
+def test_gluing_check_matches_from_scratch_loop(line, monkeypatch):
+    from adickit.localization import _TruncatedRing
+    T = line.var("T")
+    covs = [binary_covering(line, T, line.const(c)) for c in (1, 2)]
+    covs += _negative_controls(line)
+    reports = [gluing_sequence_check(cov, 5, 5) for cov in covs]
+    monkeypatch.setattr(_TruncatedRing, "monomial_coords", _scratch_coords)
+    # the reports compare their kernel and span dimensions too
+    assert reports == [gluing_sequence_check(cov, 5, 5) for cov in covs]

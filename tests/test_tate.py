@@ -285,3 +285,24 @@ def test_multiples_nf_degree_guard():
     # the zero polynomial never overflows, as its multiples reduce to nothing
     assert B2.multiples_nf(Poly.zero(B2.nvars), [(DEGREE_GUARD, 0, 0, 0)]) \
         == [Poly.zero(B2.nvars)]
+
+
+def test_staircase_is_enumerated_once_per_degree(monkeypatch):
+    import adickit.tate as tate
+    from adickit.groebner import staircase_for
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return staircase_for(*args)
+
+    monkeypatch.setattr(tate, "staircase_for", counted)
+    pres, _ = _multiples_case("B2")
+    first = pres.staircase(3)
+    assert first == staircase_for(pres.nvars, pres.groebner_basis(), 3)
+    first.clear()                       # the caller owns its list
+    again = pres.staircase(3)
+    assert again and again == pres.staircase(3)
+    assert again is not pres.staircase(3)
+    assert pres.staircase() == pres.staircase(pres.degree_cap)
+    assert calls == [3, pres.degree_cap]
