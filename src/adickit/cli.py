@@ -23,19 +23,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import VERSION
-from .differentials import (classify_morphism, de_rham_complex,
-                            etale_integration)
 from .finiterings import FiniteRing, fp_quotient, gf, product_ring, zmod
-from .infinitesimal import classify_lifting, default_corpus
-from .localization import (binary_covering, gluing_sequence_check,
-                           joint_surjection_lift)
 from .poly import Poly, monomials_upto, render_poly
 from .tate import (IntegerBase, MorphismPresentation, PresentationError,
                    QpBase, RingPresentation, base_change,
                    compose_presentations, free_presentation, gauss_norm)
-from .wittrobba import (CharPNormedRing, RobbaElement, WittVector,
-                        frobenius_witt, interval_norm, phi_action, robba_norm,
-                        teichmuller, tilt, verschiebung, witt_arith)
+
+# Parsing and declarations need only the three modules above (a `Loc`
+# declaration imports `localization`).  Each command handler imports the
+# library it drives when it first runs, so a script pays to load (and,
+# without bytecode, to compile) only the modules its commands use.
 
 COMMANDS = ("classify", "classify-lifting", "glue-check", "drham", "witt",
             "robba-norm", "tilt", "integrate")
@@ -549,6 +546,7 @@ class Session:
 
     def eval_robba(self, node, ring: CharPNormedRing, line, col) -> RobbaElement:
         """p^k*[digit] sums."""
+        from .wittrobba import RobbaElement
         terms: dict = {}
 
         def digit(expr) -> "NormedElement":
@@ -720,6 +718,7 @@ class Session:
         return default
 
     def _cmd_classify(self, cmd: CommandStmt):
+        from .differentials import classify_morphism
         obj = self.eval_decl_expr(cmd.args[0], cmd.line, cmd.col)
         cap = self._int_kw(cmd, "D", self.options.degree)
         prec = self._int_kw(cmd, "N", self.options.precision)
@@ -732,6 +731,7 @@ class Session:
         return result, verdict.verdict
 
     def _cmd_classify_lifting(self, cmd: CommandStmt):
+        from .infinitesimal import classify_lifting, default_corpus
         obj = self.eval_decl_expr(cmd.args[0], cmd.line, cmd.col)
         kw = self._kwargs(cmd)
         mode = "dR"
@@ -763,6 +763,8 @@ class Session:
         return args
 
     def _cmd_glue_check(self, cmd: CommandStmt):
+        from .localization import (binary_covering, gluing_sequence_check,
+                                   joint_surjection_lift)
         args = self._unfused_args(cmd)
         pres = self.eval_decl_expr(args[0], cmd.line, cmd.col)
         f = self.eval_poly(args[1], pres, cmd.line, cmd.col)
@@ -800,6 +802,7 @@ class Session:
         return result, summary
 
     def _cmd_drham(self, cmd: CommandStmt):
+        from .differentials import de_rham_complex
         obj = self.eval_decl_expr(cmd.args[0], cmd.line, cmd.col)
         top = self._int_kw(cmd, "top", 2)
         cx = de_rham_complex(obj, top)
@@ -826,6 +829,8 @@ class Session:
         return result, "d^2=0" if square_zero else "d^2 != 0"
 
     def _cmd_witt(self, cmd: CommandStmt):
+        from .wittrobba import (WittVector, frobenius_witt, teichmuller,
+                                verschiebung, witt_arith)
         # `witt add (1,0) (2,1)` parses the operation name fused with the
         # first tuple as a call node; unfuse it here
         head = cmd.args[0]
@@ -861,6 +866,8 @@ class Session:
         return result, repr(out)
 
     def _cmd_robba_norm(self, cmd: CommandStmt):
+        from .wittrobba import (CharPNormedRing, interval_norm, phi_action,
+                                robba_norm)
         p = self._int_kw(cmd, "p", self.options.prime)
         ring = CharPNormedRing(p)
         elem = self.eval_robba(cmd.args[0], ring, cmd.line, cmd.col)
@@ -881,6 +888,7 @@ class Session:
         return result, str(value)
 
     def _cmd_tilt(self, cmd: CommandStmt):
+        from .wittrobba import tilt
         ring = self.eval_decl_expr(cmd.args[0], cmd.line, cmd.col)
         kw = self._kwargs(cmd)
         depth = int(self.eval_const(kw["depth"], cmd.line, cmd.col)) \
@@ -897,6 +905,7 @@ class Session:
         return result, f"{res.ring.cardinality} elements"
 
     def _cmd_integrate(self, cmd: CommandStmt):
+        from .differentials import etale_integration
         p = self._int_kw(cmd, "p", self.options.prime)
         prec = self._int_kw(cmd, "N", self.options.precision)
         scratch = free_presentation(QpBase(p, prec), ("T",))

@@ -126,6 +126,7 @@ class FiniteRing:
         self._nilradical = None
         self._nil_ideals = None         # memo of enumerate_nilpotent_ideals
         self._pd_structures: dict = {}  # ideal -> enumerate_pd_structures
+        self._quotients: dict = {}      # (ideal, name) -> quotient_ring
         self.cardinality = 1
         for m in moduli:
             self.cardinality *= m
@@ -567,6 +568,7 @@ class QuotientRing:
         self._nilradical = None
         self._nil_ideals = None
         self._pd_structures: dict = {}
+        self._quotients: dict = {}
 
     def _wrap(self, rep):
         return QuotientElement(self, self._rep_of[rep])
@@ -613,10 +615,17 @@ class QuotientRing:
         return f"QuotientRing({self.name}, {self.cardinality} elements)"
 
 
+def quotient_ring(ring, ideal: frozenset, name: str | None = None):
+    """R/I as a QuotientRing, built once per (ring, ideal, name)."""
+    key = (ideal, name)
+    if key not in ring._quotients:
+        ring._quotients[key] = QuotientRing(ring, ideal, name)
+    return ring._quotients[key]
+
+
 def reduced_ring(ring):
     """R/Nil(R) together with the projection."""
-    nil = ring.nilradical()
-    q = QuotientRing(ring, nil, name=f"{ring.name}_red")
+    q = quotient_ring(ring, ring.nilradical(), name=f"{ring.name}_red")
     return q, q.project
 
 

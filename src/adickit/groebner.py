@@ -308,6 +308,22 @@ def staircase_monomials(basis: list[Poly], max_degree: int) -> list[tuple]:
             if not any(exp_divides(lt, m) for lt in lts)]
 
 
+def staircase_shell(leading: list[tuple], nvars: int,
+                    below: list[tuple] | None = None) -> list[tuple]:
+    """Standard monomials of one degree, grevlex-ascending: of degree 0 when
+    `below` is None, else of degree d + 1 given `below`, those of degree d.
+    The staircase is downward closed, so each monomial of degree d + 1 in it
+    is x_i * m for some m of degree d in it."""
+    if below is None:
+        up = {(0,) * nvars}
+    else:
+        up = {m[:i] + (m[i] + 1,) + m[i + 1:] for m in below
+              for i in range(nvars)}
+    return sorted((m for m in up
+                   if not any(exp_divides(lt, m) for lt in leading)),
+                  key=grevlex_key)
+
+
 def staircase_for(nvars: int, basis: list[Poly], max_degree: int) -> list[tuple]:
     if not basis:
         return monomials_upto(nvars, max_degree)

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from math import comb, factorial, prod
 
-from .finiterings import (FiniteRing, QuotientRing, additive_closure,
-                          canonical_scalar_map, ideal_generated, reduced_ring,
+from .finiterings import (FiniteRing, additive_closure, canonical_scalar_map,
+                          ideal_generated, quotient_ring, reduced_ring,
                           subgroup_tree)
 from .poly import Poly
 from .tate import (IntegerBase, MorphismPresentation, PresentationError,
@@ -180,21 +180,28 @@ def nilpotency_exponent(ring, ideal: frozenset) -> int:
 
 def enumerate_nilpotent_ideals(ring) -> list[tuple[frozenset, int]]:
     """All ideals inside the nilradical, each with its nilpotency exponent;
-    computed once per ring, returned as a fresh list."""
+    computed once per ring, returned as a fresh list.  Each ideal I found is
+    grown by every principal ideal Rx of a nilpotent x that it does not
+    contain: I + Rx is the additive span of I's additive generators and the
+    e * x for e in the ring's additive basis, since I is already an ideal."""
     if ring._nil_ideals is None:
-        nil = ring.nilradical()
+        principal: dict = {}            # Rx -> its additive generators
+        for x in ring.nilradical():
+            principal.setdefault(ideal_generated(ring, [x]),
+                                 [e * x for e in ring.basis])
         zero_ideal = frozenset({ring.zero})
         seen = {zero_ideal}
-        frontier = [zero_ideal]
+        frontier = [(zero_ideal, [])]       # (ideal, additive generators)
         while frontier:
-            ideal = frontier.pop()
-            for x in nil:
-                if x in ideal:
+            ideal, gens = frontier.pop()
+            for rx, rx_gens in principal.items():
+                if rx <= ideal:
                     continue
-                bigger = ideal_generated(ring, list(ideal) + [x])
+                grown = gens + [y for y in rx_gens if y not in ideal]
+                bigger = additive_closure(ring, grown)
                 if bigger not in seen:
                     seen.add(bigger)
-                    frontier.append(bigger)
+                    frontier.append((bigger, grown))
         ideals = sorted(seen, key=lambda I: (len(I), sorted(x.key() for x in I)))
         ring._nil_ideals = [(I, nilpotency_exponent(ring, I)) for I in ideals]
     return list(ring._nil_ideals)
@@ -386,7 +393,7 @@ def crystalline_point_set(pres: RingPresentation, ring,
         structures = enumerate_pd_structures(ring, ideal)
         if not structures:
             continue
-        quotient = QuotientRing(ring, ideal)
+        quotient = quotient_ring(ring, ideal)
         qmap = None
         if base_map is not None:
             qmap = lambda c: quotient.project(base_map(c))  # noqa: E731

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .finiterings import FiniteRing, FiniteRingElement
 from .groebner import (DEGREE_GUARD, DegreeOverflowError, buchberger,
-                       normal_form, quotient_dimension, staircase_for)
+                       normal_form, quotient_dimension, staircase_shell)
 from .norms import ExactNorm, norm_max
 from .padics import DEFAULT_PRECISION, PadicNumber, PrecisionLossError
 from .poly import (Poly, exp_coprime, exp_divides, exp_total, grevlex_key,
@@ -221,7 +221,8 @@ class RingPresentation:
         self.integral_generators = tuple(integral_generators)
         self._basis = None
         self._border: dict = {}     # monomial -> NF terms, None if standard
-        self._staircases: dict = {}     # degree -> staircase monomials
+        self._stairs: list = []     # standard monomials, grevlex-ascending
+        self._stair_ends = [0]      # [d + 1]: how many have degree <= d
         self._dim = None
 
     # -- coefficient domain helpers ----------------------------------------
@@ -396,12 +397,21 @@ class RingPresentation:
 
     def staircase(self, max_degree: int | None = None) -> list[tuple]:
         """Standard monomials of degree <= max_degree (default the degree
-        cap); enumerated once per degree, returned as a fresh list."""
+        cap), grevlex-ascending, returned as a fresh list.  The staircase is
+        enumerated once per presentation, one degree at a time as higher
+        degrees are asked for; a lower degree is a prefix of it."""
         cap = self.degree_cap if max_degree is None else max_degree
-        if cap not in self._staircases:
-            self._staircases[cap] = staircase_for(
-                self.nvars, self.groebner_basis(), cap)
-        return list(self._staircases[cap])
+        cap = max(cap, 0)       # as monomials_upto: degree 0 below zero
+        stairs, ends = self._stairs, self._stair_ends
+        if len(ends) <= cap + 1:
+            leading = [g.leading()[0] for g in self.groebner_basis()
+                       if not g.is_zero]
+            shell = stairs[ends[-2]:] if len(ends) > 1 else None
+            while len(ends) <= cap + 1:
+                shell = staircase_shell(leading, self.nvars, shell)
+                stairs.extend(shell)
+                ends.append(len(stairs))
+        return stairs[:ends[cap + 1]]
 
     # -- structure -----------------------------------------------------------
 

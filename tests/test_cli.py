@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +32,13 @@ robba-norm (p^0*[tbar^(1/2)] + p^1*[tbar^3]) r=1 p=2;
 tilt R2;
 integrate (T^2 + 1) 1 p=2 N=8;
 """
+
+
+DEMO = Path(__file__).resolve().parent.parent / "docs" / "demo.adk"
+
+# loaded by the command that drives them, never by parsing or declarations
+COMMAND_LIBRARIES = {"adickit.differentials", "adickit.localization",
+                     "adickit.wittrobba", "adickit.linalg"}
 
 
 def test_smoke_parse():
@@ -197,3 +205,47 @@ def test_coverage_map_reaches_every_operation():
     assert not missing, f"operations unreachable from the CLI: {missing}"
     for command in COMMANDS:
         assert command in COVERAGE
+
+
+def _modules_loaded(body: str) -> set:
+    """The adickit modules a fresh interpreter holds after running `body`."""
+    code = (f"import sys\n{body}\nprint(' '.join(m for m in sys.modules "
+            f"if m.startswith('adickit.')))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    return set(run.stdout.split())
+
+
+def _run_in_fresh_process(script: Path, out: Path) -> set:
+    return _modules_loaded(f"from adickit.cli import main\n"
+                           f"main(['run', {str(script)!r}, '--out', "
+                           f"{str(out)!r}])")
+
+
+def test_command_libraries_load_on_first_use(tmp_path):
+    loaded = _modules_loaded("import adickit.cli")
+    assert "adickit.tate" in loaded
+    assert not loaded & (COMMAND_LIBRARIES | {"adickit.infinitesimal"})
+
+    script = tmp_path / "lifting.adk"
+    script.write_text("ZB = Tate(ZZ, []); BZ = Quot(ZB, [T], [T^2 - T]); "
+                      "C1 = Corpus(GF(2), Zmod(4)); "
+                      "classify-lifting BZ corpus=C1 mode=dR; "
+                      "classify-lifting BZ corpus=C1 mode=crys;",
+                      encoding="utf-8")
+    out = tmp_path / "lifting.json"
+    loaded = _run_in_fresh_process(script, out)
+    assert "adickit.infinitesimal" in loaded
+    assert not loaded & COMMAND_LIBRARIES
+    assert [r["verdict"] for r in json.loads(out.read_text())] == \
+        ["etale", "etale"]
+
+    # a script using every command loads every library on the way and
+    # reports what an in-process run of the same script reports
+    out = tmp_path / "demo.json"
+    loaded = _run_in_fresh_process(DEMO, out)
+    assert loaded >= COMMAND_LIBRARIES | {"adickit.infinitesimal"}
+    in_process = run_script(parse_script(DEMO.read_text(encoding="utf-8")),
+                            Options())
+    assert out.read_text(encoding="utf-8") == \
+        render_reports(in_process.reports)

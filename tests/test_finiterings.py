@@ -8,7 +8,8 @@ from adickit import finiterings
 from adickit.finiterings import (QuotientRing, canonical_scalar_map,
                                  dual_numbers, fp_quotient, gf,
                                  ideal_generated, is_ideal, nilradical,
-                                 product_ring, reduced_ring, zmod)
+                                 product_ring, quotient_ring, reduced_ring,
+                                 zmod)
 from adickit.infinitesimal import default_corpus
 from adickit.poly import Poly
 
@@ -63,6 +64,17 @@ def test_reduction_is_reduced():
         red, proj = reduced_ring(r)
         assert red.nilradical() == frozenset({red.zero})
         assert proj(r.one) == red.one
+
+
+def test_quotient_rings_are_built_once_per_ideal_and_name():
+    r = zmod(8)
+    red, _ = reduced_ring(r)
+    assert reduced_ring(r)[0] is red
+    assert quotient_ring(r, r.nilradical(), name="Zmod(8)_red") is red
+    ideal = ideal_generated(r, [r.from_int(4)])
+    q = quotient_ring(r, ideal)
+    assert quotient_ring(r, ideal) is q and q.name == "Zmod(8)/I2"
+    assert quotient_ring(r, ideal, name="Z/4") is not q
 
 
 def test_gf4_is_a_field():

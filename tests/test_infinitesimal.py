@@ -12,7 +12,8 @@ from adickit.infinitesimal import (PD_IDEAL_CAP, PDStructure,
                                    classify_lifting, crystalline_point_set,
                                    de_rham_point_set, default_corpus,
                                    enumerate_nilpotent_ideals,
-                                   enumerate_pd_structures, point_set)
+                                   enumerate_pd_structures,
+                                   nilpotency_exponent, point_set)
 from adickit.poly import Poly
 from adickit.tate import (IntegerBase, MorphismPresentation,
                           PresentationError, RingPresentation,
@@ -149,6 +150,35 @@ def test_nilpotent_ideal_enumeration():
         # F_p x F_p is reduced: only the zero ideal
         reduced = enumerate_nilpotent_ideals(product_ring(field, field))
         assert [(len(I), e) for I, e in reduced] == [(1, 1)]
+
+
+def _nilpotent_ideals_by_closure(ring):
+    """The former lattice growth, kept as the reference: each ideal I found
+    is grown by a nilpotent x to the ideal generated by I and x."""
+    nil = ring.nilradical()
+    seen = {frozenset({ring.zero})}
+    frontier = list(seen)
+    while frontier:
+        ideal = frontier.pop()
+        for x in nil - ideal:
+            bigger = ideal_generated(ring, list(ideal) + [x])
+            if bigger not in seen:
+                seen.add(bigger)
+                frontier.append(bigger)
+    return [(I, nilpotency_exponent(ring, I)) for I in
+            sorted(seen, key=lambda I: (len(I), sorted(x.key() for x in I)))]
+
+
+def test_nilpotent_ideals_match_closure_growth():
+    # GF(2)[x,y]/(x^3,y^2) has 12 nilpotent ideals, not a chain
+    rings = default_corpus(2) + default_corpus(3) + [
+        zmod(16), fp_quotient(2, ("x", "y"), [Poly(2, {(3, 0): F2.one}),
+                                               Poly(2, {(0, 2): F2.one})])]
+    for ring in rings:
+        ring._nil_ideals = None             # enumerate, not the memo
+        assert enumerate_nilpotent_ideals(ring) == \
+            _nilpotent_ideals_by_closure(ring), ring.name
+    assert len(enumerate_nilpotent_ideals(rings[-1])) == 12
 
 
 def test_enumeration_memos_hand_out_fresh_lists():
@@ -335,6 +365,9 @@ def test_crystalline_reduces_to_points_on_fields():
 def test_crystalline_over_z4():
     crys = crystalline_point_set(IDEM_Z, zmod(4))
     assert len(crys) == 2
+    again = crystalline_point_set(IDEM_Z, zmod(4))
+    assert len(again.index) == len(crys.index)
+    assert all(a[2] is b[2] for a, b in zip(crys.index, again.index))
 
 
 def test_classify_lifting_etale_both_modes():

@@ -289,14 +289,14 @@ def test_multiples_nf_degree_guard():
 
 def test_staircase_is_enumerated_once_per_degree(monkeypatch):
     import adickit.tate as tate
-    from adickit.groebner import staircase_for
-    calls = []
+    from adickit.groebner import staircase_for, staircase_shell
+    shells = []
 
     def counted(*args):
-        calls.append(args[2])
-        return staircase_for(*args)
+        shells.append(args)
+        return staircase_shell(*args)
 
-    monkeypatch.setattr(tate, "staircase_for", counted)
+    monkeypatch.setattr(tate, "staircase_shell", counted)
     pres, _ = _multiples_case("B2")
     first = pres.staircase(3)
     assert first == staircase_for(pres.nvars, pres.groebner_basis(), 3)
@@ -304,5 +304,20 @@ def test_staircase_is_enumerated_once_per_degree(monkeypatch):
     again = pres.staircase(3)
     assert again and again == pres.staircase(3)
     assert again is not pres.staircase(3)
+    assert len(shells) == 4             # degrees 0 to 3
     assert pres.staircase() == pres.staircase(pres.degree_cap)
-    assert calls == [3, pres.degree_cap]
+    assert len(shells) == pres.degree_cap + 1
+
+
+@pytest.mark.parametrize("label", ["B2", "zero-dim", "free", "L1", "C1",
+                                   "GF(3)"])
+def test_staircase_matches_full_enumeration(label):
+    # the oracle filters every monomial up to the degree against the
+    # leading monomials; degrees ascend, descend and repeat, and a negative
+    # degree (a user's D=-3) gets the degree-0 staircase, as the oracle does
+    from adickit.groebner import staircase_for
+    pres, _ = _multiples_case(label)
+    basis = pres.groebner_basis()
+    for degree in (0, 2, 1, 4, 4, 3, 6, 0, -1, 5, -3, 7):
+        assert pres.staircase(degree) == \
+            staircase_for(pres.nvars, basis, degree)
