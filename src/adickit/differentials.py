@@ -17,20 +17,23 @@ images, and differentials are taken only in B's variables.
 
 Two backends: field coefficient bases run exact Groebner/syzygy linear
 algebra at a degree cap; finite non-field bases with a separated monic
-presentation are classified by exhaustive finite-module computations.
+presentation are classified exhaustively, computing in B = R[X]/(f) as a
+`FiniteRing` built from structure constants (ideal closures for the Fitting
+ideals, a sweep of B^p for H^-1), bounded by SEARCH_CAP.
 """
 
 from __future__ import annotations
 
-from collections.abc import KeysView
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .finiterings import FiniteRing, subgroup_tree
-from .groebner import DegreeOverflowError, normal_form, syzygy_basis
+from .finiterings import FiniteRing, quotient_structure, subgroup_tree
+from .groebner import (DegreeOverflowError, is_zero_dimensional, normal_form,
+                       syzygy_basis)
 from .linalg import RowSpace, kernel_of_map, span_in_low_block
-from .poly import Poly, exp_total, grevlex_key, monomials_upto
+from .poly import (Poly, exp_div, exp_lcm, exp_total, grevlex_key,
+                   monomials_upto)
 from .tate import (MorphismPresentation, PresentationError, QpBase,
                    RingPresentation)
 
@@ -307,150 +310,42 @@ def naive_cotangent_complex(arg, degree_cap: int | None = None,
 
 # -- exhaustive backend for finite non-field bases -----------------------------
 
-class _FiniteModel:
-    """Exhaustive model of B = R[X]/(separated monic relations), R finite.
-
-    Elements are flat integer coordinate vectors over the additive basis
-    (staircase monomial) x (ring basis element), so module closures and
-    kernel sweeps are integer arithmetic, not object arithmetic.
-    """
-
-    def __init__(self, pres: RingPresentation):
-        self.pres = pres
-        self.ring = pres.base
-        basis = pres.groebner_basis()
-        from .groebner import is_zero_dimensional
-        if not is_zero_dimensional(basis, pres.nvars):
-            raise PresentationError(
-                "finite-base classification needs a finite quotient")
-        bound = sum(g.leading()[0][i] for g in basis
-                    for i in range(pres.nvars) if g.leading()[0][i]) + 1
-        self.monomials = sorted(pres.staircase(bound), key=grevlex_key)
-        self.cardinality = self.ring.cardinality ** len(self.monomials)
-        if self.cardinality > SEARCH_CAP:
-            raise PresentationError("finite quotient too large to enumerate")
-        ring = self.ring
-        self.kring = len(ring.moduli)
-        self.rank = len(self.monomials) * self.kring
-        self.moduli = tuple(ring.moduli[i] for _ in self.monomials
-                            for i in range(self.kring))
-        self._mono_index = {m: i for i, m in enumerate(self.monomials)}
-        # basis products: (mono_i, ring_e_a) * (mono_j, ring_e_b)
-        self._table: dict = {}
-        for i, mi in enumerate(self.monomials):
-            nf_row = {}
-            for j, mj in enumerate(self.monomials):
-                prod = self.nf(Poly(pres.nvars,
-                                    {exp_mul_(mi, mj): ring.one},
-                                    normalize=False))
-                nf_row[j] = prod
-            for a in range(self.kring):
-                ea = ring.element(tuple(1 if t == a else 0
-                                        for t in range(self.kring)))
-                for j in range(len(self.monomials)):
-                    for b in range(self.kring):
-                        eb = ring.element(tuple(1 if t == b else 0
-                                                for t in range(self.kring)))
-                        scaled = nf_row[j].scale(ea * eb)
-                        self._table[(i * self.kring + a,
-                                     j * self.kring + b)] = self.encode(scaled)
-
-    def nf(self, f: Poly) -> Poly:
-        return self.pres.normal_form(f)
-
-    def encode(self, f: Poly) -> tuple:
-        coords = [0] * self.rank
-        for m, c in self.nf(f).terms.items():
-            base = self._mono_index[m] * self.kring
-            for a, x in enumerate(c.coords):
-                coords[base + a] = x
-        return tuple(coords)
-
-    def decode(self, coords: tuple) -> Poly:
-        terms = {}
-        for i, m in enumerate(self.monomials):
-            chunk = coords[i * self.kring:(i + 1) * self.kring]
-            if any(chunk):
-                terms[m] = self.ring.element(tuple(chunk))
-        return Poly(self.pres.nvars, terms)
-
-    def add(self, a: tuple, b: tuple) -> tuple:
-        return tuple((x + y) % m for x, y, m in zip(a, b, self.moduli))
-
-    def scale_basis(self, basis_idx: int, a: tuple) -> tuple:
-        """(basis element) * (element with coords a)."""
-        acc = [0] * self.rank
-        for pos, digit in enumerate(a):
-            if digit:
-                row = self._table[(basis_idx, pos)]
-                for t, c in enumerate(row):
-                    if c:
-                        acc[t] += digit * c
-        return tuple(x % m for x, m in zip(acc, self.moduli))
-
-    def mul(self, a: tuple, b: tuple) -> tuple:
-        acc = [0] * self.rank
-        for pos, digit in enumerate(a):
-            if digit:
-                row = self.scale_basis(pos, b)
-                for t, c in enumerate(row):
-                    if c:
-                        acc[t] += digit * c
-        return tuple(x % m for x, m in zip(acc, self.moduli))
-
-    # -- flat vectors over B^arity ------------------------------------------
-
-    def vec_encode(self, vec) -> tuple:
-        out = []
-        for comp in vec:
-            out.extend(self.encode(comp))
-        return tuple(out)
-
-    def vec_add(self, a: tuple, b: tuple, arity: int) -> tuple:
-        mods = self.moduli * arity
-        return tuple((x + y) % m for x, y, m in zip(a, b, mods))
-
-    def vec_scale_basis(self, basis_idx: int, a: tuple, arity: int) -> tuple:
-        out = []
-        for i in range(arity):
-            out.extend(self.scale_basis(basis_idx,
-                                        a[i * self.rank:(i + 1) * self.rank]))
-        return tuple(out)
-
-    def submodule(self, gens: list[tuple], arity: int) -> KeysView:
-        """Coordinate vectors of the B-submodule of B^arity generated by gens
-        (tuples of Polys): the additive span of the basis multiples."""
-        flats = [self.vec_encode(g) for g in gens]
-        scaled = [self.vec_scale_basis(b, flat, arity)
-                  for flat in flats for b in range(self.rank)]
-        return subgroup_tree((0,) * (self.rank * arity), scaled,
-                             lambda u, v: self.vec_add(u, v, arity)).keys()
-
-
-def exp_mul_(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def _cotangent_finite_brute(data: RelativeData, cap: int,
                             prec: int) -> CotangentComplexData:
+    """The two-term complex over a finite non-field base R, by exhaustion in
+    the finite ring B = R[X]/(separated monic system), built from structure
+    constants on the additive basis (staircase monomial) x (basis of R)."""
     pres = data.pres
     if data.source_gens or data.rel_vars != list(range(pres.nvars)):
         raise PresentationError(
             "relative classification over a finite non-field base is not "
             "supported; classify the flattened presentation")
-    model = _FiniteModel(pres)
     ring = pres.base
-    basis = pres.groebner_basis()   # the monic separated system
-    rel_gens = basis                # unit-scaled generators present the same ideal
+    rel_gens = pres.groebner_basis()    # the monic separated system
     p = len(rel_gens)
     n = pres.nvars
+    if not is_zero_dimensional(rel_gens, n):
+        raise PresentationError(
+            "finite-base classification needs a finite quotient")
+    bound = sum(g.leading()[0][i] for g in rel_gens
+                for i in range(n) if g.leading()[0][i]) + 1
+    stairs = sorted(pres.staircase(bound), key=grevlex_key)
+    if ring.cardinality ** len(stairs) > SEARCH_CAP:
+        raise PresentationError("finite quotient too large to enumerate")
+    moduli, products, one_coords, names, coords = quotient_structure(
+        ring, rel_gens, stairs, pres.varnames)
+    B = FiniteRing(moduli, products, one_coords, pres.describe(), names)
+    # checked before any closure, which at this size would take seconds
+    if p and B.cardinality ** p > SEARCH_CAP:
+        raise PresentationError("kernel search space too large")
     one = ring.one
-    jac = [[model.nf(g.derivative(j)) for j in range(n)] for g in rel_gens]
+    jac = [[pres.normal_form(g.derivative(j)) for j in range(n)]
+           for g in rel_gens]
     flags = ["exhaustive"]
 
     # H^0 via Fitting ideals: Fitt_0 = (1) iff the differentials vanish, and
     # ideal closures stay inside B (cheap) rather than B^n.
-    fitting = _fitting_finite(model, jac, n, p)
+    fitting = _fitting_finite(B, coords, jac, pres)
     if fitting.get(0) == "unit":
         h0, rank = "zero", 0
     else:
@@ -463,7 +358,6 @@ def _cotangent_finite_brute(data: RelativeData, cap: int,
 
     # syzygies of the separated monic system: Schreyer pairs reduce to zero
     syz_vectors: list[list[Poly]] = []
-    from .poly import exp_div, exp_lcm
     for j in range(p):
         for i in range(j):
             ei, ej = rel_gens[i].leading()[0], rel_gens[j].leading()[0]
@@ -478,51 +372,51 @@ def _cotangent_finite_brute(data: RelativeData, cap: int,
             vec[j] = vec[j] - Poly(n, {mj: one})
             for k, q in enumerate(quot):
                 vec[k] = vec[k] - q
-            syz_vectors.append([model.nf(c) for c in vec])
+            syz_vectors.append([pres.normal_form(c) for c in vec])
 
     # H^-1: kernel of v -> v.J inside B^p versus the syzygy image, exhaustively.
     if p == 0:
         h_minus1, witness = "zero", None
     else:
-        if model.cardinality ** p > SEARCH_CAP:
-            raise PresentationError("kernel search space too large")
-        syz_span = model.submodule([tuple(v) for v in syz_vectors], p)
+        rank_b = len(B.moduli)
+        in_mods = B.moduli * p
+        out_mods = B.moduli * n
+
+        def flat(polys, e):
+            """Coordinates of e * (polys) in B^len(polys), e in B."""
+            return tuple(c for f in polys
+                         for c in (e * B.element(coords(f))).coords)
+
+        syz_span = _span([flat(v, e) for v in syz_vectors for e in B.basis],
+                         in_mods)
         # image rows of the unit coordinate vectors of B^p under v -> v.J
-        rows = []
-        for i in range(p):
-            for b in range(model.rank):
-                row = []
-                for j in range(n):
-                    row.extend(model.scale_basis(b, model.encode(jac[i][j])))
-                rows.append(tuple(row))
-        out_mods = model.moduli * n
-        width_in = model.rank * p
-        width_out = model.rank * n
+        rows = [flat(jac[i], e) for i in range(p) for e in B.basis]
+        width_in, width_out = len(in_mods), len(out_mods)
         witness = None
         h_minus1 = "zero"
         # odometer sweep keeping the image incrementally updated
-        coords = [0] * width_in
+        digits = [0] * width_in
         image = [0] * width_out
         while True:
             if not any(image):
-                v = tuple(coords)
+                v = tuple(digits)
                 if any(v) and v not in syz_span:
                     h_minus1 = "nonzero"
-                    witness = [model.decode(v[i * model.rank:(i + 1) * model.rank])
-                               for i in range(p)]
+                    witness = [_poly_of(v[i * rank_b:(i + 1) * rank_b], stairs,
+                                        ring, n) for i in range(p)]
                     break
             pos = 0
             while pos < width_in:
-                coords[pos] += 1
+                digits[pos] += 1
                 row = rows[pos]
-                if coords[pos] < (model.moduli * p)[pos]:
+                if digits[pos] < in_mods[pos]:
                     for t in range(width_out):
                         if row[t]:
                             image[t] = (image[t] + row[t]) % out_mods[t]
                     break
                 # wrap: digit goes m-1 -> 0, i.e. subtract (m-1) * row
-                m = (model.moduli * p)[pos]
-                coords[pos] = 0
+                m = in_mods[pos]
+                digits[pos] = 0
                 for t in range(width_out):
                     if row[t]:
                         image[t] = (image[t] - (m - 1) * row[t]) % out_mods[t]
@@ -534,10 +428,17 @@ def _cotangent_finite_brute(data: RelativeData, cap: int,
                                 h0, rank, fitting, (cap, prec), flags)
 
 
-def _fitting_finite(model: _FiniteModel, jac, n: int, p: int) -> dict:
-    pres = model.pres
+def _poly_of(coords: tuple, stairs: list, ring: FiniteRing, n: int) -> Poly:
+    """The polynomial with these coordinates on (staircase) x (basis of R)."""
+    k = len(ring.moduli)
+    return Poly(n, {m: ring.element(coords[i * k:(i + 1) * k])
+                    for i, m in enumerate(stairs)
+                    if any(coords[i * k:(i + 1) * k])})
+
+
+def _fitting_finite(B: FiniteRing, coords, jac, pres) -> dict:
+    n, p = pres.nvars, len(jac)
     status = {}
-    one_key = model.vec_encode((Poly.constant(model.ring.one, pres.nvars),))
     for k in range(n + 1):
         size = n - k
         if size <= 0:
@@ -550,9 +451,21 @@ def _fitting_finite(model: _FiniteModel, jac, n: int, p: int) -> dict:
         if all(m.is_zero for m in minors):
             status[k] = "zero"
             continue
-        ideal = model.submodule([(m,) for m in minors if not m.is_zero], 1)
-        status[k] = "unit" if one_key in ideal else "other"
+        gens = [B.element(coords(m)) for m in minors if not m.is_zero]
+        ideal = _span([(e * g).coords for g in gens for e in B.basis],
+                      B.moduli)
+        status[k] = "unit" if B.one.coords in ideal else "other"
     return status
+
+
+def _span(vectors: list, moduli: tuple) -> dict:
+    """The subgroup of Z/m_1 x ... x Z/m_k generated by coordinate vectors,
+    keyed by coordinate tuple.  Spans in B reach 10^6 elements, so they
+    are kept as plain tuples, which take less memory and time than ring
+    elements."""
+    return subgroup_tree(
+        (0,) * len(moduli), vectors,
+        lambda u, v: tuple((x + y) % m for x, y, m in zip(u, v, moduli)))
 
 
 # -- classification ------------------------------------------------------------

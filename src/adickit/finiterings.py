@@ -3,11 +3,13 @@
 A ring is a free Z/m_1 x ... x Z/m_k additive group with commutative,
 associative structure constants on the basis; multiplication extends
 bilinearly, so verifying the axioms on basis tuples verifies them everywhere.
-Builders cover Z/m, GF(p^k), quotients F_p[x_1..x_k]/I of cardinality <= 4096,
-and finite products, which is exactly the test-ring zoo the infinitesimal
+Builders cover Z/m, GF(p^k), quotients F_p[x_1..x_k]/I and finite products of
+cardinality <= 4096, which is exactly the test-ring zoo the infinitesimal
 classifiers quantify over.  Equal builder calls return the same ring object,
 so per-ring data (inverses, nilradical, ideal lattice, divided powers) is
-computed once per process.
+computed once per process.  The cap belongs to the builders, not to
+FiniteRing: the exhaustive classifier in `differentials` builds its larger
+B = R[X]/(f) from the same structure constants (`quotient_structure`).
 """
 
 from __future__ import annotations
@@ -15,11 +17,11 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 from .groebner import (buchberger, is_zero_dimensional, normal_form,
                        staircase_for)
-from .poly import Poly, grevlex_key
+from .poly import Poly, exp_mul, grevlex_key
 
 CARDINALITY_CAP = 4096
 
@@ -127,12 +129,7 @@ class FiniteRing:
         self._nil_ideals = None         # memo of enumerate_nilpotent_ideals
         self._pd_structures: dict = {}  # ideal -> enumerate_pd_structures
         self._quotients: dict = {}      # (ideal, name) -> quotient_ring
-        self.cardinality = 1
-        for m in moduli:
-            self.cardinality *= m
-        if self.cardinality > CARDINALITY_CAP:
-            raise ValueError(
-                f"cardinality {self.cardinality} exceeds cap {CARDINALITY_CAP}")
+        self.cardinality = prod(moduli)
         self.zero = FiniteRingElement(self, (0,) * len(moduli))
         self.one = FiniteRingElement(self, one_coords)
         # the additive generators: unit coordinate vectors
@@ -199,22 +196,6 @@ class FiniteRing:
             self._is_field = all(y.is_unit() for y in self.elements() if y)
         return self._is_field
 
-    def nilradical(self) -> frozenset:
-        """The set of nilpotent elements (the unique maximal nilpotent ideal)."""
-        if self._nilradical is None:
-            e = 1
-            while (1 << e) < self.cardinality:
-                e += 1
-            nil = []
-            for x in self.elements():
-                y = x
-                for _ in range(e):
-                    y = y * y
-                if not y:
-                    nil.append(x)
-            self._nilradical = frozenset(nil)
-        return self._nilradical
-
     def render(self, x: FiniteRingElement) -> str:
         parts = []
         for c, name in zip(x.coords, self.basis_names):
@@ -233,10 +214,33 @@ class FiniteRing:
 
 
 def nilradical(ring) -> frozenset:
-    return ring.nilradical()
+    """The set of nilpotent elements of a finite ring (its unique maximal
+    nilpotent ideal), computed once per ring: x is nilpotent iff
+    x^(2^e) = 0 for 2^e >= |R|."""
+    if ring._nilradical is None:
+        e = 1
+        while (1 << e) < ring.cardinality:
+            e += 1
+        nil = []
+        for x in ring.elements():
+            y = x
+            for _ in range(e):
+                y = y * y
+            if not y:
+                nil.append(x)
+        ring._nilradical = frozenset(nil)
+    return ring._nilradical
 
 
 # -- builders ---------------------------------------------------------------
+
+def _check_cardinality(cardinality: int) -> None:
+    """Test rings are enumerated element by element, so their size is
+    capped."""
+    if cardinality > CARDINALITY_CAP:
+        raise ValueError(
+            f"cardinality {cardinality} exceeds cap {CARDINALITY_CAP}")
+
 
 _INTERNED: dict = {}
 
@@ -248,6 +252,7 @@ def _interned(moduli: tuple, basis_products: tuple, one_coords: tuple,
     key = (moduli, basis_products, one_coords, name, basis_names)
     ring = _INTERNED.get(key)
     if ring is None:
+        _check_cardinality(prod(moduli))
         # setdefault keeps one winner when threads race here
         ring = _INTERNED.setdefault(key, FiniteRing(*key, **kwargs))
     return ring
@@ -258,8 +263,8 @@ def zmod(m: int) -> FiniteRing:
     if m < 2:
         raise ValueError("Zmod(m) needs m >= 2")
     is_prime = m > 1 and all(m % d for d in range(2, int(m ** 0.5) + 1))
-    return FiniteRing((m,), (((1,),),), (1,), f"Zmod({m})", ("1",),
-                      is_field=is_prime, lift_model=("int",))
+    return _interned((m,), (((1,),),), (1,), f"Zmod({m})", ("1",),
+                     is_field=is_prime, lift_model=("int",))
 
 
 def _poly_mod(num: list[int], den: list[int], p: int) -> list[int]:
@@ -326,9 +331,45 @@ def gf(p: int, k: int = 1) -> FiniteRing:
         basis_products.append(tuple(row))
     names = tuple("1" if i == 0 else ("x" if i == 1 else f"x^{i}")
                   for i in range(k))
-    return FiniteRing((p,) * k, tuple(basis_products), (1,) + (0,) * (k - 1),
-                      f"GF({p},{k})", names, is_field=True,
-                      lift_model=("intpoly", tuple(modulus)))
+    return _interned((p,) * k, tuple(basis_products), (1,) + (0,) * (k - 1),
+                     f"GF({p},{k})", names, is_field=True,
+                     lift_model=("intpoly", tuple(modulus)))
+
+
+def quotient_structure(base: FiniteRing, basis: list[Poly], stairs: list,
+                       varnames: tuple) -> tuple:
+    """Structure constants of base[X]/(basis) for a Groebner basis with unit
+    leading coefficients, whose quotient is free on its staircase `stairs`
+    (sorted).  The additive basis is (staircase monomial) x (additive basis
+    of base), in that order.  Returns the moduli, basis products,
+    coordinates of 1 and basis names that make a FiniteRing, and the map
+    from a polynomial to the coordinates of its normal form."""
+    k = len(base.moduli)
+    nvars = len(varnames)
+    offset = {m: i * k for i, m in enumerate(stairs)}
+
+    def coords(poly: Poly) -> tuple:
+        out = [0] * (k * len(stairs))
+        for e, c in normal_form(poly, basis).terms.items():
+            out[offset[e]:offset[e] + k] = c.coords
+        return tuple(out)
+
+    pairs = [(m, e) for m in stairs for e in base.basis]
+    products = tuple(
+        tuple(coords(Poly(nvars, {exp_mul(mi, mj): ei * ej}))
+              for mj, ej in pairs)
+        for mi, ei in pairs)
+
+    def name(m, ring_name):
+        mono = "*".join(f"{varnames[i]}^{d}" if d > 1 else varnames[i]
+                        for i, d in enumerate(m) if d)
+        if not mono or ring_name == "1":
+            return mono or ring_name
+        return f"{mono}*{ring_name}"
+
+    names = tuple(name(m, r) for m in stairs for r in base.basis_names)
+    return (base.moduli * len(stairs), products,
+            coords(Poly.constant(base.one, nvars)), names, coords)
 
 
 _FP_QUOTIENTS: dict = {}
@@ -368,7 +409,6 @@ def fp_quotient(p: int, varnames: tuple, relations: list[Poly]) -> FiniteRing:
 
 
 def _fp_quotient(p: int, varnames: tuple, gens: list[Poly]) -> FiniteRing:
-    base = gf(p, 1)
     nvars = len(varnames)
     basis = buchberger(gens)
     from .groebner import is_unit_ideal
@@ -379,39 +419,12 @@ def _fp_quotient(p: int, varnames: tuple, gens: list[Poly]) -> FiniteRing:
     # the staircase is finite; a degree bound of sum of leading degrees is safe
     bound = sum(g.total_degree() for g in basis) + 1 if basis else 1
     stairs = staircase_for(nvars, basis, bound)
-    card = p ** len(stairs)
-    if card > CARDINALITY_CAP:
-        raise ValueError(f"cardinality {card} exceeds cap {CARDINALITY_CAP}")
-    stairs = sorted(stairs, key=grevlex_key)
-    index = {m: i for i, m in enumerate(stairs)}
-
-    def nf_coords(poly: Poly) -> tuple:
-        rem = normal_form(poly, basis)
-        coords = [0] * len(stairs)
-        for e, c in rem.terms.items():
-            coords[index[e]] = c.coords[0]
-        return tuple(coords)
-
-    one = base.one
-    basis_products = []
-    for mi in stairs:
-        row = []
-        for mj in stairs:
-            prod = Poly(nvars, {mi: one}).mul_term(mj, one)
-            row.append(nf_coords(prod))
-        basis_products.append(tuple(row))
-
-    def mono_name(e):
-        if not any(e):
-            return "1"
-        return "*".join(f"{varnames[i]}^{k}" if k > 1 else varnames[i]
-                        for i, k in enumerate(e) if k)
-
-    names = tuple(mono_name(m) for m in stairs)
+    _check_cardinality(p ** len(stairs))   # before the product table
+    moduli, products, one, names, _ = quotient_structure(
+        gf(p, 1), basis, sorted(stairs, key=grevlex_key), varnames)
     from .poly import render_poly
     rel_txt = ",".join(render_poly(g, varnames) for g in gens)
-    return _interned((p,) * len(stairs), tuple(basis_products),
-                     nf_coords(Poly.constant(one, nvars)),
+    return _interned(moduli, products, one,
                      f"GF({p})[{','.join(varnames)}]/({rel_txt})", names)
 
 
@@ -596,21 +609,6 @@ class QuotientRing:
             n += 1
         return n
 
-    def nilradical(self) -> frozenset:
-        if self._nilradical is None:
-            e = 1
-            while (1 << e) < max(self.cardinality, 2):
-                e += 1
-            nil = []
-            for x in self.elements():
-                y = x
-                for _ in range(e):
-                    y = y * y
-                if not y:
-                    nil.append(x)
-            self._nilradical = frozenset(nil)
-        return self._nilradical
-
     def __repr__(self):
         return f"QuotientRing({self.name}, {self.cardinality} elements)"
 
@@ -625,7 +623,7 @@ def quotient_ring(ring, ideal: frozenset, name: str | None = None):
 
 def reduced_ring(ring):
     """R/Nil(R) together with the projection."""
-    q = quotient_ring(ring, ring.nilradical(), name=f"{ring.name}_red")
+    q = quotient_ring(ring, nilradical(ring), name=f"{ring.name}_red")
     return q, q.project
 
 

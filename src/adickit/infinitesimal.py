@@ -21,8 +21,8 @@ from itertools import product as iproduct
 from math import comb, factorial, prod
 
 from .finiterings import (FiniteRing, additive_closure, canonical_scalar_map,
-                          ideal_generated, quotient_ring, reduced_ring,
-                          subgroup_tree)
+                          ideal_generated, nilradical, quotient_ring,
+                          reduced_ring, subgroup_tree)
 from .poly import Poly
 from .tate import (IntegerBase, MorphismPresentation, PresentationError,
                    RingPresentation)
@@ -163,15 +163,16 @@ def de_rham_point_set(pres: RingPresentation, ring,
 
 # -- nilpotent ideals and divided powers --------------------------------------
 
-def nilpotency_exponent(ring, ideal: frozenset) -> int:
-    """Smallest e with I^e = 0."""
-    if ideal == frozenset({ring.zero}):
-        return 1
-    power = ideal
+def nilpotency_exponent(gens) -> int:
+    """Smallest e with I^e = 0, for the ideal I additively spanned by gens:
+    I^e is additively spanned by the products of e generators, so it
+    vanishes iff each of them does, and no closure is needed."""
+    gens = [g for g in dict.fromkeys(gens) if g]
+    power = gens                        # the nonzero products of e generators
     e = 1
-    while any(power):
-        products = [a * b for a in power for b in ideal]
-        power = additive_closure(ring, products)
+    while power:
+        power = list(dict.fromkeys(y for y in (a * g for a in power
+                                               for g in gens) if y))
         e += 1
         if e > 64:
             raise ValueError("ideal does not look nilpotent")
@@ -186,24 +187,26 @@ def enumerate_nilpotent_ideals(ring) -> list[tuple[frozenset, int]]:
     e * x for e in the ring's additive basis, since I is already an ideal."""
     if ring._nil_ideals is None:
         principal: dict = {}            # Rx -> its additive generators
-        for x in ring.nilradical():
+        for x in nilradical(ring):
             principal.setdefault(ideal_generated(ring, [x]),
                                  [e * x for e in ring.basis])
         zero_ideal = frozenset({ring.zero})
-        seen = {zero_ideal}
-        frontier = [(zero_ideal, [])]       # (ideal, additive generators)
+        seen = {zero_ideal: []}         # ideal -> its additive generators
+        frontier = [zero_ideal]
         while frontier:
-            ideal, gens = frontier.pop()
+            ideal = frontier.pop()
+            gens = seen[ideal]
             for rx, rx_gens in principal.items():
                 if rx <= ideal:
                     continue
                 grown = gens + [y for y in rx_gens if y not in ideal]
                 bigger = additive_closure(ring, grown)
                 if bigger not in seen:
-                    seen.add(bigger)
-                    frontier.append((bigger, grown))
+                    seen[bigger] = grown
+                    frontier.append(bigger)
         ideals = sorted(seen, key=lambda I: (len(I), sorted(x.key() for x in I)))
-        ring._nil_ideals = [(I, nilpotency_exponent(ring, I)) for I in ideals]
+        ring._nil_ideals = [(I, nilpotency_exponent(seen[I]))
+                            for I in ideals]
     return list(ring._nil_ideals)
 
 

@@ -384,6 +384,7 @@ class SubringView:
         self._set = set(self._elements)
         self.name = name
         self.cardinality = len(self._elements)
+        self._nilradical = None         # memo of finiterings.nilradical
         self.zero = parent.zero
         self.one = parent.one
 
@@ -402,19 +403,6 @@ class SubringView:
         if x not in self._set:
             raise ValueError("integer image leaves the subring")
         return x
-
-    def nilradical(self) -> frozenset:
-        e = 1
-        while (1 << e) < max(self.cardinality, 2):
-            e += 1
-        nil = []
-        for x in self._elements:
-            y = x
-            for _ in range(e):
-                y = y * y
-            if not y:
-                nil.append(x)
-        return frozenset(nil)
 
     def __repr__(self):
         return f"SubringView({self.name}, {self.cardinality} elements)"

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -6,7 +7,7 @@ from adickit import differentials
 from adickit.differentials import (classify_morphism, de_rham_complex,
                                    etale_integration, kahler_differentials,
                                    naive_cotangent_complex)
-from adickit.finiterings import gf, zmod
+from adickit.finiterings import CARDINALITY_CAP, gf, product_ring, zmod
 from adickit.groebner import DegreeOverflowError
 from adickit.localization import rational_localization
 from adickit.poly import Poly
@@ -159,6 +160,140 @@ def test_classifier_finite_nonfield_bases():
     v = classify_morphism(z4_pres({(2,): 1, (1,): -1}))
     assert v.verdict == "etale" and "exhaustive" in v.flags
     assert classify_morphism(z4_pres({(2,): 1})).verdict == "none"
+
+
+# -- the exhaustive finite-base backend: a pinned grid and a brute oracle -------
+
+ONE_VAR = {
+    "T^2": [{(2,): 1}], "T^2-T": [{(2,): 1, (1,): -1}],
+    "T^2+T+1": [{(2,): 1, (1,): 1, (0,): 1}], "T^2+2": [{(2,): 1, (0,): 2}],
+    "T^3-T": [{(3,): 1, (1,): -1}], "T^3+3": [{(3,): 1, (0,): 3}],
+    "T^4+T": [{(4,): 1, (1,): 1}], "T^7+T": [{(7,): 1, (1,): 1}],
+    "T^2+2T": [{(2,): 1, (1,): 2}], "T^10": [{(10,): 1}]}
+TWO_VAR = {
+    "x^2-x,y^2-y": [{(2, 0): 1, (1, 0): -1}, {(0, 2): 1, (0, 1): -1}],
+    "x^2-y,y^2": [{(2, 0): 1, (0, 1): -1}, {(0, 2): 1}],
+    "x^2+x+1,y^2-x": [{(2, 0): 1, (1, 0): 1, (0, 0): 1},
+                      {(0, 2): 1, (1, 0): -1}],
+    "x^2+2y,y^2+2x": [{(2, 0): 1, (0, 1): 2}, {(0, 2): 1, (1, 0): 2}]}
+BASES = {"Zmod(4)": lambda: zmod(4), "Zmod(8)": lambda: zmod(8),
+         "Zmod(9)": lambda: zmod(9),
+         "Prod(Zmod(4),GF(2))": lambda: product_ring(zmod(4), gf(2)),
+         "Prod(GF(3),Zmod(9))": lambda: product_ring(gf(3), zmod(9))}
+
+# (h_minus1, h0, h0_rank, Fitt_0 Fitt_1 ... as u(nit) / z(ero) / o(ther)),
+# or the PresentationError message; recorded from the finite backend as it
+# stood before B became a FiniteRing
+TOO_BIG = "finite quotient too large to enumerate"
+SWEEP = "kernel search space too large"
+ETALE = ("zero", "zero", 0, "uu")
+RAMIFIED = ("nonzero", "nonzero", None, "ou")
+PINNED = {
+    "Zmod(4)": [RAMIFIED, ETALE, ETALE, RAMIFIED, RAMIFIED, ETALE, ETALE,
+                RAMIFIED, RAMIFIED, TOO_BIG,
+                ("zero", "zero", 0, "uuu"), ("nonzero", "projective", 1, "zuu"),
+                ("nonzero", "nonzero", None, "ouu"),
+                ("nonzero", "nonzero", None, "zou")],
+    "Zmod(8)": [RAMIFIED, ETALE, ETALE, RAMIFIED, RAMIFIED, ETALE, ETALE,
+                TOO_BIG, RAMIFIED, TOO_BIG, SWEEP, SWEEP, SWEEP, SWEEP],
+    "Zmod(9)": [RAMIFIED, ETALE, RAMIFIED, ETALE, ETALE, RAMIFIED, RAMIFIED,
+                TOO_BIG, ETALE, TOO_BIG, SWEEP, SWEEP, SWEEP, SWEEP],
+    "Prod(Zmod(4),GF(2))": [RAMIFIED, ETALE, ETALE, RAMIFIED, RAMIFIED, ETALE,
+                            ETALE, TOO_BIG, RAMIFIED, TOO_BIG,
+                            SWEEP, SWEEP, SWEEP, SWEEP],
+    "Prod(GF(3),Zmod(9))": [RAMIFIED, ETALE, RAMIFIED, ETALE, ETALE, RAMIFIED,
+                            RAMIFIED, TOO_BIG, ETALE, TOO_BIG,
+                            SWEEP, SWEEP, SWEEP, SWEEP]}
+
+
+def finite_pres(ring, names, gen_dicts):
+    return pres_over(ring, names, gen_dicts,
+                     coeff=lambda c: ring.from_int(int(c)))
+
+
+def _times_jacobian(pres, v):
+    """NF(v.J) for v in B^p, J the Jacobian of the monic relations in the
+    order the backend presents them (its Groebner basis)."""
+    n = pres.nvars
+    return [pres.normal_form(sum((vi * g.derivative(j)
+                                  for vi, g in zip(v, pres.groebner_basis())),
+                                 Poly.zero(n))) for j in range(n)]
+
+
+def _key(v):
+    return tuple(frozenset(c.terms.items()) for c in v)
+
+
+def _brute_h_minus1(pres, syzygy_images, stairs):
+    """H^-1 by brute force with Poly arithmetic and normal forms only: the
+    elements of B are the polynomials on the staircase, the kernel of
+    v -> v.J is swept over B^p, and the B-span of the syzygy images is every
+    B-combination of them.  Returns the verdict and the span."""
+    ring, n, p = pres.base, pres.nvars, len(pres.gens)
+    elements = [Poly(n, dict(zip(stairs, cs)))
+                for cs in product(list(ring.elements()), repeat=len(stairs))]
+    span = {_key([pres.normal_form(sum((b * s[i] for b, s
+                                        in zip(bs, syzygy_images)),
+                                       Poly.zero(n))) for i in range(p)])
+            for bs in product(elements, repeat=len(syzygy_images))}
+    kernel = [v for v in product(elements, repeat=p)
+              if all(c.is_zero for c in _times_jacobian(pres, v))]
+    return ("zero" if all(_key(v) in span for v in kernel) else "nonzero",
+            span)
+
+
+@pytest.mark.parametrize("base", list(BASES))
+def test_finite_backend_pinned_grid_and_brute_force(base):
+    ring = BASES[base]()
+    cases = [(("T",), rels) for rels in ONE_VAR.values()] + \
+        [(("x", "y"), rels) for rels in TWO_VAR.values()]
+    brute_checked = 0
+    for (names, rels), expected in zip(cases, PINNED[base]):
+        pres = finite_pres(ring, names, rels)
+        if isinstance(expected, str):
+            with pytest.raises(PresentationError, match=f"^{expected}$"):
+                naive_cotangent_complex(pres)
+            continue
+        cx = naive_cotangent_complex(pres)
+        fitting = "".join(cx.fitting[k][0] for k in sorted(cx.fitting))
+        assert (cx.h_minus1, cx.h0, cx.h0_rank, fitting) == expected, rels
+        assert cx.flags == ["exhaustive"]
+        witness = cx.h_minus1_witness
+        if witness is not None:
+            assert any(not c.is_zero for c in witness)
+            assert all(c.is_zero for c in _times_jacobian(pres, witness))
+        stairs = pres.staircase(16)     # all of it, for every grid case
+        if ring.cardinality ** (len(stairs) * len(rels)) <= 4096:
+            h_minus1, span = _brute_h_minus1(pres, cx.syzygy_images, stairs)
+            assert cx.h_minus1 == h_minus1, rels
+            assert witness is None or _key(witness) not in span
+            brute_checked += 1
+    assert brute_checked >= 5
+
+
+def test_finite_backend_rejects_a_large_sweep_before_any_closure(monkeypatch):
+    # |B| = 27^4 is enumerable, |B|^2 is not: reject before closing the
+    # Fitting ideals or the syzygy span, which took 13-30 s at this size
+    def no_closure(*args, **kwargs):
+        raise AssertionError("closure before the size check")
+    monkeypatch.setattr(differentials, "_fitting_finite", no_closure)
+    monkeypatch.setattr(differentials, "subgroup_tree", no_closure)
+    ring = product_ring(gf(3), zmod(9))
+    for rels in TWO_VAR.values():
+        with pytest.raises(PresentationError,
+                           match="^kernel search space too large$"):
+            naive_cotangent_complex(finite_pres(ring, ("x", "y"), rels))
+
+
+def test_finite_backend_is_bounded_by_search_cap_not_ring_cap():
+    Z4 = zmod(4)
+    with pytest.raises(PresentationError,
+                       match="^finite quotient too large to enumerate$"):
+        naive_cotangent_complex(finite_pres(Z4, ("T",), ONE_VAR["T^10"]))
+    # B = Z/4[T]/(T^7+T) has 4^7 = 16384 elements, over the test-ring cap
+    assert Z4.cardinality ** 7 > CARDINALITY_CAP
+    v = classify_morphism(finite_pres(Z4, ("T",), ONE_VAR["T^7+T"]))
+    assert v.verdict == "none" and v.flags == ["exhaustive"]
 
 
 def test_composition_closure_of_etale(q2):

@@ -62,7 +62,7 @@ def test_nilradical_matches_oracle_on_corpus():
 def test_reduction_is_reduced():
     for r in (zmod(4), zmod(8), dual_numbers(2)):
         red, proj = reduced_ring(r)
-        assert red.nilradical() == frozenset({red.zero})
+        assert nilradical(red) == frozenset({red.zero})
         assert proj(r.one) == red.one
 
 
@@ -70,7 +70,7 @@ def test_quotient_rings_are_built_once_per_ideal_and_name():
     r = zmod(8)
     red, _ = reduced_ring(r)
     assert reduced_ring(r)[0] is red
-    assert quotient_ring(r, r.nilradical(), name="Zmod(8)_red") is red
+    assert quotient_ring(r, nilradical(r), name="Zmod(8)_red") is red
     ideal = ideal_generated(r, [r.from_int(4)])
     q = quotient_ring(r, ideal)
     assert quotient_ring(r, ideal) is q and q.name == "Zmod(8)/I2"
@@ -94,8 +94,15 @@ def test_gf_rejects_composite():
 
 
 def test_cardinality_cap():
-    with pytest.raises(ValueError):
-        zmod(5000)
+    # every test-ring builder keeps the cap, with the same message
+    x13 = Poly(1, {(13,): gf(2).one})
+    builders = [(lambda: zmod(5000), 5000), (lambda: gf(67, 2), 4489),
+                (lambda: product_ring(zmod(64), zmod(128)), 8192),
+                (lambda: fp_quotient(2, ("x",), [x13]), 8192)]
+    for build, size in builders:
+        with pytest.raises(ValueError,
+                           match=f"^cardinality {size} exceeds cap 4096$"):
+            build()
 
 
 def test_distributivity_exhaustive_small():

@@ -3,7 +3,7 @@ from itertools import product as iproduct
 
 import pytest
 
-from adickit.finiterings import fp_quotient, gf, product_ring, zmod
+from adickit.finiterings import fp_quotient, gf, nilradical, product_ring, zmod
 from adickit.poly import Poly
 from adickit.wittrobba import (WittError, frobenius_witt,
                                ghost_components, lift_context, teichmuller,
@@ -167,6 +167,7 @@ def test_tilt_kills_nilpotents():
     r = fp_quotient(2, ("t",), [Poly(1, {(2,): F2.one})])
     res = tilt(r)
     assert res.ring.cardinality == 2  # compatible sequences are constants in F_2
+    assert nilradical(res.ring) == frozenset({res.ring.zero})   # perfect
 
 
 def test_tilt_product_componentwise():
