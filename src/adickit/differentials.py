@@ -382,15 +382,17 @@ def _cotangent_finite_brute(data: RelativeData, cap: int,
         in_mods = B.moduli * p
         out_mods = B.moduli * n
 
-        def flat(polys, e):
-            """Coordinates of e * (polys) in B^len(polys), e in B."""
-            return tuple(c for f in polys
-                         for c in (e * B.element(coords(f))).coords)
+        basis = [e.coords for e in B.basis]
 
-        syz_span = _span([flat(v, e) for v in syz_vectors for e in B.basis],
+        def flat(polys, e):
+            """Coordinates of e * (polys) in B^len(polys), e the coordinates
+            of an element of B."""
+            return tuple(c for f in polys for c in B._product(e, coords(f)))
+
+        syz_span = _span([flat(v, e) for v in syz_vectors for e in basis],
                          in_mods)
         # image rows of the unit coordinate vectors of B^p under v -> v.J
-        rows = [flat(jac[i], e) for i in range(p) for e in B.basis]
+        rows = [flat(jac[i], e) for i in range(p) for e in basis]
         width_in, width_out = len(in_mods), len(out_mods)
         witness = None
         h_minus1 = "zero"
@@ -451,9 +453,9 @@ def _fitting_finite(B: FiniteRing, coords, jac, pres) -> dict:
         if all(m.is_zero for m in minors):
             status[k] = "zero"
             continue
-        gens = [B.element(coords(m)) for m in minors if not m.is_zero]
-        ideal = _span([(e * g).coords for g in gens for e in B.basis],
-                      B.moduli)
+        gens = [coords(m) for m in minors if not m.is_zero]
+        ideal = _span([B._product(e.coords, g) for g in gens
+                       for e in B.basis], B.moduli)
         status[k] = "unit" if B.one.coords in ideal else "other"
     return status
 

@@ -10,6 +10,9 @@ so per-ring data (inverses, nilradical, ideal lattice, divided powers) is
 computed once per process.  The cap belongs to the builders, not to
 FiniteRing: the exhaustive classifier in `differentials` builds its larger
 B = R[X]/(f) from the same structure constants (`quotient_structure`).
+A ring of at most TABLE_CAP elements adds and multiplies by lookup in a
+Cayley table built on first use; larger rings multiply through the
+structure constants.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product as iproduct
 from math import gcd, prod
 
 from .groebner import (buchberger, is_zero_dimensional, normal_form,
@@ -24,6 +28,7 @@ from .groebner import (buchberger, is_zero_dimensional, normal_form,
 from .poly import Poly, exp_mul, grevlex_key
 
 CARDINALITY_CAP = 4096
+TABLE_CAP = 256     # rings up to this size add and multiply by table lookup
 
 
 class FiniteRingElement:
@@ -39,9 +44,15 @@ class FiniteRingElement:
 
     def __add__(self, other: "FiniteRingElement") -> "FiniteRingElement":
         self._check(other)
-        return FiniteRingElement(self.parent, tuple([
+        parent = self.parent
+        table = parent._table or parent._cayley()
+        if table:
+            index = table.index
+            return table.elements[
+                table.add[index[self.coords]][index[other.coords]]]
+        return FiniteRingElement(parent, tuple([
             (a + b) % m for a, b, m in zip(self.coords, other.coords,
-                                           self.parent.moduli)]))
+                                           parent.moduli)]))
 
     def __neg__(self) -> "FiniteRingElement":
         return FiniteRingElement(self.parent, tuple([
@@ -53,20 +64,13 @@ class FiniteRingElement:
     def __mul__(self, other: "FiniteRingElement") -> "FiniteRingElement":
         self._check(other)
         parent = self.parent
-        acc = [0] * len(parent.moduli)
-        for i, a in enumerate(self.coords):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coords):
-                if b == 0:
-                    continue
-                prod = parent.basis_products[i][j]
-                ab = a * b
-                for k, c in enumerate(prod):
-                    if c:
-                        acc[k] += ab * c
-        return FiniteRingElement(parent, tuple(
-            acc[k] % parent.moduli[k] for k in range(len(acc))))
+        table = parent._table or parent._cayley()
+        if table:
+            index = table.index
+            return table.elements[
+                table.mul[index[self.coords]][index[other.coords]]]
+        return FiniteRingElement(parent,
+                                 parent._product(self.coords, other.coords))
 
     def times_int(self, k: int) -> "FiniteRingElement":
         m = self.parent.moduli
@@ -124,6 +128,7 @@ class FiniteRing:
         self.basis_names = basis_names
         self._is_field = is_field
         self.lift_model = lift_model
+        self._table = None              # _Cayley, built on first use
         self._inverses: dict = {}
         self._nilradical = None
         self._nil_ideals = None         # memo of enumerate_nilpotent_ideals
@@ -138,19 +143,49 @@ class FiniteRing:
                       for i in range(len(moduli))]
         self._verify_basis_axioms()
 
-    # Bilinearity of the product reduces commutativity/associativity on all
-    # tuples to the basis tuples, so this check is exhaustive in effect.
+    def _product(self, x: tuple, y: tuple) -> tuple:
+        """Coordinates of the product, extended bilinearly from the
+        structure constants."""
+        acc = [0] * len(self.moduli)
+        for i, a in enumerate(x):
+            if a == 0:
+                continue
+            row = self.basis_products[i]
+            for j, b in enumerate(y):
+                if b == 0:
+                    continue
+                ab = a * b
+                for k, c in enumerate(row[j]):
+                    if c:
+                        acc[k] += ab * c
+        return tuple([c % m for c, m in zip(acc, self.moduli)])
+
+    # Bilinearity of the product reduces commutativity/associativity and the
+    # unit on all tuples to the basis tuples, so this check is exhaustive in
+    # effect.  It runs on the structure constants: a Cayley table is built
+    # from them and could only be checked against itself.
     def _verify_basis_axioms(self):
-        basis = self.basis
+        mul = self._product
+        basis = [b.coords for b in self.basis]
         for a in basis:
             for b in basis:
-                if (a * b) != (b * a):
+                ab = mul(a, b)
+                if ab != mul(b, a):
                     raise ValueError(f"{self.name}: basis product not commutative")
                 for c in basis:
-                    if ((a * b) * c) != (a * (b * c)):
+                    if mul(ab, c) != mul(a, mul(b, c)):
                         raise ValueError(f"{self.name}: basis product not associative")
-        if self.one * basis[0] != basis[0]:
-            raise ValueError(f"{self.name}: unit fails on basis")
+        for b in basis:
+            if mul(self.one_coords, b) != b:
+                raise ValueError(f"{self.name}: unit fails on basis")
+
+    def _cayley(self):
+        """The ring's Cayley table, built on first use, or None above
+        TABLE_CAP.  Racing threads build equal tables; each is published by
+        one assignment."""
+        if self._table is None and self.cardinality <= TABLE_CAP:
+            self._table = _Cayley(self)
+        return self._table
 
     def element(self, coords) -> FiniteRingElement:
         return FiniteRingElement(self, tuple(
@@ -160,15 +195,12 @@ class FiniteRing:
         return self.one.times_int(n)
 
     def elements(self):
-        def rec(i, acc):
-            if i == len(self.moduli):
-                yield FiniteRingElement(self, tuple(acc))
-                return
-            for c in range(self.moduli[i]):
-                acc.append(c)
-                yield from rec(i + 1, acc)
-                acc.pop()
-        yield from rec(0, [])
+        """Every element, in key order."""
+        table = self._table or self._cayley()
+        if table:
+            return iter(table.elements)
+        return (FiniteRingElement(self, c)
+                for c in iproduct(*(range(m) for m in self.moduli)))
 
     @property
     def characteristic(self) -> int:
@@ -192,8 +224,15 @@ class FiniteRing:
 
     @property
     def is_field(self) -> bool:
+        """A finite commutative ring is a product of local rings
+        (Atiyah-Macdonald, ch. 8), so it is a field iff it is reduced and
+        has no idempotent but 0 and 1.  It is reduced iff no nonzero x has
+        x^2 = 0: if x^k = 0 with k >= 2 least, x^ceil(k/2) squares to 0."""
         if self._is_field is None:
-            self._is_field = all(y.is_unit() for y in self.elements() if y)
+            one = self.one
+            squares = ((x, x * x) for x in self.elements() if x)
+            self._is_field = all(sq and (sq != x or x == one)
+                                 for x, sq in squares)
         return self._is_field
 
     def render(self, x: FiniteRingElement) -> str:
@@ -211,6 +250,49 @@ class FiniteRing:
 
     def __repr__(self) -> str:
         return f"FiniteRing({self.name}, {self.cardinality} elements)"
+
+
+class _Cayley:
+    """Addition and multiplication of a small ring by index lookup.
+
+    `elements` lists the ring's elements, interned, in key order, and
+    `index` maps coordinates to positions in it; `add` and `mul` are n x n
+    tables of result indices (`mul[i][j]` is the index of
+    elements[i] * elements[j]).
+
+    The tables are filled by bilinearity rather than n^2 structure-constant
+    products.  For y != 0 with last nonzero coordinate k, y - e_k has index
+    index(y) - stride_k, so x + y = succ_k(x + (y - e_k)) with succ_k the
+    successor in coordinate k, and x * y = x * (y - e_k) + x * e_k: only
+    the n * (number of coordinates) products x * e_k use the structure
+    constants.  Both operations are commutative, so a column is computed as
+    a row."""
+    __slots__ = ("elements", "index", "add", "mul")
+
+    def __init__(self, ring: FiniteRing):
+        moduli = ring.moduli
+        coords = list(iproduct(*(range(m) for m in moduli)))
+        index = {c: i for i, c in enumerate(coords)}
+        n = len(coords)
+        strides = [prod(moduli[k + 1:]) for k in range(len(moduli))]
+        succ = [[i + s if c[k] < m - 1 else i - (m - 1) * s
+                 for i, c in enumerate(coords)]
+                for k, (m, s) in enumerate(zip(moduli, strides))]
+        times_e = [[index[ring._product(c, e.coords)] for c in coords]
+                   for e in ring.basis]
+        last = [max(k for k, a in enumerate(c) if a) for c in coords[1:]]
+        add = [list(range(n))]
+        for y, k in enumerate(last, 1):
+            step = succ[k]
+            add.append([step[v] for v in add[y - strides[k]]])
+        mul = [[0] * n]
+        for y, k in enumerate(last, 1):
+            mul.append([add[a][b]
+                        for a, b in zip(mul[y - strides[k]], times_e[k])])
+        self.elements = [FiniteRingElement(ring, c) for c in coords]
+        self.index = index
+        self.add = add
+        self.mul = mul
 
 
 def nilradical(ring) -> frozenset:

@@ -1,15 +1,20 @@
+import random
 import threading
 import time
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, product
+from math import gcd
 
 import pytest
 
 from adickit import finiterings
-from adickit.finiterings import (QuotientRing, canonical_scalar_map,
-                                 dual_numbers, fp_quotient, gf,
-                                 ideal_generated, is_ideal, nilradical,
-                                 product_ring, quotient_ring, reduced_ring,
-                                 zmod)
+from adickit.cli import parse_script, run_script
+from adickit.finiterings import (TABLE_CAP, FiniteRing, QuotientRing,
+                                 canonical_scalar_map, dual_numbers,
+                                 fp_quotient, gf, ideal_generated, is_ideal,
+                                 nilradical, product_ring, quotient_ring,
+                                 reduced_ring, zmod)
+from adickit.groebner import normal_form
 from adickit.infinitesimal import default_corpus
 from adickit.poly import Poly
 
@@ -238,3 +243,282 @@ def test_interning_keeps_one_ring_when_threads_race(monkeypatch):
         t.join(timeout=60)
     assert not any(t.is_alive() for t in threads)
     assert len(built) == 8 and all(r is built[0] for r in built)
+
+
+def fresh_copy(ring) -> FiniteRing:
+    """A new, uninterned ring with the structure of `ring`: no table, no
+    memos, and is_field left to the criterion."""
+    return FiniteRing(ring.moduli, ring.basis_products, ring.one_coords,
+                      ring.name, ring.basis_names)
+
+
+# -- the constructor's axiom check ---------------------------------------------------
+
+E0, E1, ZERO2 = (1, 0), (0, 1), (0, 0)
+
+
+@pytest.mark.parametrize("products, message", [
+    # e0 * e1 = e1 but e1 * e0 = 0
+    (((E0, E1), (ZERO2, ZERO2)), "basis product not commutative"),
+    # (e0 * e0) * e1 = e1 * e1 = e1 but e0 * (e0 * e1) = 0
+    (((E1, ZERO2), (ZERO2, E1)), "basis product not associative"),
+    # F_2 x F_2 with (1, 0) named as its unit: (1, 0) * e1 = 0
+    (((E0, ZERO2), (ZERO2, E1)), "unit fails on basis"),
+])
+def test_constructor_rejects_a_broken_structure(products, message):
+    with pytest.raises(ValueError, match=f"^bad: {message}$"):
+        FiniteRing((2, 2), products, E0, "bad", ("a", "b"))
+
+
+# -- is_field against a brute-force unit scan ----------------------------------------
+
+def brute_is_field(ring) -> bool:
+    """Independent oracle: every nonzero element has an inverse."""
+    els = list(ring.elements())
+    return all(any(x * y == ring.one for y in els) for x in els if x)
+
+
+def field_test_rings() -> list:
+    x = lambda *coeffs: Poly(1, {(k,): c for k, c in enumerate(coeffs)})
+    quotients = [
+        (2, ("x",), [x(1, 1, 1)]),          # x^2 + x + 1: GF(4)
+        (3, ("x",), [x(1, 0, 1)]),          # x^2 + 1: GF(9)
+        (2, ("x",), [x(1, 0, 1)]),          # (x + 1)^2: not reduced
+        (5, ("x",), [x(-1, 0, 1)]),         # F_5 x F_5: idempotents
+        (3, ("x",), [x(0, 0, 0, 0, 1)]),    # x^4
+        (2, ("x", "y"), [Poly(2, {(2, 0): 1, (1, 0): 1}),
+                         Poly(2, {(0, 2): 1})]),
+    ]
+    return ([zmod(m) for m in range(2, 40)]
+            + [gf(p, k) for p, k in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3),
+                                     (5, 2))]
+            + [product_ring(gf(2), gf(2)), product_ring(gf(3), zmod(4)),
+               dual_numbers(2), dual_numbers(3)]
+            + [fp_quotient(*args) for args in quotients])
+
+
+def test_is_field_matches_the_unit_scan():
+    rings = field_test_rings()
+    assert len(rings) == 54
+    verdicts = [(fresh_copy(r).is_field, brute_is_field(r)) for r in rings]
+    assert [a for a, _ in verdicts] == [b for _, b in verdicts]
+    # the builders' declared answers agree too
+    assert [r.is_field for r in rings] == [b for _, b in verdicts]
+    assert sum(b for _, b in verdicts) == 20     # 12 primes, 6 GF, 2 quotients
+
+
+def test_is_field_on_1024_elements_within_budget():
+    field = fresh_copy(fp_quotient(2, ("x",), [
+        Poly(1, {(10,): 1, (3,): 1, (0,): 1})]))
+    start = time.perf_counter()
+    assert field.is_field
+    assert time.perf_counter() - start < 2.0
+    # (x^5 + 1)^2 = x^10 + 1
+    nonfield = fresh_copy(fp_quotient(2, ("x",), [
+        Poly(1, {(10,): 1, (0,): 1})]))
+    start = time.perf_counter()
+    assert not nonfield.is_field
+    assert time.perf_counter() - start < 2.0
+
+
+# -- ring arithmetic against oracles without structure constants ---------------------
+
+def pairs(ring, sample: int | None = None):
+    els = [ring.element(c)
+           for c in product(*(range(m) for m in ring.moduli))]
+    if sample is None:
+        return [(a, b) for a in els for b in els]
+    rng = random.Random(ring.cardinality)
+    return [(rng.choice(els), rng.choice(els)) for _ in range(sample)]
+
+
+def check_zmod_against_ints(ring, sample=None):
+    (m,) = ring.moduli
+    checked = pairs(ring, sample)
+    for a, b in checked:
+        (i,), (j,) = a.coords, b.coords
+        assert (a + b).coords == ((i + j) % m,)
+        assert (a * b).coords == ((i * j) % m,)
+        assert (a - b).coords == ((i - j) % m,)
+    for a in {a for a, _ in checked}:
+        (i,) = a.coords
+        inv = pow(i, -1, m) if gcd(i, m) == 1 else None
+        assert a.is_unit() == (inv is not None)
+        if inv is not None:
+            assert a.inverse().coords == (inv,)
+
+
+def monomial(name: str, varnames: tuple) -> tuple:
+    """Exponent vector of a basis name such as "1", "x", "x^2*y"."""
+    exps = [0] * len(varnames)
+    if name != "1":
+        for factor in name.split("*"):
+            var, _, deg = factor.partition("^")
+            exps[varnames.index(var)] = int(deg or 1)
+    return tuple(exps)
+
+
+def check_against_polys(ring, p, varnames, relations, sample=None):
+    """Compare * with polynomial arithmetic over Q reduced by normal_form
+    modulo relations that are monic with pairwise coprime leading monomials
+    (so a Groebner basis over Q and over F_p), then mod p; and + and - with
+    arithmetic mod p on the coefficients of the monomial basis."""
+    nvars = len(varnames)
+    monos = [monomial(n, varnames) for n in ring.basis_names]
+    position = {e: i for i, e in enumerate(monos)}
+    basis = [rel.map_coeffs(Fraction) for rel in relations]
+
+    def to_poly(x):
+        return Poly(nvars, {monos[i]: Fraction(c)
+                            for i, c in enumerate(x.coords) if c})
+
+    def reduce(f):
+        out = [0] * len(monos)
+        for e, c in normal_form(f, basis).terms.items():
+            assert c.denominator == 1
+            out[position[e]] = c.numerator % p
+        return tuple(out)
+
+    for a, b in pairs(ring, sample):
+        assert (a * b).coords == reduce(to_poly(a) * to_poly(b))
+        assert (a + b).coords == tuple((u + v) % p
+                                       for u, v in zip(a.coords, b.coords))
+        assert (-a).coords == tuple(-u % p for u in a.coords)
+
+
+def gf_modulus(ring) -> Poly:
+    return Poly(1, {(k,): c for k, c in enumerate(ring.lift_model[1])})
+
+
+UPTO_81 = [(3, ("x",), [Poly(1, {(4,): 1})]),
+           (2, ("x", "y"), [Poly(2, {(2, 0): 1, (0, 1): 1}),
+                            Poly(2, {(0, 3): 1})]),
+           (2, ("x", "y"), [Poly(2, {(2, 0): 1, (0, 0): 1}),
+                            Poly(2, {(0, 2): 1, (1, 0): 1})]),
+           (5, ("x",), [Poly(1, {(2,): 1, (0,): 2})])]
+
+
+def test_zmod_arithmetic_against_ints():
+    for m in (2, 12, 25, 64, 81):
+        check_zmod_against_ints(zmod(m))
+
+
+@pytest.mark.parametrize("p, k", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3),
+                                  (3, 4), (5, 2)])
+def test_gf_arithmetic_against_reduced_polys(p, k):
+    field = gf(p, k)
+    check_against_polys(field, p, ("x",), [gf_modulus(field)])
+
+
+@pytest.mark.parametrize("p, names, relations", UPTO_81)
+def test_fp_quotient_arithmetic_against_reduced_polys(p, names, relations):
+    check_against_polys(fp_quotient(p, names, relations), p, names, relations)
+
+
+def check_product_by_components(ring, a, b, sample=None):
+    split = len(a.moduli)
+    for x, y in pairs(ring, sample):
+        for op in ("__add__", "__mul__"):
+            got = getattr(x, op)(y).coords
+            left = getattr(a.element(x.coords[:split]), op)(
+                a.element(y.coords[:split]))
+            right = getattr(b.element(x.coords[split:]), op)(
+                b.element(y.coords[split:]))
+            assert got == left.coords + right.coords
+
+
+def test_product_ring_arithmetic_by_components():
+    for a, b in ((zmod(9), gf(2, 2)), (gf(3), gf(3, 3)), (zmod(4), zmod(4))):
+        check_product_by_components(product_ring(a, b), a, b)
+
+
+def test_sampled_arithmetic_on_both_sides_of_the_table_cap():
+    x8 = [Poly(1, {(8,): 1})]
+    x9 = [Poly(1, {(9,): 1, (1,): 1, (0,): 1})]
+    small = fp_quotient(2, ("x",), x8)
+    large = fp_quotient(2, ("x",), x9)
+    assert small.cardinality == TABLE_CAP < large.cardinality == 512
+    check_against_polys(small, 2, ("x",), x8, sample=1000)
+    check_against_polys(large, 2, ("x",), x9, sample=1000)
+    check_zmod_against_ints(zmod(256), sample=1000)
+    check_zmod_against_ints(zmod(512), sample=1000)
+    check_product_by_components(product_ring(zmod(16), zmod(32)),
+                                zmod(16), zmod(32), sample=1000)
+    assert small._table is not None and large._table is None
+
+
+# -- Cayley tables --------------------------------------------------------------------
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """The rings whose Cayley table is built while the test runs."""
+    built = []
+
+    class Recording(finiterings._Cayley):
+        __slots__ = ()
+
+        def __init__(self, ring):
+            built.append(ring)
+            super().__init__(ring)
+
+    monkeypatch.setattr(finiterings, "_Cayley", Recording)
+    return built
+
+
+def test_declarations_build_no_table_and_the_first_product_builds_one(
+        table_builds):
+    script = ("R1 = Quot(GF(5), [tq], [tq^3]); "
+              "R2 = Quot(GF(2), [tq, sq], [tq^2, sq^3]); "
+              "C1 = Corpus(GF(3), R1, R2, Zmod(27));")
+    outcome = run_script(parse_script(script))
+    assert outcome.exit_code == 0 and table_builds == []
+
+    ring = fresh_copy(fp_quotient(5, ("tq",), [Poly(1, {(3,): 1})]))
+    assert ring._table is None and table_builds == []
+    x = ring.element((1, 2, 3))
+    square = x * x
+    assert table_builds == [ring]
+    table = ring._table
+    assert x * square == square * x and x + x == x.times_int(2)
+    assert table_builds == [ring] and ring._table is table
+    assert square.coords == ring._product(x.coords, x.coords)
+
+
+def test_elements_come_in_key_order_on_both_sides_of_the_cap():
+    for ring in (zmod(12), gf(2, 3), product_ring(zmod(4), gf(3)),
+                 fp_quotient(2, ("x",), [Poly(1, {(8,): 1})]),
+                 fp_quotient(2, ("x",), [Poly(1, {(9,): 1})]), zmod(300)):
+        order = list(product(*(range(m) for m in ring.moduli)))
+        assert [x.coords for x in ring.elements()] == order
+        assert ring.cardinality > TABLE_CAP or ring._table is not None
+
+
+def test_concurrent_first_products_agree(monkeypatch):
+    # a slow build keeps both threads inside it at once
+    class Slow(finiterings._Cayley):
+        __slots__ = ()
+
+        def __init__(self, ring):
+            time.sleep(0.05)
+            super().__init__(ring)
+
+    monkeypatch.setattr(finiterings, "_Cayley", Slow)
+    ring = fresh_copy(fp_quotient(3, ("x",), [Poly(1, {(4,): 1})]))
+    els = [ring.element(c) for c in product(range(3), repeat=4)]
+    start = threading.Barrier(2)
+    results = []
+
+    def multiply_all():
+        start.wait()
+        results.append([(a * b + a).coords for a in els for b in els])
+
+    threads = [threading.Thread(target=multiply_all) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    expected = [tuple((u + v) % 3 for u, v in
+                      zip(ring._product(a.coords, b.coords), a.coords))
+                for a in els for b in els]
+    assert results == [expected, expected]
