@@ -29,11 +29,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from .finiterings import FiniteRing, quotient_structure, subgroup_tree
-from .groebner import (DegreeOverflowError, is_zero_dimensional, normal_form,
-                       syzygy_basis)
+from .groebner import DegreeOverflowError, is_zero_dimensional, syzygy_basis
 from .linalg import RowSpace, kernel_of_map, span_in_low_block
-from .poly import (Poly, exp_div, exp_lcm, exp_total, grevlex_key,
-                   monomials_upto)
+from .poly import Poly, exp_total, grevlex_key, monomials_upto
 from .tate import (MorphismPresentation, PresentationError, QpBase,
                    RingPresentation)
 
@@ -166,7 +164,8 @@ def kahler_differentials(arg) -> KahlerModule:
 class CotangentComplexData:
     data: RelativeData
     jacobian: list[list[Poly]]
-    syzygy_images: list[list[Poly]]   # conormal relations, reduced
+    syzygy_images: list[list[Poly]]   # conormal relations, reduced; none
+                                      # on the exhaustive backend
     h_minus1: str                     # "zero" | "nonzero" | "inconclusive"
     h_minus1_witness: list[Poly] | None
     h0: str                           # "zero" | "projective" | "nonzero" | "inconclusive"
@@ -338,7 +337,6 @@ def _cotangent_finite_brute(data: RelativeData, cap: int,
     # checked before any closure, which at this size would take seconds
     if p and B.cardinality ** p > SEARCH_CAP:
         raise PresentationError("kernel search space too large")
-    one = ring.one
     jac = [[pres.normal_form(g.derivative(j)) for j in range(n)]
            for g in rel_gens]
     flags = ["exhaustive"]
@@ -356,25 +354,11 @@ def _cotangent_finite_brute(data: RelativeData, cap: int,
                 break
         h0 = "projective" if rank is not None else "nonzero"
 
-    # syzygies of the separated monic system: Schreyer pairs reduce to zero
-    syz_vectors: list[list[Poly]] = []
-    for j in range(p):
-        for i in range(j):
-            ei, ej = rel_gens[i].leading()[0], rel_gens[j].leading()[0]
-            lcm = exp_lcm(ei, ej)
-            mi, mj = exp_div(lcm, ei), exp_div(lcm, ej)
-            sp = rel_gens[i].mul_term(mi, one) - rel_gens[j].mul_term(mj, one)
-            rem, quot = normal_form(sp, rel_gens, track=True)
-            if not rem.is_zero:
-                raise PresentationError("separated system failed confluence")
-            vec = [Poly.zero(n) for _ in range(p)]
-            vec[i] = vec[i] + Poly(n, {mi: one})
-            vec[j] = vec[j] - Poly(n, {mj: one})
-            for k, q in enumerate(quot):
-                vec[k] = vec[k] - q
-            syz_vectors.append([pres.normal_form(c) for c in vec])
-
-    # H^-1: kernel of v -> v.J inside B^p versus the syzygy image, exhaustively.
+    # H^-1: kernel of v -> v.J inside B^p, exhaustively.  The leading terms
+    # of the system are pairwise coprime pure powers with unit coefficients,
+    # so its syzygies are generated by the Koszul syzygies f_j e_i - f_i e_j
+    # (Schreyer; Eisenbud, Commutative Algebra, Thm 15.10), whose images in
+    # B^p vanish: every nonzero kernel vector is a witness.
     if p == 0:
         h_minus1, witness = "zero", None
     else:
@@ -389,8 +373,6 @@ def _cotangent_finite_brute(data: RelativeData, cap: int,
             of an element of B."""
             return tuple(c for f in polys for c in B._product(e, coords(f)))
 
-        syz_span = _span([flat(v, e) for v in syz_vectors for e in basis],
-                         in_mods)
         # image rows of the unit coordinate vectors of B^p under v -> v.J
         rows = [flat(jac[i], e) for i in range(p) for e in basis]
         width_in, width_out = len(in_mods), len(out_mods)
@@ -402,7 +384,7 @@ def _cotangent_finite_brute(data: RelativeData, cap: int,
         while True:
             if not any(image):
                 v = tuple(digits)
-                if any(v) and v not in syz_span:
+                if any(v):
                     h_minus1 = "nonzero"
                     witness = [_poly_of(v[i * rank_b:(i + 1) * rank_b], stairs,
                                         ring, n) for i in range(p)]
@@ -426,7 +408,7 @@ def _cotangent_finite_brute(data: RelativeData, cap: int,
             if pos == width_in:
                 break
 
-    return CotangentComplexData(data, jac, syz_vectors, h_minus1, witness,
+    return CotangentComplexData(data, jac, [], h_minus1, witness,
                                 h0, rank, fitting, (cap, prec), flags)
 
 

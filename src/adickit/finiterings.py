@@ -394,11 +394,10 @@ def _find_irreducible(p: int, k: int) -> list[int]:
 @lru_cache(maxsize=None)
 def gf(p: int, k: int = 1) -> FiniteRing:
     """The field with p^k elements, k <= 4, via a fixed irreducible polynomial."""
+    if not zmod(p).is_field:
+        raise ValueError(f"GF({p}) needs a prime")
     if k == 1:
-        ring = zmod(p)
-        if not ring.is_field:
-            raise ValueError(f"GF({p}) needs a prime")
-        return ring
+        return zmod(p)
     if k > 4:
         raise ValueError("GF(p,k) supported for k <= 4")
     modulus = _find_irreducible(p, k)
@@ -585,128 +584,105 @@ def is_ideal(ring, subset: frozenset) -> bool:
     return True
 
 
-class QuotientElement:
-    __slots__ = ("parent", "rep")
-
-    def __init__(self, parent: "QuotientRing", rep):
-        self.parent = parent
-        self.rep = rep
-
-    def _lift(self, other):
-        if self.parent is not other.parent:
-            raise ValueError("elements of different quotient rings")
-        return other.rep
-
-    def __add__(self, other):
-        return self.parent._wrap(self.rep + self._lift(other))
-
-    def __neg__(self):
-        return self.parent._wrap(-self.rep)
-
-    def __sub__(self, other):
-        return self.parent._wrap(self.rep - self._lift(other))
-
-    def __mul__(self, other):
-        return self.parent._wrap(self.rep * self._lift(other))
-
-    def times_int(self, k: int):
-        return self.parent._wrap(self.rep.times_int(k))
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("inverses in quotient rings are not supported")
-        result = self.parent.one
-        for _ in range(k):
-            result = result * self
-        return result
-
-    def __bool__(self):
-        return self.rep != self.parent._zero_rep
-
-    def __eq__(self, other):
-        if not isinstance(other, QuotientElement):
-            return NotImplemented
-        return self.parent is other.parent and self.rep == other.rep
-
-    def __hash__(self):
-        return hash((id(self.parent), self.rep))
-
-    def key(self):
-        return self.rep.key()
-
-    def __repr__(self):
-        return f"[{self.rep!r}]"
+def _diagonal_form(rows: list, n: int) -> tuple:
+    """Diagonalise the full-rank lattice L in Z^n spanned by `rows`: d, the
+    columns of a unimodular V and the rows of V^-1 with L.V = d_1 Z + ... +
+    d_n Z, so x -> x.V mod d maps Z^n/L onto Z/d_1 x ... x Z/d_n and
+    y -> y.V^-1 lifts back.  Row operations (untracked) and column
+    operations (tracked) on the entry of least absolute value: the Smith
+    normal form without its divisibility step (Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 2.4.14)."""
+    a = [list(r) for r in rows if any(r)]
+    cols = [[int(i == j) for j in range(n)] for i in range(n)]
+    inv = [c[:] for c in cols]
+    d = []
+    for k in range(n):
+        while True:
+            _, i, j = min((abs(r[j]), i, j) for i, r in enumerate(a)
+                          for j in range(k, n) if r[j])
+            a[0], a[i] = a[i], a[0]
+            for r in a:
+                r[k], r[j] = r[j], r[k]
+            cols[k], cols[j] = cols[j], cols[k]
+            inv[k], inv[j] = inv[j], inv[k]
+            pivot, done = a[0][k], True
+            for r in a[1:]:
+                q = r[k] // pivot
+                if q:
+                    for c in range(k, n):
+                        r[c] -= q * a[0][c]
+                done = done and not r[k]
+            for j in range(k + 1, n):
+                q = a[0][j] // pivot
+                if q:
+                    for r in a:
+                        r[j] -= q * r[k]
+                    cols[j] = [x - q * y for x, y in zip(cols[j], cols[k])]
+                    inv[k] = [x + q * y for x, y in zip(inv[k], inv[j])]
+                done = done and not a[0][j]
+            if done:
+                break
+        d.append(abs(a.pop(0)[k]))
+        a = [r for r in a if any(r[k + 1:])]
+    return d, cols, inv
 
 
-class QuotientRing:
-    """R/I for a finite ring R and an ideal I, with canonical coset
-    representatives (minimal coordinate key)."""
-
-    def __init__(self, ring, ideal: frozenset, name: str | None = None):
-        self.base = ring
-        self.ideal = ideal
-        rep_of = {}
-        for x in ring.elements():
-            if x in rep_of:
-                continue
-            coset = sorted((x + i for i in ideal), key=lambda e: e.key())
-            rep = coset[0]
-            for y in coset:
-                rep_of[y] = rep
-        self._rep_of = rep_of
-        self._zero_rep = rep_of[ring.zero]
-        self.zero = QuotientElement(self, self._zero_rep)
-        self.one = QuotientElement(self, rep_of[ring.one])
-        self.basis = [self.project(b) for b in ring.basis]
-        self.cardinality = ring.cardinality // len(ideal)
-        self.name = name or f"{ring.name}/I{len(ideal)}"
-        self._nilradical = None
-        self._nil_ideals = None
-        self._pd_structures: dict = {}
-        self._quotients: dict = {}
-
-    def _wrap(self, rep):
-        return QuotientElement(self, self._rep_of[rep])
-
-    def project(self, x) -> QuotientElement:
-        """The quotient map R -> R/I."""
-        return QuotientElement(self, self._rep_of[x])
-
-    def from_int(self, n: int) -> QuotientElement:
-        return self._wrap(self.base.from_int(n))
-
-    def elements(self):
-        seen = set()
-        for x in self.base.elements():
-            r = self._rep_of[x]
-            if r not in seen:
-                seen.add(r)
-                yield QuotientElement(self, r)
-
-    @property
-    def characteristic(self) -> int:
-        n, acc = 1, self.one
-        while acc:
-            acc = acc + self.one
-            n += 1
-        return n
-
-    def __repr__(self):
-        return f"QuotientRing({self.name}, {self.cardinality} elements)"
-
-
-def quotient_ring(ring, ideal: frozenset, name: str | None = None):
-    """R/I as a QuotientRing, built once per (ring, ideal, name)."""
+def quotient_ring(ring, ideal: frozenset, name: str | None = None) -> tuple:
+    """R/I as a FiniteRing with the projection R -> R/I and a section
+    R/I -> R, built once per (ring, ideal, name).  Its coordinates are
+    those of x.V mod d for the diagonal form of the lattice spanned by I
+    and the moduli of R, dropping every d_i = 1; the zero ideal gives R
+    itself with identity maps."""
     key = (ideal, name)
     if key not in ring._quotients:
-        ring._quotients[key] = QuotientRing(ring, ideal, name)
+        ring._quotients[key] = _quotient(ring, ideal, name)
     return ring._quotients[key]
 
 
-def reduced_ring(ring):
+def _quotient(ring, ideal: frozenset, name: str | None) -> tuple:
+    if len(ideal) == 1:
+        return ring, _identity, _identity
+    moduli, n = ring.moduli, len(ring.moduli)
+    d, cols, inv = _diagonal_form(
+        [x.coords for x in ideal]
+        + [[m * (i == j) for j in range(n)] for i, m in enumerate(moduli)], n)
+    keep = [i for i in range(n) if d[i] > 1]
+    cols = [cols[i] for i in keep]
+    mods = tuple(d[i] for i in keep)
+
+    def coords(x: tuple) -> tuple:
+        return tuple([sum(a * v for a, v in zip(x, col)) % m
+                      for col, m in zip(cols, mods)])
+
+    lifts = [tuple(c % m for c, m in zip(inv[i], moduli)) for i in keep]
+    products = tuple(tuple(coords(ring._product(u, v)) for v in lifts)
+                     for u in lifts)
+    names = []
+    for u in lifts:
+        text = ring.render(FiniteRingElement(ring, u))
+        names.append(f"({text})" if " + " in text else text)
+    quotient = FiniteRing(mods, products, coords(ring.one_coords),
+                          name or f"{ring.name}/I{len(ideal)}", tuple(names))
+
+    def project(x: FiniteRingElement) -> FiniteRingElement:
+        return FiniteRingElement(quotient, coords(x.coords))
+
+    def lift(y: FiniteRingElement) -> FiniteRingElement:
+        return ring.element([sum(c * u[i] for c, u in zip(y.coords, lifts))
+                             for i in range(n)])
+
+    return quotient, project, lift
+
+
+def _identity(x):
+    return x
+
+
+def reduced_ring(ring) -> tuple:
     """R/Nil(R) together with the projection."""
-    q = quotient_ring(ring, nilradical(ring), name=f"{ring.name}_red")
-    return q, q.project
+    quotient, project, _ = quotient_ring(ring, nilradical(ring),
+                                         name=f"{ring.name}_red")
+    return quotient, project
 
 
 def canonical_scalar_map(base, ring):

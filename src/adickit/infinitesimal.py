@@ -152,10 +152,10 @@ def de_rham_point_set(pres: RingPresentation, ring,
                       base_map=None) -> PointSet:
     """Points over R/Nil(R); in a finite ring the filtered colimit over
     nilpotent ideals stabilizes at the nilradical."""
-    red, _ = reduced_ring(ring)
+    red, project = reduced_ring(ring)
     reduced_map = None
     if base_map is not None:
-        reduced_map = lambda c: red.project(base_map(c))  # noqa: E731
+        reduced_map = lambda c: project(base_map(c))  # noqa: E731
     ps = point_set(pres, red, reduced_map)
     ps.label = f"X({ring.name}/Nil)"
     return ps
@@ -369,7 +369,7 @@ class CrystallinePoints:
     pres: RingPresentation
     ring: object
     classes: list           # list of frozensets of (index, point-key) nodes
-    index: list             # list of (ideal, PDStructure, QuotientRing, PointSet)
+    index: list             # (ideal, PD, quotient_ring(R, ideal), PointSet)
 
     def __post_init__(self):
         self._class_of = {node: i for i, cls in enumerate(self.classes)
@@ -396,12 +396,12 @@ def crystalline_point_set(pres: RingPresentation, ring,
         structures = enumerate_pd_structures(ring, ideal)
         if not structures:
             continue
-        quotient = quotient_ring(ring, ideal)
+        quot = quotient_ring(ring, ideal)      # (R/I, project, lift)
         qmap = None
         if base_map is not None:
-            qmap = lambda c: quotient.project(base_map(c))  # noqa: E731
-        pts = point_set(pres, quotient, qmap)
-        index.extend((ideal, pd, quotient, pts) for pd in structures)
+            qmap = lambda c: quot[1](base_map(c))  # noqa: E731
+        pts = point_set(pres, quot[0], qmap)
+        index.extend((ideal, pd, quot, pts) for pd in structures)
 
     # union-find over (index, point) nodes
     parent: dict = {}
@@ -422,15 +422,15 @@ def crystalline_point_set(pres: RingPresentation, ring,
             node = (i, tuple(e.key() for e in pt))
             parent[node] = node
 
-    for i, (ideal_i, pd_i, quot_i, pts_i) in enumerate(index):
-        for j, (ideal_j, pd_j, quot_j, pts_j) in enumerate(index):
+    for i, (ideal_i, pd_i, (_, _, lift_i), pts_i) in enumerate(index):
+        for j, (ideal_j, pd_j, (_, project_j, _), pts_j) in enumerate(index):
             if i == j or not set(ideal_i) <= set(ideal_j):
                 continue
             if not pd_j.restricts_to(pd_i):
                 continue
             available = {tuple(e.key() for e in pt) for pt in pts_j.points}
             for pt in pts_i.points:
-                pushed = tuple(quot_j.project(e.rep) for e in pt)
+                pushed = tuple(project_j(lift_i(e)) for e in pt)
                 pkey = tuple(e.key() for e in pushed)
                 if pkey in available:
                     union((i, tuple(e.key() for e in pt)), (j, pkey))
@@ -497,7 +497,7 @@ def classify_lifting(arg, test_rings: list, mode: str = "dR",
         coeff = _scalar_map(B, ring)
         x_points = point_set(B, ring)
         if mode == "dR":
-            red, _ = reduced_ring(ring)
+            red, project = reduced_ring(ring)
             red_coeff = _scalar_map(B, red)
             xred = point_set(B, red)
             y_points = point_set(A, ring)
@@ -507,13 +507,13 @@ def classify_lifting(arg, test_rings: list, mode: str = "dR",
                 bka = tuple(e.key() for e in _restrict_point(
                     mor, bpt, red, red_coeff))
                 for apt in y_points.points:
-                    if tuple(red.project(e).key() for e in apt) == bka:
+                    if tuple(project(e).key() for e in apt) == bka:
                         targets.add((tuple(e.key() for e in bpt),
                                      tuple(e.key() for e in apt)))
             seen = {}
             images = []
             for pt in x_points.points:
-                bimg = tuple(red.project(e).key() for e in pt)
+                bimg = tuple(project(e).key() for e in pt)
                 aimg = tuple(e.key() for e in _restrict_point(
                     mor, pt, ring, coeff))
                 images.append((bimg, aimg))
@@ -526,20 +526,18 @@ def classify_lifting(arg, test_rings: list, mode: str = "dR",
             zero_idx = next(i for i, (ideal, _, _, _) in enumerate(crys.index)
                             if len(ideal) == 1)
             targets = set()
-            for i, (_ideal, _pd, quot, pts) in enumerate(crys.index):
+            for i, (_, _, (quot, project, _), pts) in enumerate(crys.index):
                 q_coeff = _scalar_map(B, quot)
                 for bpt in pts.points:
                     cls = crys.class_of(i, bpt)
                     bka = tuple(e.key() for e in _restrict_point(
                         mor, bpt, quot, q_coeff))
                     for apt in y_points.points:
-                        if tuple(quot.project(e).key() for e in apt) == bka:
+                        if tuple(project(e).key() for e in apt) == bka:
                             targets.add((cls, tuple(e.key() for e in apt)))
             images = []
-            zero_quot = crys.index[zero_idx][2]
-            for pt in x_points.points:
-                pushed = tuple(zero_quot.project(e) for e in pt)
-                cls = crys.class_of(zero_idx, pushed)
+            for pt in x_points.points:     # R/0 is R itself
+                cls = crys.class_of(zero_idx, pt)
                 aimg = tuple(e.key() for e in _restrict_point(
                     mor, pt, ring, coeff))
                 images.append((cls, aimg))

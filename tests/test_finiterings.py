@@ -9,13 +9,13 @@ import pytest
 
 from adickit import finiterings
 from adickit.cli import parse_script, run_script
-from adickit.finiterings import (TABLE_CAP, FiniteRing, QuotientRing,
+from adickit.finiterings import (TABLE_CAP, FiniteRing,
                                  canonical_scalar_map, dual_numbers,
                                  fp_quotient, gf, ideal_generated, is_ideal,
                                  nilradical, product_ring, quotient_ring,
                                  reduced_ring, zmod)
 from adickit.groebner import normal_form
-from adickit.infinitesimal import default_corpus
+from adickit.infinitesimal import default_corpus, enumerate_nilpotent_ideals
 from adickit.poly import Poly
 
 
@@ -75,11 +75,11 @@ def test_quotient_rings_are_built_once_per_ideal_and_name():
     r = zmod(8)
     red, _ = reduced_ring(r)
     assert reduced_ring(r)[0] is red
-    assert quotient_ring(r, nilradical(r), name="Zmod(8)_red") is red
+    assert quotient_ring(r, nilradical(r), name="Zmod(8)_red")[0] is red
     ideal = ideal_generated(r, [r.from_int(4)])
-    q = quotient_ring(r, ideal)
-    assert quotient_ring(r, ideal) is q and q.name == "Zmod(8)/I2"
-    assert quotient_ring(r, ideal, name="Z/4") is not q
+    q = quotient_ring(r, ideal)[0]
+    assert quotient_ring(r, ideal)[0] is q and q.name == "Zmod(8)/I2"
+    assert quotient_ring(r, ideal, name="Z/4")[0] is not q
 
 
 def test_gf4_is_a_field():
@@ -96,6 +96,16 @@ def test_gf4_is_a_field():
 def test_gf_rejects_composite():
     with pytest.raises(ValueError):
         gf(6)
+
+
+def test_gf_rejects_composite_for_every_degree():
+    for p in (6, 4):
+        with pytest.raises(ValueError, match=rf"^GF\({p}\) needs a prime$"):
+            gf(p, 2)
+    # a 36-element "field" over Zmod(6) used to crash classify on a division
+    outcome = run_script(parse_script(
+        "K = GF(6,2); A = Quot(Tate(K,[T]),[u],[u^2-u]); classify A;"))
+    assert outcome.reports[0]["error"] == "GF(6) needs a prime at 1:1"
 
 
 def test_cardinality_cap():
@@ -131,10 +141,55 @@ def test_ideals_and_quotients():
     r = zmod(4)
     ideal = ideal_generated(r, [r.from_int(2)])
     assert is_ideal(r, ideal)
-    q = QuotientRing(r, ideal)
+    q, project, _ = quotient_ring(r, ideal)
     assert q.cardinality == 2
     assert q.characteristic == 2
-    assert q.project(r.from_int(3)) == q.one
+    assert project(r.from_int(3)) == q.one
+
+
+def _quotient_oracle_cases():
+    """Every nilpotent ideal of the lifting corpora, Zmod(16),
+    GF(2)[x,y]/(x^2,y^2) and the group ring Z/4[C2] (its ideal (2 + 2g)
+    needs a column operation on a kept coordinate), and every ideal (all
+    are principal) of two rings that are not local."""
+    x2, y2 = Poly(2, {(2, 0): 1}), Poly(2, {(0, 2): 1})
+    group_ring = FiniteRing((4, 4), (((1, 0), (0, 1)), ((0, 1), (1, 0))),
+                            (1, 0), "Zmod(4)[C2]", ("1", "g"))
+    for ring in default_corpus(2) + default_corpus(3) + [
+            zmod(16), fp_quotient(2, ("x", "y"), [x2, y2]), group_ring]:
+        yield ring, [ideal for ideal, _ in enumerate_nilpotent_ideals(ring)]
+    for ring in (zmod(12), product_ring(zmod(4), gf(3))):
+        yield ring, list({ideal_generated(ring, [x]): None
+                          for x in ring.elements()})
+
+
+def test_quotient_rings_against_brute_force():
+    checked = 0
+    for ring, ideals in _quotient_oracle_cases():
+        elements = list(ring.elements())
+        maps = {ideal: quotient_ring(ring, ideal) for ideal in ideals}
+        for ideal, (q, project, lift) in maps.items():
+            assert isinstance(q, FiniteRing)
+            assert q.cardinality == ring.cardinality // len(ideal)
+            assert len(set(q.elements())) == q.cardinality
+            images = {x: project(x) for x in elements}
+            assert all(y.parent is q for y in images.values())
+            assert frozenset(x for x, y in images.items() if not y) == ideal
+            for x in elements:
+                for y in elements:
+                    assert images[x + y] == images[x] + images[y]
+                    assert images[x * y] == images[x] * images[y]
+            assert all(project(lift(y)) == y for y in q.elements())
+            n, acc = 1, q.one
+            while acc:
+                acc, n = acc + q.one, n + 1
+            assert q.characteristic == n
+            for small, (_, project_small, lift_small) in maps.items():
+                if small <= ideal:
+                    assert all(project(lift_small(project_small(x)))
+                               == images[x] for x in elements)
+            checked += 1
+    assert checked == 54
 
 
 def test_canonical_scalar_maps():

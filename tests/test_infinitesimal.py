@@ -387,6 +387,15 @@ def test_classify_lifting_etale_both_modes():
     assert classify_lifting(IDEM_Z, corpus, "crys").verdict == "etale"
 
 
+def test_classify_lifting_over_its_own_reduced_base_ring():
+    # R/0 and R/Nil(R) of a reduced ring are R itself, so the identity base
+    # map reaches them; it used to fail with "no base map" to a copy of F_4
+    F4 = gf(2, 2)
+    idem = fp_pres(F4, ("T",), [{(2,): 1, (1,): 1}])
+    assert classify_lifting(idem, [F4], "dR").verdict == "etale"
+    assert classify_lifting(idem, [F4], "crys").verdict == "etale"
+
+
 def test_classify_lifting_nilpotent_fails_etale():
     corpus = [F2, dual_numbers(2),
               fp_quotient(2, ("x",), [Poly(1, {(4,): F2.one})])]
