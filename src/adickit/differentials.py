@@ -29,9 +29,10 @@ from fractions import Fraction
 from itertools import combinations
 
 from .finiterings import FiniteRing, quotient_structure, subgroup_tree
-from .groebner import DegreeOverflowError, is_zero_dimensional, syzygy_basis
+from .groebner import (DEGREE_GUARD, DegreeOverflowError, is_zero_dimensional,
+                       syzygy_basis)
 from .linalg import RowSpace, kernel_of_map, span_in_low_block
-from .poly import Poly, exp_total, grevlex_key, monomials_upto
+from .poly import Poly, exp_total, grevlex_key
 from .tate import (MorphismPresentation, PresentationError, QpBase,
                    RingPresentation)
 
@@ -242,10 +243,8 @@ def _h_minus1_field(data: RelativeData, degree_cap: int, syz_images: list,
                 raise DegreeOverflowError(
                     f"syzygy image of degree {sdeg} exceeds working degree "
                     f"{work}")
-            vectors.extend(_multiple_coords(
-                dict(enumerate(s)),
-                monomials_upto(pres.nvars, max(work - sdeg, 0)),
-                w_offsets, w_index, pres))
+            vectors.extend(_standard_multiples(dict(enumerate(s)), work,
+                                               w_offsets, w_index, pres))
         space = span_in_low_block(vectors, low_cols, p * wwidth, one)
         flat = [{i * width + k: comp.terms[m]
                  for i, comp in enumerate(kv)
@@ -596,13 +595,30 @@ def _multiple_coords(form: dict, monomials: list, offsets, index: dict,
     return vectors
 
 
+def _standard_multiples(form: dict, work: int, offsets, index: dict,
+                        pres) -> list[dict]:
+    """Coordinates of NF(s * form) for the standard monomials s of degree
+    <= work - deg(form).  They span what the multiples by every monomial m
+    of that degree span: grevlex normal forms are linear and never raise
+    the degree, so NF(m * c) = sum a_s NF(s * c) over the terms a_s s of
+    NF(m), with the same a_s for every coefficient c of the form.  The
+    degree guard fires as it would for every monomial, also where a finite
+    staircase stops short of it."""
+    deg = max(c.total_degree() for c in form.values())
+    top = max(work - deg, 0)
+    if top + deg > DEGREE_GUARD:
+        raise DegreeOverflowError(
+            f"reduction exceeded degree guard {DEGREE_GUARD}")
+    return _multiple_coords(form, pres.staircase(top), offsets, index, pres)
+
+
 def _relation_block(relations: list, subsets: list, work: int,
                     pres) -> tuple:
     """The truncated block of the k-forms at a working degree (staircase
     monomials, their index, the subsets' column offsets) and the coordinates
-    of the multiples of every relation form that fit it.  Forms whose
-    coefficients are all zero (the degree-0 relations NF(g) = 0) add nothing
-    to a span and are skipped."""
+    of the standard-monomial multiples of every relation form that fit it.
+    Forms whose coefficients are all zero (the degree-0 relations NF(g) = 0)
+    add nothing to a span and are skipped."""
     monomials = sorted(pres.staircase(work), key=grevlex_key)
     index = {m: i for i, m in enumerate(monomials)}
     offsets = {s: i * len(monomials) for i, s in enumerate(subsets)}
@@ -610,10 +626,7 @@ def _relation_block(relations: list, subsets: list, work: int,
     for rel in relations:
         if all(c.is_zero for c in rel.values()):
             continue
-        reldeg = max(c.total_degree() for c in rel.values())
-        vectors.extend(_multiple_coords(
-            rel, monomials_upto(pres.nvars, max(work - reldeg, 0)), offsets,
-            index, pres))
+        vectors.extend(_standard_multiples(rel, work, offsets, index, pres))
     return monomials, index, offsets, vectors
 
 

@@ -45,6 +45,15 @@ def admits_base_map(pres: RingPresentation, ring) -> bool:
     return _scalar_map(pres, ring) is not None
 
 
+def _base_map(pres: RingPresentation, ring, base_map=None):
+    """The given base map into ring, else the canonical one."""
+    coeff = base_map or _scalar_map(pres, ring)
+    if coeff is None:
+        raise PresentationError(
+            f"no base map from {pres.base} to {ring.name}")
+    return coeff
+
+
 @dataclass
 class PointSet:
     pres: RingPresentation
@@ -64,10 +73,7 @@ def point_set(pres: RingPresentation, ring, base_map=None) -> PointSet:
     search over the variables in order that tests each relation as soon as
     its last variable is fixed.  Candidates run in key order, so the points
     come out sorted by their keys."""
-    coeff = base_map or _scalar_map(pres, ring)
-    if coeff is None:
-        raise PresentationError(
-            f"no base map from {pres.base} to {ring.name}")
+    coeff = _base_map(pres, ring, base_map)
     n = pres.nvars
     if ring.cardinality ** n > POINT_SEARCH_CAP:
         raise PresentationError("point search space exceeds the cap")
@@ -151,12 +157,11 @@ def _stage_relations(gens: list, n: int, coeff):
 def de_rham_point_set(pres: RingPresentation, ring,
                       base_map=None) -> PointSet:
     """Points over R/Nil(R); in a finite ring the filtered colimit over
-    nilpotent ideals stabilizes at the nilradical."""
+    nilpotent ideals stabilizes at the nilradical.  The base map into R/Nil
+    is the one into R followed by the projection."""
+    coeff = _base_map(pres, ring, base_map)
     red, project = reduced_ring(ring)
-    reduced_map = None
-    if base_map is not None:
-        reduced_map = lambda c: project(base_map(c))  # noqa: E731
-    ps = point_set(pres, red, reduced_map)
+    ps = point_set(pres, red, lambda c: project(coeff(c)))
     ps.label = f"X({ring.name}/Nil)"
     return ps
 
@@ -388,7 +393,9 @@ class CrystallinePoints:
 def crystalline_point_set(pres: RingPresentation, ring,
                           base_map=None) -> CrystallinePoints:
     """Equivalence classes of (nilpotent PD ideal, point over the quotient)
-    under the PD-compatible reduction identifications."""
+    under the PD-compatible reduction identifications.  The base map into
+    each R/I is the one into R followed by the projection."""
+    coeff = _base_map(pres, ring, base_map)
     index = []
     for ideal, _e in enumerate_nilpotent_ideals(ring):
         if len(ideal) > PD_IDEAL_CAP:
@@ -397,10 +404,7 @@ def crystalline_point_set(pres: RingPresentation, ring,
         if not structures:
             continue
         quot = quotient_ring(ring, ideal)      # (R/I, project, lift)
-        qmap = None
-        if base_map is not None:
-            qmap = lambda c: quot[1](base_map(c))  # noqa: E731
-        pts = point_set(pres, quot[0], qmap)
+        pts = point_set(pres, quot[0], lambda c: quot[1](coeff(c)))
         index.extend((ideal, pd, quot, pts) for pd in structures)
 
     # union-find over (index, point) nodes
@@ -498,8 +502,8 @@ def classify_lifting(arg, test_rings: list, mode: str = "dR",
         x_points = point_set(B, ring)
         if mode == "dR":
             red, project = reduced_ring(ring)
-            red_coeff = _scalar_map(B, red)
-            xred = point_set(B, red)
+            red_coeff = lambda c: project(coeff(c))  # noqa: E731
+            xred = point_set(B, red, red_coeff)
             y_points = point_set(A, ring)
             # completed points: pairs (reduced B-point, A-point) agreeing on A
             targets = set()
@@ -527,7 +531,7 @@ def classify_lifting(arg, test_rings: list, mode: str = "dR",
                             if len(ideal) == 1)
             targets = set()
             for i, (_, _, (quot, project, _), pts) in enumerate(crys.index):
-                q_coeff = _scalar_map(B, quot)
+                q_coeff = lambda c: project(coeff(c))  # noqa: E731
                 for bpt in pts.points:
                     cls = crys.class_of(i, bpt)
                     bka = tuple(e.key() for e in _restrict_point(

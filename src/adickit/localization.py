@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .groebner import DegreeOverflowError, unit_certificate
 from .linalg import RowSpace, kernel_of_map, solve, span_in_low_block
-from .poly import Poly, exp_total, grevlex_key
+from .poly import Poly, exp_total, grevlex_key, monomials_upto
 from .tate import (IntegerBase, MorphismPresentation, PresentationError,
                    QpBase, RingPresentation)
 
@@ -328,7 +328,6 @@ def joint_surjection_lift(cov: BinaryCovering, s1: list[Poly], s2: list[Poly],
     span = RowSpace(Bt.width, one)
     low = Bt.low_indices(degree_cap)
 
-    from .poly import monomials_upto
     sub_monos = [m + (0,) * (B.nvars - sub_nvars)
                  for m in monomials_upto(sub_nvars, work)]
     products = {Poly.constant(one, B.nvars)}

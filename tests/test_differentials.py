@@ -641,6 +641,108 @@ def test_cotangent_complex_matches_from_scratch_multiples(monkeypatch):
     assert {h for h, *_ in fast} >= {"zero", "nonzero"}
 
 
+def test_h_minus1_syzygy_span_matches_all_monomial_multiples(monkeypatch):
+    # the syzygy image span from standard-monomial multiples equals the span
+    # of the multiples by every monomial up to the working degree, each
+    # reduced from scratch: row for row the spans agree, and so do the H^-1
+    # verdicts, witnesses, h0 and flags
+    from corpus import classifier_fixtures, jacobian_presentations
+
+    from adickit.linalg import RowSpace
+    from adickit.poly import monomials_upto
+    named = jacobian_presentations()
+    cases = [pres for _, pres, _ in classifier_fixtures()]
+    cases += [named[k] for k in ("B1", "C1", "D2", "L1", "KD")]
+    cases.append(_drham_case("X^2,XY"))
+    cases.append(_drham_case("GF(3)"))
+
+    def summary(cx):
+        return cx.h_minus1, cx.h_minus1_witness, cx.h0, cx.flags
+
+    def every_monomial(form, work, offsets, index, pres):
+        one = pres.coeff_one()
+        deg = max(c.total_degree() for c in form.values())
+        vectors = []
+        for m in monomials_upto(pres.nvars, max(work - deg, 0)):
+            vec = {}
+            for s, c in form.items():
+                vec.update((offsets[s] + index[e], cc) for e, cc in
+                           pres.normal_form(c.mul_term(m, one)).terms.items()
+                           if e in index)
+            vectors.append(vec)
+        return vectors
+
+    blocks = []
+    real = differentials._standard_multiples
+
+    def recording(form, work, offsets, index, pres):
+        vectors = real(form, work, offsets, index, pres)
+        blocks.append((vectors, every_monomial(form, work, offsets, index,
+                                               pres), pres))
+        return vectors
+
+    monkeypatch.setattr(differentials, "_standard_multiples", recording)
+    fast = [summary(naive_cotangent_complex(pres)) for pres in cases]
+    assert blocks       # X^2, XY has a nonzero syzygy image
+    for standard, every, pres in blocks:
+        width = 1 + max(k for vec in every for k in vec)
+        dims = []
+        for rows in (standard, every, standard + every):
+            span = RowSpace(width, pres.coeff_one())
+            for vec in rows:
+                span.insert(vec)
+            dims.append(span.dim)
+        assert dims[0] == dims[1] == dims[2]
+
+    monkeypatch.setattr(differentials, "_standard_multiples", every_monomial)
+    assert fast == [summary(naive_cotangent_complex(pres)) for pres in cases]
+    assert {h for h, *_ in fast} >= {"zero", "nonzero"}
+
+
+def test_de_rham_relation_block_takes_standard_multiples():
+    # k = 1 of drham B2: two relation forms of degree 1, each multiplied by
+    # the standard monomials of degree <= cap + 3 (every monomial of that
+    # degree gave 2730 rows of the same span)
+    from corpus import jacobian_presentations
+    pres = jacobian_presentations()["B2"]
+    cx = de_rham_complex(pres, 3)
+    cap = pres.degree_cap
+    *_, vectors = differentials._relation_block(
+        cx.relations[1], cx.generators[1], cap + 4, pres)
+    assert len(vectors) == 2 * len(pres.staircase(cap + 3)) == 530
+
+
+@pytest.mark.parametrize("names, gens, ranks", [
+    # staircase {1, u}: it ends far below the degree guard
+    (("u",), [{(2,): 1, (1,): -1, (0,): -1}], {0: 2, 1: 0}),
+    # u - T^2 with the Tate variable T: the staircase runs up T
+    (("T", "u"), [{(0, 1): 1, (2, 0): -1}], {0: 121, 1: 122}),
+], ids=["finite", "tate"])
+def test_de_rham_degree_guard_boundary(q2, names, gens, ranks):
+    # the working degree is cap + 4, and relation multiples of total degree
+    # above DEGREE_GUARD = 64 raise whether or not the staircase reaches it
+    gens = pres_over(q2, names, gens).gens
+
+    def at_cap(cap):
+        return de_rham_complex(RingPresentation(q2, names, gens, cap), 1)
+
+    assert at_cap(60).truncated_ranks == ranks
+    with pytest.raises(DegreeOverflowError, match="degree guard 64"):
+        at_cap(61)
+
+
+def test_h_minus1_degree_guard_boundary(q2):
+    # (f, 2f) with the finite staircase {1, u} has the syzygy (2, -1); its
+    # multiples reach the working degree cap + 2, past the guard at cap 63
+    f = {(2,): 1, (1,): -1, (0,): -1}
+    B = pres_over(q2, ("u",), [f, {e: 2 * c for e, c in f.items()}])
+    cx = naive_cotangent_complex(B, degree_cap=62)
+    assert (cx.h_minus1, cx.flags) == ("zero", [])
+    cx = naive_cotangent_complex(B, degree_cap=63)
+    assert cx.h_minus1 == "inconclusive"
+    assert "h_minus1_overflow" in cx.flags
+
+
 def test_de_rham_normal_form_count_bound(monkeypatch):
     # from-scratch reduction of every relation multiple made 5476
     # groebner.normal_form calls here; incremental normal forms make 24

@@ -396,6 +396,24 @@ def test_classify_lifting_over_its_own_reduced_base_ring():
     assert classify_lifting(idem, [F4], "crys").verdict == "etale"
 
 
+@pytest.mark.parametrize("mode, completed_points", [
+    ("dR", de_rham_point_set), ("crys", crystalline_point_set)])
+def test_classify_lifting_over_a_base_with_nilpotents(mode, completed_points):
+    # D = F_2[e]/(e^2) has two coordinates; its maps to D/Nil and to D/I
+    # are D's identity followed by the projection.  u^2 - u is separable,
+    # so D<T>[u]/(u^2 - u) is etale over D<T>; both modes used to fail with
+    # "no base map"
+    D = fp_quotient(2, ("e",), [Poly(1, {(2,): F2.one})])
+    A = free_presentation(D, ("T",))
+    B = A.extend(("u",), [Poly(2, {(0, 2): D.one, (0, 1): -D.one})])
+    v = classify_lifting(B, [D], mode)
+    assert v.verdict == "etale"
+    assert [e["map"] for e in v.per_ring] == ["bijective"]
+    # T in F_2 and u in {0, 1}, over D/Nil = F_2 or up to the PD classes
+    assert len(point_set(B, D)) == 8
+    assert len(completed_points(B, D)) == 4
+
+
 def test_classify_lifting_nilpotent_fails_etale():
     corpus = [F2, dual_numbers(2),
               fp_quotient(2, ("x",), [Poly(1, {(4,): F2.one})])]
