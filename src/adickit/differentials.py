@@ -17,9 +17,10 @@ images, and differentials are taken only in B's variables.
 
 Two backends: field coefficient bases run exact Groebner/syzygy linear
 algebra at a degree cap; finite non-field bases with a separated monic
-presentation are classified exhaustively, computing in B = R[X]/(f) as a
-`FiniteRing` built from structure constants (ideal closures for the Fitting
-ideals, a sweep of B^p for H^-1), bounded by SEARCH_CAP.
+presentation are classified exactly in B = R[X]/(f), a `FiniteRing` built
+from structure constants whose size SEARCH_CAP bounds: the Fitting ideals and
+H^-1 are questions about subgroups of B's additive group, decided by a
+diagonal form of integer lattices.
 """
 
 from __future__ import annotations
@@ -28,9 +29,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .finiterings import FiniteRing, quotient_structure, subgroup_tree
-from .groebner import (DEGREE_GUARD, DegreeOverflowError, is_zero_dimensional,
-                       syzygy_basis)
+from .finiterings import (FiniteRing, hom_kernel, quotient_structure,
+                          spans_group)
+from .groebner import (DEGREE_GUARD, DegreeOverflowError, buchberger,
+                       is_unit_ideal, is_zero_dimensional, syzygy_basis)
 from .linalg import RowSpace, kernel_of_map, span_in_low_block
 from .poly import Poly, exp_total, grevlex_key
 from .tate import (MorphismPresentation, PresentationError, QpBase,
@@ -119,7 +121,6 @@ class KahlerModule:
             if all(m.is_zero for m in minors):
                 status[k] = "zero"
                 continue
-            from .groebner import buchberger, is_unit_ideal
             basis = buchberger(list(pres.gens) + minors)
             status[k] = "unit" if is_unit_ideal(basis) else "other"
         return status
@@ -166,7 +167,7 @@ class CotangentComplexData:
     data: RelativeData
     jacobian: list[list[Poly]]
     syzygy_images: list[list[Poly]]   # conormal relations, reduced; none
-                                      # on the exhaustive backend
+                                      # on the finite backend
     h_minus1: str                     # "zero" | "nonzero" | "inconclusive"
     h_minus1_witness: list[Poly] | None
     h0: str                           # "zero" | "projective" | "nonzero" | "inconclusive"
@@ -275,7 +276,7 @@ def naive_cotangent_complex(arg, degree_cap: int | None = None,
     flags: list[str] = []
 
     if isinstance(pres.base, FiniteRing) and not pres.base.is_field:
-        return _cotangent_finite_brute(data, cap, prec)
+        return _cotangent_finite(data, cap, prec)
 
     km = KahlerModule(data, [[pres.normal_form(g.derivative(j))
                               for j in data.rel_vars] for g in data.rel_gens])
@@ -306,13 +307,13 @@ def naive_cotangent_complex(arg, degree_cap: int | None = None,
                                 witness, h0, rank, fitting, (cap, prec), flags)
 
 
-# -- exhaustive backend for finite non-field bases -----------------------------
+# -- the backend for finite non-field bases ------------------------------------
 
-def _cotangent_finite_brute(data: RelativeData, cap: int,
-                            prec: int) -> CotangentComplexData:
-    """The two-term complex over a finite non-field base R, by exhaustion in
-    the finite ring B = R[X]/(separated monic system), built from structure
-    constants on the additive basis (staircase monomial) x (basis of R)."""
+def _cotangent_finite(data: RelativeData, cap: int,
+                      prec: int) -> CotangentComplexData:
+    """The two-term complex over a finite non-field base R, in the finite
+    ring B = R[X]/(separated monic system), built from structure constants
+    on the additive basis (staircase monomial) x (basis of R)."""
     pres = data.pres
     if data.source_gens or data.rel_vars != list(range(pres.nvars)):
         raise PresentationError(
@@ -333,15 +334,11 @@ def _cotangent_finite_brute(data: RelativeData, cap: int,
     moduli, products, one_coords, names, coords = quotient_structure(
         ring, rel_gens, stairs, pres.varnames)
     B = FiniteRing(moduli, products, one_coords, pres.describe(), names)
-    # checked before any closure, which at this size would take seconds
-    if p and B.cardinality ** p > SEARCH_CAP:
-        raise PresentationError("kernel search space too large")
     jac = [[pres.normal_form(g.derivative(j)) for j in range(n)]
            for g in rel_gens]
     flags = ["exhaustive"]
 
-    # H^0 via Fitting ideals: Fitt_0 = (1) iff the differentials vanish, and
-    # ideal closures stay inside B (cheap) rather than B^n.
+    # H^0 via Fitting ideals: Fitt_0 = (1) iff the differentials vanish
     fitting = _fitting_finite(B, coords, jac, pres)
     if fitting.get(0) == "unit":
         h0, rank = "zero", 0
@@ -353,59 +350,22 @@ def _cotangent_finite_brute(data: RelativeData, cap: int,
                 break
         h0 = "projective" if rank is not None else "nonzero"
 
-    # H^-1: kernel of v -> v.J inside B^p, exhaustively.  The leading terms
+    # H^-1: kernel of v -> v.J on B^p, a homomorphism of additive groups
+    # given by the images of the unit coordinate vectors.  The leading terms
     # of the system are pairwise coprime pure powers with unit coefficients,
     # so its syzygies are generated by the Koszul syzygies f_j e_i - f_i e_j
     # (Schreyer; Eisenbud, Commutative Algebra, Thm 15.10), whose images in
     # B^p vanish: every nonzero kernel vector is a witness.
-    if p == 0:
-        h_minus1, witness = "zero", None
-    else:
+    h_minus1, witness = "zero", None
+    if p:
         rank_b = len(B.moduli)
-        in_mods = B.moduli * p
-        out_mods = B.moduli * n
-
-        basis = [e.coords for e in B.basis]
-
-        def flat(polys, e):
-            """Coordinates of e * (polys) in B^len(polys), e the coordinates
-            of an element of B."""
-            return tuple(c for f in polys for c in B._product(e, coords(f)))
-
-        # image rows of the unit coordinate vectors of B^p under v -> v.J
-        rows = [flat(jac[i], e) for i in range(p) for e in basis]
-        width_in, width_out = len(in_mods), len(out_mods)
-        witness = None
-        h_minus1 = "zero"
-        # odometer sweep keeping the image incrementally updated
-        digits = [0] * width_in
-        image = [0] * width_out
-        while True:
-            if not any(image):
-                v = tuple(digits)
-                if any(v):
-                    h_minus1 = "nonzero"
-                    witness = [_poly_of(v[i * rank_b:(i + 1) * rank_b], stairs,
-                                        ring, n) for i in range(p)]
-                    break
-            pos = 0
-            while pos < width_in:
-                digits[pos] += 1
-                row = rows[pos]
-                if digits[pos] < in_mods[pos]:
-                    for t in range(width_out):
-                        if row[t]:
-                            image[t] = (image[t] + row[t]) % out_mods[t]
-                    break
-                # wrap: digit goes m-1 -> 0, i.e. subtract (m-1) * row
-                m = in_mods[pos]
-                digits[pos] = 0
-                for t in range(width_out):
-                    if row[t]:
-                        image[t] = (image[t] - (m - 1) * row[t]) % out_mods[t]
-                pos += 1
-            if pos == width_in:
-                break
+        rows = [tuple(c for f in row for c in B._product(e.coords, coords(f)))
+                for row in jac for e in B.basis]
+        kernel = hom_kernel(rows, B.moduli * p, B.moduli * n)
+        if kernel:
+            h_minus1 = "nonzero"
+            witness = [_poly_of(kernel[0][i * rank_b:(i + 1) * rank_b],
+                                stairs, ring, n) for i in range(p)]
 
     return CotangentComplexData(data, jac, [], h_minus1, witness,
                                 h0, rank, fitting, (cap, prec), flags)
@@ -434,21 +394,12 @@ def _fitting_finite(B: FiniteRing, coords, jac, pres) -> dict:
         if all(m.is_zero for m in minors):
             status[k] = "zero"
             continue
+        # the ideal is the additive span of the e * g, e in B's basis
         gens = [coords(m) for m in minors if not m.is_zero]
-        ideal = _span([B._product(e.coords, g) for g in gens
-                       for e in B.basis], B.moduli)
-        status[k] = "unit" if B.one.coords in ideal else "other"
+        unit = spans_group([B._product(e.coords, g) for g in gens
+                            for e in B.basis], B.moduli)
+        status[k] = "unit" if unit else "other"
     return status
-
-
-def _span(vectors: list, moduli: tuple) -> dict:
-    """The subgroup of Z/m_1 x ... x Z/m_k generated by coordinate vectors,
-    keyed by coordinate tuple.  Spans in B reach 10^6 elements, so they
-    are kept as plain tuples, which take less memory and time than ring
-    elements."""
-    return subgroup_tree(
-        (0,) * len(moduli), vectors,
-        lambda u, v: tuple((x + y) % m for x, y, m in zip(u, v, moduli)))
 
 
 # -- classification ------------------------------------------------------------

@@ -9,7 +9,10 @@ classifiers quantify over.  Equal builder calls return the same ring object,
 so per-ring data (inverses, nilradical, ideal lattice, divided powers) is
 computed once per process.  The cap belongs to the builders, not to
 FiniteRing: the exhaustive classifier in `differentials` builds its larger
-B = R[X]/(f) from the same structure constants (`quotient_structure`).
+B = R[X]/(f) from the same structure constants (`quotient_structure`) and
+decides its questions about subgroups of B with the diagonal form of
+integer lattices that also builds quotients R/I (`hom_kernel`,
+`spans_group`).
 A ring of at most TABLE_CAP elements adds and multiplies by lookup in a
 Cayley table built on first use; larger rings multiply through the
 structure constants.
@@ -23,9 +26,9 @@ from functools import lru_cache
 from itertools import product as iproduct
 from math import gcd, prod
 
-from .groebner import (buchberger, is_zero_dimensional, normal_form,
-                       staircase_for)
-from .poly import Poly, exp_mul, grevlex_key
+from .groebner import (buchberger, is_unit_ideal, is_zero_dimensional,
+                       normal_form, staircase_for)
+from .poly import Poly, exp_mul, grevlex_key, render_poly
 
 CARDINALITY_CAP = 4096
 TABLE_CAP = 256     # rings up to this size add and multiply by table lookup
@@ -492,7 +495,6 @@ def fp_quotient(p: int, varnames: tuple, relations: list[Poly]) -> FiniteRing:
 def _fp_quotient(p: int, varnames: tuple, gens: list[Poly]) -> FiniteRing:
     nvars = len(varnames)
     basis = buchberger(gens)
-    from .groebner import is_unit_ideal
     if is_unit_ideal(basis):
         raise ValueError("relations generate the unit ideal (zero ring)")
     if not is_zero_dimensional(basis, nvars):
@@ -503,7 +505,6 @@ def _fp_quotient(p: int, varnames: tuple, gens: list[Poly]) -> FiniteRing:
     _check_cardinality(p ** len(stairs))   # before the product table
     moduli, products, one, names, _ = quotient_structure(
         gf(p, 1), basis, sorted(stairs, key=grevlex_key), varnames)
-    from .poly import render_poly
     rel_txt = ",".join(render_poly(g, varnames) for g in gens)
     return _interned(moduli, products, one,
                      f"GF({p})[{','.join(varnames)}]/({rel_txt})", names)
@@ -585,18 +586,22 @@ def is_ideal(ring, subset: frozenset) -> bool:
 
 
 def _diagonal_form(rows: list, n: int) -> tuple:
-    """Diagonalise the full-rank lattice L in Z^n spanned by `rows`: d, the
-    columns of a unimodular V and the rows of V^-1 with L.V = d_1 Z + ... +
-    d_n Z, so x -> x.V mod d maps Z^n/L onto Z/d_1 x ... x Z/d_n and
-    y -> y.V^-1 lifts back.  Row operations (untracked) and column
-    operations (tracked) on the entry of least absolute value: the Smith
-    normal form without its divisibility step (Cohen, A Course in
-    Computational Algebraic Number Theory, Alg. 2.4.14)."""
+    """Diagonalise the lattice L in Z^n spanned by `rows`: d, the columns of
+    a unimodular V and the rows of V^-1 with L.V = d_1 Z + ... + d_r Z, r
+    the rank of L.  For full rank, x -> x.V mod d maps Z^n/L onto
+    Z/d_1 x ... x Z/d_n and y -> y.V^-1 lifts back; below it, the columns
+    of V past r span the integer vectors orthogonal to every row.  Row
+    operations (untracked) and column operations (tracked) on the entry of
+    least absolute value: the Smith normal form without its divisibility
+    step (Cohen, A Course in Computational Algebraic Number Theory,
+    Alg. 2.4.14)."""
     a = [list(r) for r in rows if any(r)]
     cols = [[int(i == j) for j in range(n)] for i in range(n)]
     inv = [c[:] for c in cols]
     d = []
     for k in range(n):
+        if not a:
+            break
         while True:
             _, i, j = min((abs(r[j]), i, j) for i, r in enumerate(a)
                           for j in range(k, n) if r[j])
@@ -627,6 +632,34 @@ def _diagonal_form(rows: list, n: int) -> tuple:
     return d, cols, inv
 
 
+def _moduli_rows(moduli: tuple) -> list:
+    """The rows m_i e_i spanning the kernel of Z^k -> Z/m_1 x ... x Z/m_k."""
+    return [[m * (i == j) for j in range(len(moduli))]
+            for i, m in enumerate(moduli)]
+
+
+def spans_group(vectors, moduli: tuple) -> bool:
+    """Do these coordinate vectors generate all of Z/m_1 x ... x Z/m_k?
+    With the moduli rows the lattice has full rank, and it is Z^k iff every
+    diagonal entry is 1."""
+    d, _, _ = _diagonal_form(list(vectors) + _moduli_rows(moduli),
+                             len(moduli))
+    return all(x == 1 for x in d)
+
+
+def hom_kernel(rows, in_mods: tuple, out_mods: tuple) -> list:
+    """Nonzero generators of the kernel of the homomorphism
+    Z/in_mods -> Z/out_mods (products of cyclic groups) that sends the i-th
+    unit vector to rows[i].  v is in it iff (v, y) is in the integer left
+    kernel of [rows; diag(out_mods)] for some y: the columns of V past the
+    rank in the diagonal form of the transpose, cut to v and reduced."""
+    a = list(rows) + _moduli_rows(out_mods)
+    d, cols, _ = _diagonal_form(list(zip(*a)), len(a))
+    kernel = (tuple(x % m for x, m in zip(col, in_mods))
+              for col in cols[len(d):])
+    return [v for v in kernel if any(v)]
+
+
 def quotient_ring(ring, ideal: frozenset, name: str | None = None) -> tuple:
     """R/I as a FiniteRing with the projection R -> R/I and a section
     R/I -> R, built once per (ring, ideal, name).  Its coordinates are
@@ -644,8 +677,7 @@ def _quotient(ring, ideal: frozenset, name: str | None) -> tuple:
         return ring, _identity, _identity
     moduli, n = ring.moduli, len(ring.moduli)
     d, cols, inv = _diagonal_form(
-        [x.coords for x in ideal]
-        + [[m * (i == j) for j in range(n)] for i, m in enumerate(moduli)], n)
+        [x.coords for x in ideal] + _moduli_rows(moduli), n)
     keep = [i for i in range(n) if d[i] > 1]
     cols = [cols[i] for i in keep]
     mods = tuple(d[i] for i in keep)

@@ -28,7 +28,6 @@ from .tate import (IntegerBase, MorphismPresentation, PresentationError,
                    RingPresentation)
 
 POINT_SEARCH_CAP = 1_000_000
-PD_IDEAL_CAP = 16
 PD_SEARCH_CAP = 4096
 
 
@@ -306,8 +305,6 @@ def _prime_of(ring) -> int | None:
 def enumerate_pd_structures(ring, ideal: frozenset) -> list[PDStructure]:
     """All divided-power structures on the ideal, by the gamma_p coset
     solver; computed once per (ring, ideal), returned as a fresh list."""
-    if len(ideal) > PD_IDEAL_CAP:
-        raise ValueError(f"ideal size {len(ideal)} exceeds PD cap {PD_IDEAL_CAP}")
     if ideal not in ring._pd_structures:
         ring._pd_structures[ideal] = _solve_pd_structures(ring, ideal)
     return list(ring._pd_structures[ideal])
@@ -398,8 +395,6 @@ def crystalline_point_set(pres: RingPresentation, ring,
     coeff = _base_map(pres, ring, base_map)
     index = []
     for ideal, _e in enumerate_nilpotent_ideals(ring):
-        if len(ideal) > PD_IDEAL_CAP:
-            continue
         structures = enumerate_pd_structures(ring, ideal)
         if not structures:
             continue

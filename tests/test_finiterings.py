@@ -3,17 +3,19 @@ import threading
 import time
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adickit import finiterings
 from adickit.cli import parse_script, run_script
 from adickit.finiterings import (TABLE_CAP, FiniteRing,
                                  canonical_scalar_map, dual_numbers,
-                                 fp_quotient, gf, ideal_generated, is_ideal,
-                                 nilradical, product_ring, quotient_ring,
-                                 reduced_ring, zmod)
+                                 fp_quotient, gf, hom_kernel, ideal_generated,
+                                 is_ideal, nilradical, product_ring,
+                                 quotient_ring, reduced_ring, spans_group,
+                                 subgroup_tree, zmod)
 from adickit.groebner import normal_form
 from adickit.infinitesimal import default_corpus, enumerate_nilpotent_ideals
 from adickit.poly import Poly
@@ -190,6 +192,92 @@ def test_quotient_rings_against_brute_force():
                                == images[x] for x in elements)
             checked += 1
     assert checked == 54
+
+
+KERNEL_MODULI = (2, 3, 4, 6, 8, 9)
+
+
+def _small_group(draw) -> tuple:
+    """Moduli of a product of cyclic groups with at most 500 elements."""
+    mods = []
+    for m in draw(st.lists(st.sampled_from(KERNEL_MODULI), max_size=5)):
+        if prod(mods) * m > 500:
+            break
+        mods.append(m)
+    return tuple(mods)
+
+
+@st.composite
+def _homs(draw):
+    """A homomorphism Z/in_mods -> Z/out_mods by the images of the unit
+    vectors: entry t of row i is a multiple of out_t / gcd(in_i, out_t),
+    plus an arbitrary multiple of out_t (the rows need not be reduced)."""
+    in_mods, out_mods = _small_group(draw), _small_group(draw)
+    rows = [[draw(st.integers(0, gcd(a, b) - 1)) * (b // gcd(a, b))
+             + b * draw(st.integers(-2, 2)) for b in out_mods]
+            for a in in_mods]
+    return in_mods, out_mods, rows
+
+
+def _group_add(mods):
+    return lambda u, v: tuple((x + y) % m for x, y, m in zip(u, v, mods))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_homs())
+def test_hom_kernel_generates_the_brute_force_kernel(hom):
+    in_mods, out_mods, rows = hom
+    kernel, image = set(), set()
+    for v in product(*(range(m) for m in in_mods)):
+        w = tuple(sum(x * row[t] for x, row in zip(v, rows)) % m
+                  for t, m in enumerate(out_mods))
+        image.add(w)
+        if not any(w):
+            kernel.add(v)
+    gens = hom_kernel(rows, in_mods, out_mods)
+    assert all(len(v) == len(in_mods) and any(v) for v in gens)
+    assert set(subgroup_tree((0,) * len(in_mods), gens,
+                             _group_add(in_mods))) == kernel
+    assert spans_group(rows, out_mods) == (len(image) == prod(out_mods))
+
+
+def _rank(rows) -> int:
+    """Rank over Q by Gaussian elimination."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        i = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if i is None:
+            continue
+        rows[rank], rows[i] = rows[i], rows[rank]
+        pivot = rows[rank]
+        for r in rows[rank + 1:]:
+            f = r[c] / pivot[c]
+            r[:] = [x - f * y for x, y in zip(r, pivot)]
+        rank += 1
+    return rank
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+             max_size=n - 1),
+    st.lists(st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1),
+             max_size=6))))
+def test_diagonal_form_of_a_rank_deficient_lattice(case):
+    # rows drawn as integer combinations of fewer than n generators: d has
+    # the rank's length and the columns of V past it span the integer
+    # vectors orthogonal to every row (V unimodular, so they are a basis)
+    n, gens, weights = case
+    rows = [[sum(w * g[j] for w, g in zip(ws, gens)) for j in range(n)]
+            for ws in weights]
+    d, cols, inv = finiterings._diagonal_form(rows, n)
+    assert len(d) == _rank(rows) < n and all(x > 0 for x in d)
+    assert [[sum(c[k] * r[k] for k in range(n)) for c in inv] for r in cols] \
+        == [[int(i == j) for j in range(n)] for i in range(n)]
+    assert all(sum(x * y for x, y in zip(r, col)) == 0
+               for r in rows for col in cols[len(d):])
 
 
 def test_canonical_scalar_maps():
