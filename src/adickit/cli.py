@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import VERSION
@@ -82,12 +81,36 @@ class ScriptError(Exception):
 
 # -- tokens ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Token:
-    kind: str       # IDENT NUM OP EOF
-    text: str
-    line: int
-    col: int
+class _Record:
+    """A value record: compared, hashed and printed as
+    `Kind(slot=value, ...)` from its slots."""
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}"
+                         for name in self.__slots__)
+        return f"{type(self).__name__}({body})"
+
+
+class Token(_Record):
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind            # IDENT NUM OP EOF
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 _PUNCT = set("()[]{},;=+-*/^")
@@ -141,63 +164,97 @@ def tokenize(text: str) -> list[Token]:
 
 # -- AST --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Num:
-    value: int
 
-@dataclass(frozen=True)
-class Name:
-    ident: str
-    line: int = 0
-    col: int = 0
+class Num(_Record):
+    __slots__ = ("value",)
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: object
-    right: object
+    def __init__(self, value: int):
+        self.value = value
 
-@dataclass(frozen=True)
-class Neg:
-    operand: object
 
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: object
+class Name(_Record):
+    __slots__ = ("ident", "line", "col")
 
-@dataclass(frozen=True)
-class ListExpr:
-    items: tuple
+    def __init__(self, ident: str, line: int = 0, col: int = 0):
+        self.ident = ident
+        self.line = line
+        self.col = col
 
-@dataclass(frozen=True)
-class TupleExpr:
-    items: tuple
 
-@dataclass(frozen=True)
-class Call:
-    func: str
-    args: tuple
-    kwargs: tuple           # ((key, expr), ...)
+class BinOp(_Record):
+    __slots__ = ("op", "left", "right")
 
-@dataclass(frozen=True)
-class Declaration:
-    name: str
-    expr: object
-    line: int
-    col: int
+    def __init__(self, op: str, left, right):
+        self.op = op
+        self.left = left
+        self.right = right
 
-@dataclass(frozen=True)
-class CommandStmt:
-    command: str
-    args: tuple
-    kwargs: tuple
-    line: int
-    col: int
 
-@dataclass(frozen=True)
-class SessionScript:
-    items: tuple
+class Neg(_Record):
+    __slots__ = ("operand",)
+
+    def __init__(self, operand):
+        self.operand = operand
+
+
+class Pow(_Record):
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base, exponent):
+        self.base = base
+        self.exponent = exponent
+
+
+class ListExpr(_Record):
+    __slots__ = ("items",)
+
+    def __init__(self, items: tuple):
+        self.items = items
+
+
+class TupleExpr(_Record):
+    __slots__ = ("items",)
+
+    def __init__(self, items: tuple):
+        self.items = items
+
+
+class Call(_Record):
+    __slots__ = ("func", "args", "kwargs")
+
+    def __init__(self, func: str, args: tuple, kwargs: tuple):
+        self.func = func
+        self.args = args
+        self.kwargs = kwargs        # ((key, expr), ...)
+
+
+class Declaration(_Record):
+    __slots__ = ("name", "expr", "line", "col")
+
+    def __init__(self, name: str, expr, line: int, col: int):
+        self.name = name
+        self.expr = expr
+        self.line = line
+        self.col = col
+
+
+class CommandStmt(_Record):
+    __slots__ = ("command", "args", "kwargs", "line", "col")
+
+    def __init__(self, command: str, args: tuple, kwargs: tuple, line: int,
+                 col: int):
+        self.command = command
+        self.args = args
+        self.kwargs = kwargs
+        self.line = line
+        self.col = col
+
+
+class SessionScript(_Record):
+    __slots__ = ("items",)
+
+    def __init__(self, items: tuple):
+        self.items = items
 
 
 class Parser:
@@ -436,13 +493,16 @@ def scripts_equal(a: SessionScript, b: SessionScript) -> bool:
 
 # -- evaluation --------------------------------------------------------------------
 
-@dataclass
 class Options:
-    degree: int = 8
-    precision: int = 8
-    prime: int = 2
-    strict: bool = False
-    corpus: list | None = None
+    __slots__ = ("degree", "precision", "prime", "strict", "corpus")
+
+    def __init__(self, degree: int = 8, precision: int = 8, prime: int = 2,
+                 strict: bool = False, corpus: list | None = None):
+        self.degree = degree
+        self.precision = precision
+        self.prime = prime
+        self.strict = strict
+        self.corpus = corpus
 
 
 class Session:
@@ -932,10 +992,12 @@ class Session:
 
 # -- the driver ---------------------------------------------------------------------
 
-@dataclass
 class RunOutcome:
-    reports: list
-    exit_code: int
+    __slots__ = ("reports", "exit_code")
+
+    def __init__(self, reports: list, exit_code: int):
+        self.reports = reports
+        self.exit_code = exit_code
 
 
 def _execute_command(session: Session, item: CommandStmt) -> dict:

@@ -18,14 +18,13 @@ images, and differentials are taken only in B's variables.
 Two backends: field coefficient bases run exact Groebner/syzygy linear
 algebra at a degree cap; finite non-field bases with a separated monic
 presentation are classified exactly in B = R[X]/(f), a `FiniteRing` built
-from structure constants whose size SEARCH_CAP bounds: the Fitting ideals and
-H^-1 are questions about subgroups of B's additive group, decided by a
-diagonal form of integer lattices.
+from structure constants, whose additive rank RANK_CAP bounds: the Fitting
+ideals and H^-1 are questions about subgroups of B's additive group, decided
+by a diagonal form of integer lattices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -38,19 +37,26 @@ from .poly import Poly, exp_total, grevlex_key
 from .tate import (MorphismPresentation, PresentationError, QpBase,
                    RingPresentation)
 
-SEARCH_CAP = 1_000_000
+# building B's structure constants and checking its ring axioms grow with
+# the cube of B's additive rank: ~1 s at rank 32 on one core of a 2-vCPU
+# container (CPython 3.11)
+RANK_CAP = 32
 
 
 # -- relative presentation plumbing ------------------------------------------
 
-@dataclass
 class RelativeData:
     """A presentation of a morphism's target with the source frozen out."""
-    pres: RingPresentation          # full flattened presentation (NF authority)
-    rel_vars: list[int]             # indices differentials are taken in
-    rel_gens: list[Poly]            # generators presenting B over the source
-    source_gens: list[Poly]         # source relations (syzygy ambient only)
-    label: str = ""
+    __slots__ = ("pres", "rel_vars", "rel_gens", "source_gens", "label")
+
+    def __init__(self, pres: RingPresentation, rel_vars: list[int],
+                 rel_gens: list[Poly], source_gens: list[Poly],
+                 label: str = ""):
+        self.pres = pres            # flattened presentation (NF authority)
+        self.rel_vars = rel_vars    # indices differentials are taken in
+        self.rel_gens = rel_gens    # generators presenting B over the source
+        self.source_gens = source_gens  # source relations (syzygy ambient)
+        self.label = label
 
 
 def relative_data(arg) -> RelativeData:
@@ -93,10 +99,13 @@ def relative_data(arg) -> RelativeData:
 
 # -- Kahler differentials -----------------------------------------------------
 
-@dataclass
 class KahlerModule:
-    data: RelativeData
-    jacobian: list[list[Poly]]      # rows = relative generators, cols = rel vars
+    __slots__ = ("data", "jacobian")
+
+    def __init__(self, data: RelativeData, jacobian: list[list[Poly]]):
+        self.data = data
+        # rows = relative generators, cols = rel vars
+        self.jacobian = jacobian
 
     @property
     def rank_free(self) -> int:
@@ -162,19 +171,28 @@ def kahler_differentials(arg) -> KahlerModule:
 
 # -- the two-term complex ------------------------------------------------------
 
-@dataclass
 class CotangentComplexData:
-    data: RelativeData
-    jacobian: list[list[Poly]]
-    syzygy_images: list[list[Poly]]   # conormal relations, reduced; none
-                                      # on the finite backend
-    h_minus1: str                     # "zero" | "nonzero" | "inconclusive"
-    h_minus1_witness: list[Poly] | None
-    h0: str                           # "zero" | "projective" | "nonzero" | "inconclusive"
-    h0_rank: int | None
-    fitting: dict
-    truncation: tuple
-    flags: list
+    __slots__ = ("data", "jacobian", "syzygy_images", "h_minus1",
+                 "h_minus1_witness", "h0", "h0_rank", "fitting", "truncation",
+                 "flags")
+
+    def __init__(self, data: RelativeData, jacobian: list[list[Poly]],
+                 syzygy_images: list[list[Poly]], h_minus1: str,
+                 h_minus1_witness: list[Poly] | None, h0: str,
+                 h0_rank: int | None, fitting: dict, truncation: tuple,
+                 flags: list):
+        self.data = data
+        self.jacobian = jacobian
+        # conormal relations, reduced; none on the finite backend
+        self.syzygy_images = syzygy_images
+        self.h_minus1 = h_minus1    # "zero" | "nonzero" | "inconclusive"
+        self.h_minus1_witness = h_minus1_witness
+        # "zero" | "projective" | "nonzero" | "inconclusive"
+        self.h0 = h0
+        self.h0_rank = h0_rank
+        self.fitting = fitting
+        self.truncation = truncation
+        self.flags = flags
 
     def to_json(self) -> dict:
         h0 = 0 if self.h0 == "zero" else (
@@ -329,8 +347,10 @@ def _cotangent_finite(data: RelativeData, cap: int,
     bound = sum(g.leading()[0][i] for g in rel_gens
                 for i in range(n) if g.leading()[0][i]) + 1
     stairs = sorted(pres.staircase(bound), key=grevlex_key)
-    if ring.cardinality ** len(stairs) > SEARCH_CAP:
-        raise PresentationError("finite quotient too large to enumerate")
+    rank_b = len(stairs) * len(ring.moduli)
+    if rank_b > RANK_CAP:
+        raise PresentationError(f"finite quotient of additive rank {rank_b} "
+                                f"exceeds RANK_CAP = {RANK_CAP}")
     moduli, products, one_coords, names, coords = quotient_structure(
         ring, rel_gens, stairs, pres.varnames)
     B = FiniteRing(moduli, products, one_coords, pres.describe(), names)
@@ -358,7 +378,6 @@ def _cotangent_finite(data: RelativeData, cap: int,
     # B^p vanish: every nonzero kernel vector is a witness.
     h_minus1, witness = "zero", None
     if p:
-        rank_b = len(B.moduli)
         rows = [tuple(c for f in row for c in B._product(e.coords, coords(f)))
                 for row in jac for e in B.basis]
         kernel = hom_kernel(rows, B.moduli * p, B.moduli * n)
@@ -404,15 +423,21 @@ def _fitting_finite(B: FiniteRing, coords, jac, pres) -> dict:
 
 # -- classification ------------------------------------------------------------
 
-@dataclass
 class ClassifierVerdict:
-    verdict: str                    # "etale" | "lisse" | "non_ramifie" | "none"
-    etale: bool | None
-    lisse: bool | None
-    non_ramifie: bool | None
-    complex_data: CotangentComplexData
-    truncation: tuple
-    flags: list
+    __slots__ = ("verdict", "etale", "lisse", "non_ramifie", "complex_data",
+                 "truncation", "flags")
+
+    def __init__(self, verdict: str, etale: bool | None, lisse: bool | None,
+                 non_ramifie: bool | None,
+                 complex_data: CotangentComplexData, truncation: tuple,
+                 flags: list):
+        self.verdict = verdict  # "etale" | "lisse" | "non_ramifie" | "none"
+        self.etale = etale
+        self.lisse = lisse
+        self.non_ramifie = non_ramifie
+        self.complex_data = complex_data
+        self.truncation = truncation
+        self.flags = flags
 
     def to_json(self) -> dict:
         body = self.complex_data.to_json()
@@ -455,13 +480,18 @@ def classify_morphism(arg, degree_cap: int | None = None,
 
 # -- de Rham complex -----------------------------------------------------------
 
-@dataclass
 class DeRhamComplexData:
-    data: RelativeData
-    top_degree: int
-    generators: dict                # k -> list of var-index subsets
-    relations: dict                 # k -> list of forms (dict subset -> Poly)
-    truncated_ranks: dict           # k -> dimension of the k-forms at the cap
+    __slots__ = ("data", "top_degree", "generators", "relations",
+                 "truncated_ranks")
+
+    def __init__(self, data: RelativeData, top_degree: int, generators: dict,
+                 relations: dict, truncated_ranks: dict):
+        self.data = data
+        self.top_degree = top_degree
+        self.generators = generators    # k -> list of var-index subsets
+        self.relations = relations  # k -> list of forms (subset -> Poly)
+        # k -> dimension of the k-forms at the cap
+        self.truncated_ranks = truncated_ranks
 
     def form_d(self, form: dict, reduce: bool = True) -> dict:
         return _form_d(form, self.data, reduce)
@@ -624,12 +654,15 @@ def _form_zero_in_quotient(form: dict, cx: DeRhamComplexData,
 
 # -- the explicit integration primitive ----------------------------------------
 
-@dataclass
 class IntegrationResult:
-    primitive: Poly                 # h with dh = omega and h(f) = 0
-    lower_point: Fraction
-    prime: int | None
-    flags: list
+    __slots__ = ("primitive", "lower_point", "prime", "flags")
+
+    def __init__(self, primitive: Poly, lower_point: Fraction,
+                 prime: int | None, flags: list):
+        self.primitive = primitive      # h with dh = omega and h(f) = 0
+        self.lower_point = lower_point
+        self.prime = prime
+        self.flags = flags
 
     def to_json(self) -> dict:
         return {"primitive": repr(self.primitive),

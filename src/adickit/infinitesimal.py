@@ -16,7 +16,6 @@ only over the supplied corpus and the evidence says so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as iproduct
 from math import comb, factorial, prod
 
@@ -53,12 +52,15 @@ def _base_map(pres: RingPresentation, ring, base_map=None):
     return coeff
 
 
-@dataclass
 class PointSet:
-    pres: RingPresentation
-    ring: object
-    points: tuple          # sorted tuples of ring elements
-    label: str = ""
+    __slots__ = ("pres", "ring", "points", "label")
+
+    def __init__(self, pres: RingPresentation, ring, points: tuple,
+                 label: str = ""):
+        self.pres = pres
+        self.ring = ring
+        self.points = points    # sorted tuples of ring elements
+        self.label = label
 
     def __len__(self):
         return len(self.points)
@@ -214,7 +216,6 @@ def enumerate_nilpotent_ideals(ring) -> list[tuple[frozenset, int]]:
     return list(ring._nil_ideals)
 
 
-@dataclass
 class PDStructure:
     """Divided powers on a nilpotent ideal I of a ring of p-power order (a
     Z_(p)-algebra), kept as the one map gamma_p: I -> I that fixes them:
@@ -223,10 +224,13 @@ class PDStructure:
     digits a_j of n, divided by n! / prod_j (p^j)!^a_j; both integers are
     prime to p (Berthelot-Ogus, Notes on Crystalline Cohomology, section 3).
     p is None only on the zero ideal of a ring of other order."""
-    ring: object
-    ideal: tuple            # sorted elements
-    p: int | None
-    delta: dict             # gamma_p: {element: element}
+    __slots__ = ("ring", "ideal", "p", "delta")
+
+    def __init__(self, ring, ideal: tuple, p: int | None, delta: dict):
+        self.ring = ring
+        self.ideal = ideal      # sorted elements
+        self.p = p
+        self.delta = delta      # gamma_p: {element: element}
 
     def gamma(self, n: int, x):
         R, p = self.ring, self.p
@@ -366,15 +370,17 @@ def _solve_pd_structures(ring, ideal: frozenset) -> list[PDStructure]:
 
 # -- crystalline point sets -----------------------------------------------------
 
-@dataclass
 class CrystallinePoints:
-    pres: RingPresentation
-    ring: object
-    classes: list           # list of frozensets of (index, point-key) nodes
-    index: list             # (ideal, PD, quotient_ring(R, ideal), PointSet)
+    __slots__ = ("pres", "ring", "classes", "index", "_class_of")
 
-    def __post_init__(self):
-        self._class_of = {node: i for i, cls in enumerate(self.classes)
+    def __init__(self, pres: RingPresentation, ring, classes: list,
+                 index: list):
+        self.pres = pres
+        self.ring = ring
+        self.classes = classes  # frozensets of (index, point-key) nodes
+        # (ideal, PD, quotient_ring(R, ideal), PointSet)
+        self.index = index
+        self._class_of = {node: i for i, cls in enumerate(classes)
                           for node in cls}
 
     def __len__(self):
@@ -464,12 +470,16 @@ def _restrict_point(mor: MorphismPresentation, pt: tuple, ring, coeff):
                  for img in mor.images)
 
 
-@dataclass
 class LiftingVerdict:
-    verdict: str
-    mode: str
-    per_ring: list
-    note: str = "verdict quantifies over the supplied test-ring corpus only"
+    __slots__ = ("verdict", "mode", "per_ring", "note")
+
+    def __init__(self, verdict: str, mode: str, per_ring: list,
+                 note: str = "verdict quantifies over the supplied test-ring "
+                             "corpus only"):
+        self.verdict = verdict
+        self.mode = mode
+        self.per_ring = per_ring
+        self.note = note
 
     def to_json(self) -> dict:
         return {"verdict": self.verdict, "mode": self.mode,

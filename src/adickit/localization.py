@@ -10,7 +10,6 @@ a false "exact" is impossible by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .groebner import DegreeOverflowError, unit_certificate
@@ -32,13 +31,17 @@ def rational_localization(B: RingPresentation, f: Poly, g: Poly,
     return loc, MorphismPresentation.inclusion(B, loc)
 
 
-@dataclass
 class CoveringCertificate:
-    status: str                      # "true" | "false" | "inconclusive"
-    f_coeff: Poly | None = None
-    g_coeff: Poly | None = None
-    ideal_coeffs: list | None = None
-    note: str = ""
+    __slots__ = ("status", "f_coeff", "g_coeff", "ideal_coeffs", "note")
+
+    def __init__(self, status: str, f_coeff: Poly | None = None,
+                 g_coeff: Poly | None = None,
+                 ideal_coeffs: list | None = None, note: str = ""):
+        self.status = status        # "true" | "false" | "inconclusive"
+        self.f_coeff = f_coeff
+        self.g_coeff = g_coeff
+        self.ideal_coeffs = ideal_coeffs
+        self.note = note
 
     def holds(self) -> bool:
         return self.status == "true"
@@ -89,15 +92,20 @@ def covering_check(B: RingPresentation, f: Poly, g: Poly) -> CoveringCertificate
                                    note="degree guard hit during the check")
 
 
-@dataclass
 class BinaryCovering:
-    base_pres: RingPresentation
-    f: Poly
-    g: Poly
-    loc_fg: RingPresentation
-    loc_gf: RingPresentation
-    joint: RingPresentation
-    certificate: CoveringCertificate
+    __slots__ = ("base_pres", "f", "g", "loc_fg", "loc_gf", "joint",
+                 "certificate")
+
+    def __init__(self, base_pres: RingPresentation, f: Poly, g: Poly,
+                 loc_fg: RingPresentation, loc_gf: RingPresentation,
+                 joint: RingPresentation, certificate: CoveringCertificate):
+        self.base_pres = base_pres
+        self.f = f
+        self.g = g
+        self.loc_fg = loc_fg
+        self.loc_gf = loc_gf
+        self.joint = joint
+        self.certificate = certificate
 
 
 def binary_covering(B: RingPresentation, f: Poly, g: Poly,
@@ -120,14 +128,24 @@ def binary_covering(B: RingPresentation, f: Poly, g: Poly,
     return BinaryCovering(B, f, g, loc_fg, loc_gf, joint, cert)
 
 
-@dataclass
 class ExactnessReport:
-    left: str
-    middle: str
-    right: str
-    degree_cap: int
-    precision: int
-    detail: dict = field(default_factory=dict)
+    __slots__ = ("left", "middle", "right", "degree_cap", "precision",
+                 "detail")
+
+    def __init__(self, left: str, middle: str, right: str, degree_cap: int,
+                 precision: int, detail: dict | None = None):
+        self.left = left
+        self.middle = middle
+        self.right = right
+        self.degree_cap = degree_cap
+        self.precision = precision
+        self.detail = {} if detail is None else detail
+
+    def __eq__(self, other):
+        if other.__class__ is not ExactnessReport:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name)
+                   for name in self.__slots__)
 
     def all_exact(self) -> bool:
         return (self.left, self.middle, self.right) == ("exact",) * 3
@@ -253,12 +271,15 @@ def gluing_sequence_check(cov: BinaryCovering, degree_cap: int = 6,
     return ExactnessReport(left, middle, right, degree_cap, precision, detail)
 
 
-@dataclass
 class JointSurjectionResult:
-    generators: list[Poly]          # elements of B
-    status: str                     # "certified" | "failed"
-    perturbed: bool
-    detail: dict = field(default_factory=dict)
+    __slots__ = ("generators", "status", "perturbed", "detail")
+
+    def __init__(self, generators: list[Poly], status: str, perturbed: bool,
+                 detail: dict | None = None):
+        self.generators = generators    # elements of B
+        self.status = status            # "certified" | "failed"
+        self.perturbed = perturbed
+        self.detail = {} if detail is None else detail
 
     @property
     def count(self) -> int:

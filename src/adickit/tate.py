@@ -13,7 +13,6 @@ scope has an exact-coefficient presentation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .finiterings import FiniteRing, FiniteRingElement
@@ -31,19 +30,37 @@ class PresentationError(ValueError):
     """The requested operation is not available for this presentation."""
 
 
-@dataclass(frozen=True)
 class QpBase:
     """Coefficient field Q_p carried at precision N."""
-    p: int
-    precision: int = DEFAULT_PRECISION
+    __slots__ = ("p", "precision")
+
+    def __init__(self, p: int, precision: int = DEFAULT_PRECISION):
+        self.p = p
+        self.precision = precision
+
+    def __eq__(self, other):
+        if other.__class__ is not QpBase:
+            return NotImplemented
+        return (self.p, self.precision) == (other.p, other.precision)
+
+    def __hash__(self):
+        return hash((self.p, self.precision))
 
     def __str__(self):
         return f"Qp({self.p},{self.precision})"
 
 
-@dataclass(frozen=True)
 class IntegerBase:
     """Coefficient ring Z; used for lifting corpora over mixed characteristics."""
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not IntegerBase:
+            return NotImplemented
+        return True
+
+    def __hash__(self):
+        return hash(IntegerBase)
 
     def __str__(self):
         return "ZZ"

@@ -13,7 +13,6 @@ exact equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .finiterings import FiniteRing
@@ -255,19 +254,28 @@ def _characteristic(ring) -> int:
 
 # -- Witt vectors ---------------------------------------------------------------
 
-@dataclass(frozen=True)
 class WittVector:
-    p: int
-    coords: tuple
-    ring: object
+    __slots__ = ("p", "coords", "ring")
 
-    def __post_init__(self):
-        if len(self.coords) > WITT_LENGTH_CAP:
+    def __init__(self, p: int, coords: tuple, ring):
+        if len(coords) > WITT_LENGTH_CAP:
             raise WittError(f"Witt length exceeds cap {WITT_LENGTH_CAP}")
-        char = _characteristic(self.ring)
-        if char != self.p:
+        char = _characteristic(ring)
+        if char != p:
             raise WittError(
-                f"coefficient ring has characteristic {char}, expected {self.p}")
+                f"coefficient ring has characteristic {char}, expected {p}")
+        self.p = p
+        self.coords = coords
+        self.ring = ring
+
+    def __eq__(self, other):
+        if other.__class__ is not WittVector:
+            return NotImplemented
+        return (self.p, self.coords, self.ring) == \
+            (other.p, other.coords, other.ring)
+
+    def __hash__(self):
+        return hash((self.p, self.coords, self.ring))
 
     @property
     def length(self) -> int:
@@ -408,11 +416,14 @@ class SubringView:
         return f"SubringView({self.name}, {self.cardinality} elements)"
 
 
-@dataclass
 class TiltResult:
-    ring: SubringView
-    depth: int
-    projections: dict       # stage k -> {element: stage-k component}
+    __slots__ = ("ring", "depth", "projections")
+
+    def __init__(self, ring: SubringView, depth: int, projections: dict):
+        self.ring = ring
+        self.depth = depth
+        # stage k -> {element: stage-k component}
+        self.projections = projections
 
     def project(self, k: int, x):
         return self.projections[k][x]
@@ -597,15 +608,15 @@ class CharPNormedRing:
         return f"CharPNormedRing(p={self.p})"
 
 
-@dataclass
 class RobbaElement:
     """Truncated Teichmueller expansion sum_k p^k [digit_k]."""
-    ring: CharPNormedRing
-    digits: tuple           # NormedElement digits, index = p-power
+    __slots__ = ("ring", "digits")
 
-    def __post_init__(self):
-        if len(self.digits) > WITT_LENGTH_CAP:
+    def __init__(self, ring: CharPNormedRing, digits: tuple):
+        if len(digits) > WITT_LENGTH_CAP:
             raise WittError("expansion length exceeds the cap")
+        self.ring = ring
+        self.digits = digits    # NormedElement digits, index = p-power
 
     @property
     def p(self) -> int:

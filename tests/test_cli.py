@@ -207,10 +207,16 @@ def test_coverage_map_reaches_every_operation():
         assert command in COVERAGE
 
 
+# imported by none of the library: `dataclasses` would load `inspect` (with
+# `ast`, `dis` and `tokenize`) into every process and generate code per class
+STDLIB_KEPT_OUT = {"dataclasses", "inspect"}
+
+
 def _modules_loaded(body: str) -> set:
-    """The adickit modules a fresh interpreter holds after running `body`."""
+    """The adickit modules, and those of STDLIB_KEPT_OUT, that a fresh
+    interpreter holds after running `body`."""
     code = (f"import sys\n{body}\nprint(' '.join(m for m in sys.modules "
-            f"if m.startswith('adickit.')))")
+            f"if m.startswith('adickit.') or m in {STDLIB_KEPT_OUT!r}))")
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     return set(run.stdout.split())
@@ -245,6 +251,7 @@ def test_command_libraries_load_on_first_use(tmp_path):
     out = tmp_path / "demo.json"
     loaded = _run_in_fresh_process(DEMO, out)
     assert loaded >= COMMAND_LIBRARIES | {"adickit.infinitesimal"}
+    assert not loaded & STDLIB_KEPT_OUT
     in_process = run_script(parse_script(DEMO.read_text(encoding="utf-8")),
                             Options())
     assert out.read_text(encoding="utf-8") == \

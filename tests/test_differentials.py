@@ -183,14 +183,13 @@ BASES = {"Zmod(4)": lambda: zmod(4), "Zmod(8)": lambda: zmod(8),
          "Prod(Zmod(4),GF(2))": lambda: product_ring(zmod(4), gf(2)),
          "Prod(GF(3),Zmod(9))": lambda: product_ring(gf(3), zmod(9))}
 
-# (h_minus1, h0, h0_rank, Fitt_0 Fitt_1 ... as u(nit) / z(ero) / o(ther)),
-# or the PresentationError message.  Recorded from the finite backend as it
-# stood before B became a FiniteRing, except the two-variable systems over
-# Zmod(8), Zmod(9) and the two products, which that backend rejected as too
-# large to sweep: their entries are checked by the Smith-form oracle below,
-# and over Zmod(8) and Prod(Zmod(4),GF(2)) they equal the sweep's answers
-# with its size cap lifted
-TOO_BIG = "finite quotient too large to enumerate"
+# (h_minus1, h0, h0_rank, Fitt_0 Fitt_1 ... as u(nit) / z(ero) / o(ther)).
+# Recorded from the finite backend as it stood before B became a FiniteRing,
+# except the cases that backend rejected as too large to sweep: the
+# two-variable systems over Zmod(8), Zmod(9) and the two products, T^10 over
+# every base and T^7+T over all but Zmod(4).  Their entries are checked by
+# the Smith-form oracle below; over Zmod(8) and Prod(Zmod(4),GF(2)) the
+# two-variable ones equal the sweep's answers with its size cap lifted
 ETALE = ("zero", "zero", 0, "uu")
 RAMIFIED = ("nonzero", "nonzero", None, "ou")
 ETALE2 = ("zero", "zero", 0, "uuu")
@@ -202,21 +201,21 @@ def N(fitting):
 
 PINNED = {
     "Zmod(4)": [RAMIFIED, ETALE, ETALE, RAMIFIED, RAMIFIED, ETALE, ETALE,
-                RAMIFIED, RAMIFIED, TOO_BIG,
+                RAMIFIED, RAMIFIED, RAMIFIED,
                 ETALE2, ("nonzero", "projective", 1, "zuu"), N("ouu"),
                 N("zou")],
     "Zmod(8)": [RAMIFIED, ETALE, ETALE, RAMIFIED, RAMIFIED, ETALE, ETALE,
-                TOO_BIG, RAMIFIED, TOO_BIG,
+                RAMIFIED, RAMIFIED, RAMIFIED,
                 ETALE2, N("ouu"), N("ouu"), N("oou")],
     "Zmod(9)": [RAMIFIED, ETALE, RAMIFIED, ETALE, ETALE, RAMIFIED, RAMIFIED,
-                TOO_BIG, ETALE, TOO_BIG,
+                RAMIFIED, ETALE, RAMIFIED,
                 ETALE2, N("ouu"), N("ouu"), N("ouu")],
     "Prod(Zmod(4),GF(2))": [RAMIFIED, ETALE, ETALE, RAMIFIED, RAMIFIED, ETALE,
-                            ETALE, TOO_BIG, RAMIFIED, TOO_BIG,
+                            ETALE, RAMIFIED, RAMIFIED, RAMIFIED,
                             ETALE2, ("nonzero", "projective", 1, "zuu"),
                             N("ouu"), N("zou")],
     "Prod(GF(3),Zmod(9))": [RAMIFIED, ETALE, RAMIFIED, ETALE, ETALE, RAMIFIED,
-                            RAMIFIED, TOO_BIG, ETALE, TOO_BIG,
+                            RAMIFIED, RAMIFIED, ETALE, RAMIFIED,
                             ETALE2, N("ouu"), N("ouu"), N("ouu")]}
 
 
@@ -305,10 +304,6 @@ def test_finite_backend_pinned_grid_and_brute_force(base):
     brute_checked = 0
     for (names, rels), expected in _grid(base):
         pres = finite_pres(ring, names, rels)
-        if isinstance(expected, str):
-            with pytest.raises(PresentationError, match=f"^{expected}$"):
-                naive_cotangent_complex(pres)
-            continue
         cx = naive_cotangent_complex(pres)
         fitting = "".join(cx.fitting[k][0] for k in sorted(cx.fitting))
         assert (cx.h_minus1, cx.h0, cx.h0_rank, fitting) == expected, rels
@@ -402,15 +397,13 @@ def test_finite_backend_agrees_with_a_smith_form_oracle(base):
     pytest.importorskip("sympy")
     ring = BASES[base]()
     checked = 0
-    for (names, rels), expected in _grid(base):
-        if expected == TOO_BIG:
-            continue
+    for (names, rels), _expected in _grid(base):
         pres = finite_pres(ring, names, rels)
         cx = naive_cotangent_complex(pres)
         fitting = "".join(cx.fitting[k][0] for k in sorted(cx.fitting))
         assert (cx.h_minus1, fitting) == _oracle(pres), rels
         checked += 1
-    assert checked >= 12
+    assert checked == 14
 
 
 def test_finite_backend_decides_a_large_quotient_at_once():
@@ -421,11 +414,14 @@ def test_finite_backend_decides_a_large_quotient_at_once():
     assert v.verdict == "etale" and v.flags == ["exhaustive"]
 
 
-def test_finite_backend_is_bounded_by_search_cap_not_ring_cap():
-    Z4 = zmod(4)
+def test_finite_backend_is_bounded_by_rank_cap_not_ring_cap():
+    # B = (GF(3) x Z/9)[T]/(T^17) has additive rank 17 * 2 = 34
     with pytest.raises(PresentationError,
-                       match="^finite quotient too large to enumerate$"):
-        naive_cotangent_complex(finite_pres(Z4, ("T",), ONE_VAR["T^10"]))
+                       match="^finite quotient of additive rank 34 exceeds "
+                             "RANK_CAP = 32$"):
+        naive_cotangent_complex(finite_pres(BASES["Prod(GF(3),Zmod(9))"](),
+                                            ("T",), [{(17,): 1}]))
+    Z4 = zmod(4)
     # B = Z/4[T]/(T^7+T) has 4^7 = 16384 elements, over the test-ring cap
     assert Z4.cardinality ** 7 > CARDINALITY_CAP
     v = classify_morphism(finite_pres(Z4, ("T",), ONE_VAR["T^7+T"]))

@@ -377,6 +377,84 @@ def test_crystalline_over_z4():
     assert all(a[2] is b[2] for a, b in zip(crys.index, again.index))
 
 
+def _crystalline_partition_by_union_find(pres, p, k):
+    """The crystalline classes of pres over Z/p^k, by brute force on
+    integers over all (ideal, PD structure, point) triples.  Every ideal of
+    Z/p^k is principal, so the ideals are the sets Rx; R/I is Z/m with
+    m = p^k / |I|; a point over Z/m is a tuple of residues killing every
+    relation; and (I, pd, x) ~ (J, pd', x mod m_J) whenever I is inside J
+    and gamma_p of pd' agrees with that of pd on I.  The PD structures are
+    the library's, checked against the axioms above.  Returns the classes as
+    a set of frozensets of (m, gamma_p as integers, point) labels."""
+    R = zmod(p ** k)
+    elements = list(R.elements())
+    ideals = {frozenset(x * r for r in elements) for x in elements
+              if x ** k == R.zero}
+    triples = [(ideal, pd) for ideal in ideals
+               for pd in enumerate_pd_structures(R, ideal)]
+    rels = [{e: int(c) for e, c in g.terms.items()} for g in pres.gens]
+
+    def points(m):
+        return [pt for pt in iproduct(range(m), repeat=pres.nvars)
+                if all(sum(c * _monomial(pt, e) for e, c in rel.items())
+                       % m == 0 for rel in rels)]
+
+    def label(ideal, pd, pt):
+        gamma = tuple(sorted((x.coords[0], y.coords[0])
+                             for x, y in pd.delta.items()))
+        return (p ** k // len(ideal), gamma, pt)
+
+    parent = {label(ideal, pd, pt): label(ideal, pd, pt)
+              for ideal, pd in triples
+              for pt in points(p ** k // len(ideal))}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for small, pd_small in triples:
+        for big, pd_big in triples:
+            if not small <= big or \
+                    any(pd_big.delta[x] != pd_small.delta[x] for x in small):
+                continue
+            m_big = p ** k // len(big)
+            for pt in points(p ** k // len(small)):
+                a = find(label(small, pd_small, pt))
+                b = find(label(big, pd_big, tuple(t % m_big for t in pt)))
+                parent[a] = b
+    classes: dict = {}
+    for node in parent:
+        classes.setdefault(find(node), set()).add(node)
+    return {frozenset(c) for c in classes.values()}
+
+
+def _monomial(pt, exps):
+    value = 1
+    for t, e in zip(pt, exps):
+        value *= t ** e
+    return value
+
+
+@pytest.mark.parametrize("p, k, pres, count", [
+    (3, 4, IDEM_Z, 2), (3, 4, NILP_Z, 5),
+    (2, 8, IDEM_Z, 2), (2, 8, NILP_Z, 8)])
+def test_crystalline_classes_match_a_union_find_oracle(p, k, pres, count):
+    R = zmod(p ** k)
+    crys = crystalline_point_set(pres, R)
+    classes: dict = {}
+    for i, (ideal, pd, (_, _, lift), pts) in enumerate(crys.index):
+        gamma = tuple(sorted((x.coords[0], y.coords[0])
+                             for x, y in pd.delta.items()))
+        m = p ** k // len(ideal)
+        for pt in pts.points:
+            node = (m, gamma, tuple(lift(e).coords[0] % m for e in pt))
+            classes.setdefault(crys.class_of(i, pt), set()).add(node)
+    assert {frozenset(c) for c in classes.values()} == \
+        _crystalline_partition_by_union_find(pres, p, k)
+    assert len(crys) == count
+
+
 def test_classify_lifting_etale_both_modes():
     corpus = [F2, zmod(4), dual_numbers(2),
               fp_quotient(2, ("x",), [Poly(1, {(4,): F2.one})])]
