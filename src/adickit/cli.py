@@ -959,7 +959,8 @@ class Session:
             "ring": ring.name,
             "tilt_cardinality": res.ring.cardinality,
             "depth": res.depth,
-            "elements": [repr(x) for x in res.ring.elements()],
+            "elements": [repr(x) for x in sorted(
+                map(res.embed, res.ring.elements()), key=lambda x: x.key())],
             "idempotent": again.ring.cardinality == res.ring.cardinality,
         }
         return result, f"{res.ring.cardinality} elements"

@@ -4,18 +4,19 @@ Arithmetic on length-n Witt vectors over a characteristic-p coefficient ring
 goes through a torsion-free lift: lift the coordinates, operate on ghost
 components w_k = sum p^i x_i^(p^(k-i)), solve back by exact division by p^k
 (integrality is universal, so the divisions are exact for any lift), and
-reduce.  Tilting of a finite ring stabilizes at the largest perfect subring
-of its reduction.  Robba elements are truncated Teichmueller expansions
-sum p^k [x_k] over a perfect normed model of F_p((t))-type; their interval
-norms are exact factored values, so the Frobenius scaling law is testable by
-exact equality.
+reduce.  The tilt of a finite ring is R/Nil(R), a `quotient_ring`: the
+image of x -> x^(p^e) is R/K_e, K_e = {x in Nil(R) : x^(p^e) = 0}, and
+K_e = Nil(R) for e large.  Robba elements are truncated Teichmueller
+expansions sum p^k [x_k] over a perfect normed model of F_p((t))-type; their
+interval norms are exact factored values, so the Frobenius scaling law is
+testable by exact equality.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .finiterings import FiniteRing
+from .finiterings import FiniteRing, nilradical, quotient_ring
 from .norms import ExactNorm, norm_max
 
 WITT_LENGTH_CAP = 8
@@ -246,12 +247,6 @@ def lift_context(ring):
     raise WittError("unsupported Witt coefficient ring")
 
 
-def _characteristic(ring) -> int:
-    if isinstance(ring, CharPNormedRing):
-        return ring.p
-    return ring.characteristic
-
-
 # -- Witt vectors ---------------------------------------------------------------
 
 class WittVector:
@@ -260,7 +255,7 @@ class WittVector:
     def __init__(self, p: int, coords: tuple, ring):
         if len(coords) > WITT_LENGTH_CAP:
             raise WittError(f"Witt length exceeds cap {WITT_LENGTH_CAP}")
-        char = _characteristic(ring)
+        char = ring.characteristic
         if char != p:
             raise WittError(
                 f"coefficient ring has characteristic {char}, expected {p}")
@@ -291,7 +286,7 @@ def witt_vector(p: int, coords, ring) -> WittVector:
 
 def teichmuller(c, length: int, p: int | None = None) -> WittVector:
     ring = c.parent
-    p = p if p is not None else _characteristic(ring)
+    p = p if p is not None else ring.characteristic
     zero = ring.zero
     return WittVector(p, (c,) + (zero,) * (length - 1), ring)
 
@@ -383,80 +378,44 @@ def witt_map(hom, target_ring, a: WittVector) -> WittVector:
 
 # -- tilting ---------------------------------------------------------------------
 
-class SubringView:
-    """A subring of a finite ring, closed under the parent's operations."""
-
-    def __init__(self, parent, elements: list, name: str):
-        self.parent = parent
-        self._elements = sorted(elements, key=lambda x: x.key())
-        self._set = set(self._elements)
-        self.name = name
-        self.cardinality = len(self._elements)
-        self._nilradical = None         # memo of finiterings.nilradical
-        self.zero = parent.zero
-        self.one = parent.one
-
-    def elements(self):
-        return iter(self._elements)
-
-    def __contains__(self, x):
-        return x in self._set
-
-    @property
-    def characteristic(self):
-        return self.parent.characteristic
-
-    def from_int(self, n: int):
-        x = self.parent.from_int(n)
-        if x not in self._set:
-            raise ValueError("integer image leaves the subring")
-        return x
-
-    def __repr__(self):
-        return f"SubringView({self.name}, {self.cardinality} elements)"
-
-
 class TiltResult:
-    __slots__ = ("ring", "depth", "projections")
+    __slots__ = ("ring", "depth", "embed")
 
-    def __init__(self, ring: SubringView, depth: int, projections: dict):
+    def __init__(self, ring: FiniteRing, depth: int, embed):
         self.ring = ring
         self.depth = depth
-        # stage k -> {element: stage-k component}
-        self.projections = projections
+        self.embed = embed      # the ring's isomorphism onto F^e(R) inside R
 
     def project(self, k: int, x):
-        return self.projections[k][x]
+        """The stage-k component of x: the y with y^(p^k) = x, read off the
+        Frobenius orbit of x, which is a cycle once the tilt is perfect."""
+        p, orbit = self.ring.characteristic, [x]
+        while len(orbit) <= self.ring.cardinality:
+            if (y := orbit[-1] ** p) == x:
+                return orbit[-k % len(orbit)]
+            orbit.append(y)
+        raise WittError(f"{x} lies on no Frobenius cycle of {self.ring.name}")
 
 
-def tilt(ring, depth: int | None = None) -> TiltResult:
-    """Inverse limit along Frobenius; for a finite ring this is the largest
-    perfect subring of the reduction, reached once the image chain of
-    x -> x^p stabilizes."""
-    p = _characteristic(ring)
+def tilt(ring: FiniteRing, depth: int | None = None) -> TiltResult:
+    """Inverse limit along Frobenius.  In characteristic p, F^e: x -> x^(p^e)
+    is a ring map with kernel K_e = {x in Nil(R) : x^(p^e) = 0}, so its
+    image F^e(R) is R/K_e through [y] -> y^(p^e).  The image chain stops
+    shrinking at the least e0 with K_e0 = Nil(R); there it is R/Nil(R),
+    which is perfect, so for a finite ring the tilt is R/Nil(R), reached
+    after e0 + 1 steps.  `depth` caps the steps, and the result is then
+    F^e(R) for e = min(e0, steps)."""
+    p = ring.characteristic
     if p < 2 or any(p % d == 0 for d in range(2, p)):
         raise WittError("tilting needs a prime-characteristic ring")
-    current = set(ring.elements())
-    steps = 0
-    while True:
-        nxt = {x ** p for x in current}
-        steps += 1
-        if nxt == current:
-            break
-        current = nxt
-        if depth is not None and steps >= depth:
-            break
-    view = SubringView(ring, list(current), f"{ring.name}^flat")
-    # Frobenius is bijective on the stable image; invert it for the stages
-    frob = {x: x ** p for x in current}
-    inv = {v: k for k, v in frob.items()}
-    projections = {0: {x: x for x in current}}
-    max_stage = max(steps, 1)
-    stage = {x: x for x in current}
-    for k in range(1, max_stage + 1):
-        stage = {x: inv[stage[x]] for x in current}
-        projections[k] = dict(stage)
-    return TiltResult(view, steps, projections)
+    nil, e0 = nilradical(ring), 0
+    while any(x ** p ** e0 for x in nil):
+        e0 += 1
+    steps = e0 + 1 if depth is None else max(1, min(e0 + 1, depth))
+    e = min(e0, steps)
+    kernel = frozenset(x for x in nil if not x ** p ** e)
+    flat, _, lift = quotient_ring(ring, kernel, f"{ring.name}^flat")
+    return TiltResult(flat, steps, lambda x: lift(x) ** p ** e)
 
 
 # -- the perfect normed model and Robba elements ----------------------------------

@@ -149,6 +149,16 @@ def test_witt_over_gf4_with_generator_literal():
     assert out.reports[0]["result"]["coords"][0] in ("1 + x", "x + 1")
 
 
+def test_tilt_below_the_stable_point_reports_the_frobenius_image():
+    text = "R = Quot(GF(2), [t], [t^4]); tilt R depth=1;"
+    out = run_script(parse_script(text), Options())
+    assert out.exit_code == 0, out.reports
+    result = out.reports[0]["result"]
+    assert result["depth"] == 1
+    assert result["elements"] == ["0", "t^2", "1", "1 + t^2"]
+    assert result["idempotent"] is False    # F(R) is not perfect yet
+
+
 def test_cli_process_round_trip(tmp_path):
     script = tmp_path / "fixture.adk"
     script.write_text(FIXTURE_SCRIPT, encoding="utf-8")

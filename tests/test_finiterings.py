@@ -413,6 +413,21 @@ def test_constructor_rejects_a_broken_structure(products, message):
         FiniteRing((2, 2), products, E0, "bad", ("a", "b"))
 
 
+def test_constructor_rejects_a_product_associative_on_repeated_indices():
+    # basis 1, a, b, c over F_2 with ab = c, c^2 = c and every other
+    # product of a, b, c zero: associativity fails only on triples of three
+    # distinct elements, e.g. (c b) a = 0 but c (b a) = c, whose first index
+    # is past its last; the check reaches it through its mirror (a b) c
+    e = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    products = [[e[j] for j in range(4)]] + \
+        [[e[i]] + [(0,) * 4] * 3 for i in range(1, 4)]
+    products[1][2] = products[2][1] = products[3][3] = e[3]
+    with pytest.raises(ValueError,
+                       match="^bad: basis product not associative$"):
+        FiniteRing((2,) * 4, tuple(map(tuple, products)), e[0], "bad",
+                   ("1", "a", "b", "c"))
+
+
 # -- is_field against a brute-force unit scan ----------------------------------------
 
 def brute_is_field(ring) -> bool:

@@ -10,6 +10,8 @@ from adickit.wittrobba import (WittError, frobenius_witt,
                                tilt, verschiebung, witt_add, witt_arith,
                                witt_int_mul, witt_mul, witt_vector)
 
+from corpus import char2_rings, char3_rings
+
 F2 = gf(2, 1)
 F4 = gf(2, 2)
 
@@ -198,3 +200,62 @@ def test_tilt_projections_are_frobenius_compatible():
 def test_tilt_needs_prime_characteristic():
     with pytest.raises(WittError):
         tilt(zmod(4))
+
+
+def test_tilt_below_the_stable_point_is_the_frobenius_image():
+    # F(GF(2)[t]/(t^4)) = {0, 1, t^2, 1 + t^2}; the stable point is depth 3
+    t4 = fp_quotient(2, ("t",), [Poly(1, {(4,): F2.one})])
+    res = tilt(t4, depth=1)
+    assert res.depth == 1
+    assert sorted(repr(res.embed(x)) for x in res.ring.elements()) == \
+        ["0", "1", "1 + t^2", "t^2"]
+    t8 = fp_quotient(2, ("t",), [Poly(1, {(8,): F2.one})])
+    assert tilt(t8, depth=2).ring.cardinality == 4      # {a + b t^4}
+
+
+def _brute_tilt(ring, depth):
+    """Reference: sweep the image chain of x -> x^p over every element of
+    R until it stops shrinking or `depth` steps are taken; the final image
+    and the number of steps."""
+    p = ring.characteristic
+    current = set(ring.elements())
+    steps = 0
+    while True:
+        nxt = {x ** p for x in current}
+        steps += 1
+        if nxt == current:
+            break
+        current = nxt
+        if depth is not None and steps >= depth:
+            break
+    return current, steps
+
+
+def _oracle_rings():
+    x2, y3 = Poly(2, {(2, 0): F2.one}), Poly(2, {(0, 3): F2.one})
+    # GF(2,3): Frobenius has order 3, so F^-1 differs from F on the tilt
+    return char2_rings() + char3_rings() + [
+        gf(2, 3), fp_quotient(2, ("t",), [Poly(1, {(8,): F2.one})]),
+        product_ring(F4, fp_quotient(2, ("t",), [Poly(1, {(3,): F2.one})])),
+        fp_quotient(2, ("x", "y"), [x2, y3])]
+
+
+@pytest.mark.parametrize("depth", [None, 0, 1, 2, 3, 5])
+def test_tilt_agrees_with_the_frobenius_sweep(depth):
+    for ring in _oracle_rings():
+        image, steps = _brute_tilt(ring, depth)
+        res = tilt(ring, depth)
+        assert (res.ring.cardinality, res.depth) == (len(image), steps), ring
+        els = list(res.ring.elements())
+        assert {res.embed(x) for x in els} == image, ring
+        for x in els:
+            for y in els:
+                assert res.embed(x + y) == res.embed(x) + res.embed(y)
+                assert res.embed(x * y) == res.embed(x) * res.embed(y)
+        p = ring.characteristic
+        if {x ** p for x in image} != image:
+            continue        # not perfect yet: F is not a bijection
+        for k in range(res.depth + 1):
+            for x in els:
+                assert res.project(k, x) ** p ** k == x
+                assert res.project(k, x ** p ** k) == x
