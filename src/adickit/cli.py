@@ -36,41 +36,6 @@ from .tate import (IntegerBase, MorphismPresentation, PresentationError,
 COMMANDS = ("classify", "classify-lifting", "glue-check", "drham", "witt",
             "robba-norm", "tilt", "integrate")
 
-# command -> library operations it drives (tested against the op registry)
-COVERAGE = {
-    "declarations": ["finite_ring_build", "nilradical", "groebner_basis",
-                     "normal_form", "compose_presentations", "base_change",
-                     "rational_localization", "tate_arith"],
-    "classify": ["classify_morphism", "kahler_differentials",
-                 "naive_cotangent_complex", "gauss_norm", "padic_arith"],
-    "classify-lifting": ["classify_lifting", "point_set", "de_rham_point_set",
-                         "crystalline_point_set", "enumerate_nilpotent_ideals",
-                         "enumerate_pd_structures"],
-    "glue-check": ["covering_check", "gluing_sequence_check",
-                   "joint_surjection_lift", "rational_localization"],
-    "drham": ["de_rham_complex", "kahler_differentials"],
-    "witt": ["witt_arith", "frobenius_witt", "verschiebung"],
-    "robba-norm": ["robba_norm", "interval_norm", "phi_action"],
-    "tilt": ["tilt"],
-    "integrate": ["etale_integration", "padic_arith", "gauss_norm"],
-}
-
-OPERATION_REGISTRY = [
-    "padic_arith", "finite_ring_build", "nilradical",
-    "tate_arith", "gauss_norm", "groebner_basis", "normal_form",
-    "compose_presentations", "base_change",
-    "rational_localization", "covering_check", "gluing_sequence_check",
-    "joint_surjection_lift",
-    "kahler_differentials", "naive_cotangent_complex", "classify_morphism",
-    "de_rham_complex", "etale_integration",
-    "point_set", "de_rham_point_set", "enumerate_nilpotent_ideals",
-    "enumerate_pd_structures", "crystalline_point_set", "classify_lifting",
-    "witt_arith", "frobenius_witt", "verschiebung", "tilt",
-    "robba_norm", "interval_norm", "phi_action",
-    "parse_script", "run_script",
-]
-
-
 class ScriptError(Exception):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{message} at {line}:{col}")

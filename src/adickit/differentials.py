@@ -15,12 +15,12 @@ Relative classification of a morphism A -> B uses the graph presentation:
 A's variables are adjoined to B with relations identifying them with their
 images, and differentials are taken only in B's variables.
 
-Two backends: field coefficient bases run exact Groebner/syzygy linear
-algebra at a degree cap; finite non-field bases with a separated monic
-presentation are classified exactly in B = R[X]/(f), a `FiniteRing` built
-from structure constants, whose additive rank RANK_CAP bounds: the Fitting
-ideals and H^-1 are questions about subgroups of B's additive group, decided
-by a diagonal form of integer lattices.
+One skeleton serves every base: one Jacobian, one loop over the Fitting
+ideals, one H^0 rule.  Only two things differ per base.  Over a field,
+"is this ideal (1)?" is Buchberger and H^-1 is exact linear algebra at a
+degree cap.  Over a finite non-field base with a separated monic
+presentation, both are decided exactly in B = R[X]/(f), a `FiniteRing`
+whose additive rank RANK_CAP bounds, by diagonal forms of integer lattices.
 """
 
 from __future__ import annotations
@@ -32,13 +32,13 @@ from .finiterings import (FiniteRing, hom_kernel, quotient_structure,
                           spans_group)
 from .groebner import (DEGREE_GUARD, DegreeOverflowError, buchberger,
                        is_unit_ideal, is_zero_dimensional, syzygy_basis)
-from .linalg import RowSpace, kernel_of_map, span_in_low_block
-from .poly import Poly, exp_total, grevlex_key
+from .linalg import RowSpace, kernel_of_map, settle, span_in_low_block
+from .poly import Poly, exp_total
 from .tate import (MorphismPresentation, PresentationError, QpBase,
                    RingPresentation)
 
 # building B's structure constants and checking its ring axioms grow with
-# the cube of B's additive rank: ~1 s at rank 32 on one core of a 2-vCPU
+# the cube of B's additive rank: ~0.25 s at rank 32 on one core of a 2-vCPU
 # container (CPython 3.11)
 RANK_CAP = 32
 
@@ -100,42 +100,48 @@ def relative_data(arg) -> RelativeData:
 # -- Kahler differentials -----------------------------------------------------
 
 class KahlerModule:
-    __slots__ = ("data", "jacobian")
+    __slots__ = ("data", "jacobian", "quotient")
 
-    def __init__(self, data: RelativeData, jacobian: list[list[Poly]]):
+    def __init__(self, data: RelativeData, jacobian: list[list[Poly]],
+                 quotient: tuple | None):
         self.data = data
         # rows = relative generators, cols = rel vars
         self.jacobian = jacobian
+        # over a finite non-field base: B = R[X]/(f), its polynomial ->
+        # coordinates map and its staircase basis; else None
+        self.quotient = quotient
 
     @property
     def rank_free(self) -> int:
         return len(self.data.rel_vars)
 
     def fitting_status(self) -> dict:
-        """For each k: is Fitt_k the unit ideal, zero, or something else?
-        Field-coefficient route."""
-        pres = self.data.pres
+        """For each k: is Fitt_k the unit ideal, zero, or something else?"""
         n = self.rank_free
-        p = len(self.jacobian)
         status = {}
-        for k in range(n + 1):
-            size = n - k
-            if size <= 0:
-                status[k] = "unit"
-                continue
-            if size > p:
-                status[k] = "zero"  # no minors of this size exist
-                continue
-            minors = _all_minors(self.jacobian, size, pres)
-            if all(m.is_zero for m in minors):
-                status[k] = "zero"
-                continue
-            basis = buchberger(list(pres.gens) + minors)
-            status[k] = "unit" if is_unit_ideal(basis) else "other"
+        for k in range(n):
+            # none exist when n - k exceeds the number of relations
+            minors = [m for m in _all_minors(self.jacobian, n - k,
+                                             self.data.pres) if not m.is_zero]
+            status[k] = ("zero" if not minors else
+                         "unit" if self._generates_unit(minors) else "other")
+        status[n] = "unit"      # Fitt_n holds the empty minor 1
         return status
 
+    def _generates_unit(self, minors: list[Poly]) -> bool:
+        """Do the relations and these minors generate the unit ideal?  Over
+        a field by Buchberger; in B, where the relations vanish, iff the
+        B-multiples of the minors (the additive span of the e * m, e in B's
+        basis) are all of B's additive group."""
+        if self.quotient is None:
+            return is_unit_ideal(buchberger(list(self.data.pres.gens)
+                                            + minors))
+        B, coords, _ = self.quotient
+        return spans_group([B._product(e.coords, coords(m)) for m in minors
+                            for e in B.basis], B.moduli)
+
     def is_zero(self) -> bool:
-        return self.fitting_status().get(0) == "unit"
+        return self.fitting_status()[0] == "unit"
 
 
 def _all_minors(rows: list[list[Poly]], size: int,
@@ -164,9 +170,44 @@ def _det(rows, rset, cset) -> Poly:
 def kahler_differentials(arg) -> KahlerModule:
     data = relative_data(arg)
     pres = data.pres
+    gens, quotient = data.rel_gens, None
+    if isinstance(pres.base, FiniteRing) and not pres.base.is_field:
+        quotient = _finite_quotient(data)
+        # the Jacobian of the monic system: a zero or unscaled generator
+        # would change the kernel of v -> v.J and its witness
+        gens = pres.groebner_basis()
     jac = [[pres.normal_form(g.derivative(j)) for j in data.rel_vars]
-           for g in data.rel_gens]
-    return KahlerModule(data, jac)
+           for g in gens]
+    return KahlerModule(data, jac, quotient)
+
+
+def _finite_quotient(data: RelativeData) -> tuple:
+    """B = R[X]/(separated monic system) over a finite non-field base R, a
+    `FiniteRing` built from structure constants on the additive basis
+    (staircase monomial) x (basis of R), with its polynomial -> coordinates
+    map and the staircase."""
+    pres = data.pres
+    if data.source_gens or data.rel_vars != list(range(pres.nvars)):
+        raise PresentationError(
+            "relative classification over a finite non-field base is not "
+            "supported; classify the flattened presentation")
+    ring = pres.base
+    rel_gens = pres.groebner_basis()
+    n = pres.nvars
+    if not is_zero_dimensional(rel_gens, n):
+        raise PresentationError(
+            "finite-base classification needs a finite quotient")
+    bound = sum(g.leading()[0][i] for g in rel_gens
+                for i in range(n) if g.leading()[0][i]) + 1
+    stairs = pres.staircase(bound)
+    rank_b = len(stairs) * len(ring.moduli)
+    if rank_b > RANK_CAP:
+        raise PresentationError(f"finite quotient of additive rank {rank_b} "
+                                f"exceeds RANK_CAP = {RANK_CAP}")
+    moduli, products, one_coords, names, coords = quotient_structure(
+        ring, rel_gens, stairs, pres.varnames)
+    B = FiniteRing(moduli, products, one_coords, pres.describe(), names)
+    return B, coords, stairs
 
 
 # -- the two-term complex ------------------------------------------------------
@@ -206,27 +247,35 @@ class CotangentComplexData:
         }
 
 
-def _h_minus1_field(data: RelativeData, degree_cap: int, syz_images: list,
+def _h0(fitting: dict, n: int) -> tuple[str, int | None]:
+    """H^0 and its rank from the Fitting ideals: zero iff Fitt_0 = (1),
+    locally free of rank k iff Fitt_(k-1) = 0 and Fitt_k = (1)."""
+    if fitting[0] == "unit":
+        return "zero", 0
+    for k in range(1, n + 1):
+        if fitting[k] == "unit" and fitting[k - 1] == "zero":
+            return "projective", k
+    return "nonzero", None
+
+
+def _h_minus1_field(data: RelativeData, jac: list[list[Poly]],
+                    degree_cap: int, syz_images: list,
                     margin: int = 2) -> tuple[str, list[Poly] | None]:
     """Kernel of the conormal differential versus the syzygy image (the
     normal forms of the syzygies' relation components), on exact truncated
     coordinate spaces."""
     pres = data.pres
-    rel_gens = data.rel_gens
-    p = len(rel_gens)
+    p = len(jac)
     if p == 0:
         return "zero", None
     one = pres.coeff_one()
-    jac = [[pres.normal_form(g.derivative(j)) for j in data.rel_vars]
-           for g in rel_gens]
     maxdeg = max((e.total_degree() for row in jac for e in row if not e.is_zero),
                  default=0)
 
     # kernel of v -> v.J on components of degree <= cap; normal forms are
     # exact, so kernel vectors are genuine relations in the quotient
-    source = sorted(pres.staircase(degree_cap), key=grevlex_key)
-    target_deg = degree_cap + maxdeg
-    target = sorted(pres.staircase(target_deg), key=grevlex_key)
+    source = pres.staircase(degree_cap)
+    target = pres.staircase(degree_cap + maxdeg)
     t_index = {m: i for i, m in enumerate(target)}
     t_offsets = [j * len(target) for j in range(len(data.rel_vars))]
     images = []
@@ -250,7 +299,7 @@ def _h_minus1_field(data: RelativeData, degree_cap: int, syz_images: list,
     syz = [v for v in syz_images if any(not c.is_zero for c in v)]
 
     def attempt(work: int):
-        wide = sorted(pres.staircase(work), key=grevlex_key)
+        wide = pres.staircase(work)
         w_index = {m: i for i, m in enumerate(wide)}
         wwidth = len(wide)
         w_offsets = [i * wwidth for i in range(p)]
@@ -272,122 +321,32 @@ def _h_minus1_field(data: RelativeData, degree_cap: int, syz_images: list,
         ok = all(space.contains(r) for r in flat)
         return ok, space.dim
 
-    work = degree_cap + margin
-    ok, dim = attempt(work)
-    if ok:
+    held = settle(attempt, degree_cap + margin)
+    if held:
         return "zero", None
-    ok2, dim2 = attempt(work + 1)
-    if ok2:
+    return ("nonzero" if held is False else "inconclusive"), kernel_vectors[0]
+
+
+def _h_minus1_finite(km: KahlerModule) -> tuple[str, list[Poly] | None]:
+    """H^-1 in B: the kernel of v -> v.J on B^p, a homomorphism of additive
+    groups given by the images of the unit coordinate vectors.  The leading
+    terms of the monic system are pairwise coprime pure powers with unit
+    coefficients, so its syzygies are generated by the Koszul syzygies
+    f_j e_i - f_i e_j (Schreyer; Eisenbud, Commutative Algebra, Thm 15.10),
+    whose images in B^p vanish: every nonzero kernel vector is a
+    witness."""
+    B, coords, stairs = km.quotient
+    jac, n, r = km.jacobian, km.rank_free, len(B.moduli)
+    if not jac:
         return "zero", None
-    if dim2 == dim:
-        return "nonzero", kernel_vectors[0]
-    return "inconclusive", kernel_vectors[0]
-
-
-def naive_cotangent_complex(arg, degree_cap: int | None = None,
-                            precision: int | None = None) -> CotangentComplexData:
-    data = relative_data(arg)
-    pres = data.pres
-    cap = degree_cap if degree_cap is not None else pres.degree_cap
-    prec = precision if precision is not None else (
-        pres.base.precision if isinstance(pres.base, QpBase) else 0)
-    flags: list[str] = []
-
-    if isinstance(pres.base, FiniteRing) and not pres.base.is_field:
-        return _cotangent_finite(data, cap, prec)
-
-    km = KahlerModule(data, [[pres.normal_form(g.derivative(j))
-                              for j in data.rel_vars] for g in data.rel_gens])
-    fitting = km.fitting_status()
-    n = km.rank_free
-    if fitting.get(0) == "unit":
-        h0, rank = "zero", 0
-    else:
-        rank = None
-        for k in range(1, n + 1):
-            if fitting.get(k) == "unit" and fitting.get(k - 1) == "zero":
-                rank = k
-                break
-        h0 = "projective" if rank is not None else "nonzero"
-
-    ambient = list(data.rel_gens) + list(data.source_gens)
-    syz = syzygy_basis(ambient)
-    syz_images = [[pres.normal_form(c) for c in v[:len(data.rel_gens)]]
-                  for v in syz]
-    try:
-        h_minus1, witness = _h_minus1_field(data, cap, syz_images)
-    except DegreeOverflowError:
-        h_minus1, witness = "inconclusive", None
-        flags.append("h_minus1_overflow")
-    if h_minus1 == "inconclusive":
-        flags.append("h_minus1_at_cap")
-    return CotangentComplexData(data, km.jacobian, syz_images, h_minus1,
-                                witness, h0, rank, fitting, (cap, prec), flags)
-
-
-# -- the backend for finite non-field bases ------------------------------------
-
-def _cotangent_finite(data: RelativeData, cap: int,
-                      prec: int) -> CotangentComplexData:
-    """The two-term complex over a finite non-field base R, in the finite
-    ring B = R[X]/(separated monic system), built from structure constants
-    on the additive basis (staircase monomial) x (basis of R)."""
-    pres = data.pres
-    if data.source_gens or data.rel_vars != list(range(pres.nvars)):
-        raise PresentationError(
-            "relative classification over a finite non-field base is not "
-            "supported; classify the flattened presentation")
-    ring = pres.base
-    rel_gens = pres.groebner_basis()    # the monic separated system
-    p = len(rel_gens)
-    n = pres.nvars
-    if not is_zero_dimensional(rel_gens, n):
-        raise PresentationError(
-            "finite-base classification needs a finite quotient")
-    bound = sum(g.leading()[0][i] for g in rel_gens
-                for i in range(n) if g.leading()[0][i]) + 1
-    stairs = sorted(pres.staircase(bound), key=grevlex_key)
-    rank_b = len(stairs) * len(ring.moduli)
-    if rank_b > RANK_CAP:
-        raise PresentationError(f"finite quotient of additive rank {rank_b} "
-                                f"exceeds RANK_CAP = {RANK_CAP}")
-    moduli, products, one_coords, names, coords = quotient_structure(
-        ring, rel_gens, stairs, pres.varnames)
-    B = FiniteRing(moduli, products, one_coords, pres.describe(), names)
-    jac = [[pres.normal_form(g.derivative(j)) for j in range(n)]
-           for g in rel_gens]
-    flags = ["exhaustive"]
-
-    # H^0 via Fitting ideals: Fitt_0 = (1) iff the differentials vanish
-    fitting = _fitting_finite(B, coords, jac, pres)
-    if fitting.get(0) == "unit":
-        h0, rank = "zero", 0
-    else:
-        rank = None
-        for k in range(1, n + 1):
-            if fitting.get(k) == "unit" and fitting.get(k - 1) == "zero":
-                rank = k
-                break
-        h0 = "projective" if rank is not None else "nonzero"
-
-    # H^-1: kernel of v -> v.J on B^p, a homomorphism of additive groups
-    # given by the images of the unit coordinate vectors.  The leading terms
-    # of the system are pairwise coprime pure powers with unit coefficients,
-    # so its syzygies are generated by the Koszul syzygies f_j e_i - f_i e_j
-    # (Schreyer; Eisenbud, Commutative Algebra, Thm 15.10), whose images in
-    # B^p vanish: every nonzero kernel vector is a witness.
-    h_minus1, witness = "zero", None
-    if p:
-        rows = [tuple(c for f in row for c in B._product(e.coords, coords(f)))
-                for row in jac for e in B.basis]
-        kernel = hom_kernel(rows, B.moduli * p, B.moduli * n)
-        if kernel:
-            h_minus1 = "nonzero"
-            witness = [_poly_of(kernel[0][i * rank_b:(i + 1) * rank_b],
-                                stairs, ring, n) for i in range(p)]
-
-    return CotangentComplexData(data, jac, [], h_minus1, witness,
-                                h0, rank, fitting, (cap, prec), flags)
+    rows = [tuple(c for f in row for c in B._product(e.coords, coords(f)))
+            for row in jac for e in B.basis]
+    kernel = hom_kernel(rows, B.moduli * len(jac), B.moduli * n)
+    if not kernel:
+        return "zero", None
+    return "nonzero", [_poly_of(kernel[0][i * r:(i + 1) * r], stairs,
+                                km.data.pres.base, n)
+                       for i in range(len(jac))]
 
 
 def _poly_of(coords: tuple, stairs: list, ring: FiniteRing, n: int) -> Poly:
@@ -398,27 +357,38 @@ def _poly_of(coords: tuple, stairs: list, ring: FiniteRing, n: int) -> Poly:
                     if any(coords[i * k:(i + 1) * k])})
 
 
-def _fitting_finite(B: FiniteRing, coords, jac, pres) -> dict:
-    n, p = pres.nvars, len(jac)
-    status = {}
-    for k in range(n + 1):
-        size = n - k
-        if size <= 0:
-            status[k] = "unit"
-            continue
-        if size > p:
-            status[k] = "zero"
-            continue
-        minors = _all_minors(jac, size, pres)
-        if all(m.is_zero for m in minors):
-            status[k] = "zero"
-            continue
-        # the ideal is the additive span of the e * g, e in B's basis
-        gens = [coords(m) for m in minors if not m.is_zero]
-        unit = spans_group([B._product(e.coords, g) for g in gens
-                            for e in B.basis], B.moduli)
-        status[k] = "unit" if unit else "other"
-    return status
+def naive_cotangent_complex(arg, degree_cap: int | None = None,
+                            precision: int | None = None) -> CotangentComplexData:
+    km = kahler_differentials(arg)
+    data = km.data
+    pres = data.pres
+    cap = degree_cap if degree_cap is not None else pres.degree_cap
+    prec = precision if precision is not None else (
+        pres.base.precision if isinstance(pres.base, QpBase) else 0)
+    fitting = km.fitting_status()
+    h0, rank = _h0(fitting, km.rank_free)
+
+    if km.quotient is not None:
+        h_minus1, witness = _h_minus1_finite(km)
+        return CotangentComplexData(data, km.jacobian, [], h_minus1, witness,
+                                    h0, rank, fitting, (cap, prec),
+                                    ["exhaustive"])
+
+    flags: list[str] = []
+    ambient = list(data.rel_gens) + list(data.source_gens)
+    syz = syzygy_basis(ambient)
+    syz_images = [[pres.normal_form(c) for c in v[:len(data.rel_gens)]]
+                  for v in syz]
+    try:
+        h_minus1, witness = _h_minus1_field(data, km.jacobian, cap,
+                                            syz_images)
+    except DegreeOverflowError:
+        h_minus1, witness = "inconclusive", None
+        flags.append("h_minus1_overflow")
+    if h_minus1 == "inconclusive":
+        flags.append("h_minus1_at_cap")
+    return CotangentComplexData(data, km.jacobian, syz_images, h_minus1,
+                                witness, h0, rank, fitting, (cap, prec), flags)
 
 
 # -- classification ------------------------------------------------------------
@@ -600,7 +570,7 @@ def _relation_block(relations: list, subsets: list, work: int,
     of the standard-monomial multiples of every relation form that fit it.
     Forms whose coefficients are all zero (the degree-0 relations NF(g) = 0)
     add nothing to a span and are skipped."""
-    monomials = sorted(pres.staircase(work), key=grevlex_key)
+    monomials = pres.staircase(work)
     index = {m: i for i, m in enumerate(monomials)}
     offsets = {s: i * len(monomials) for i, s in enumerate(subsets)}
     vectors = []

@@ -28,7 +28,7 @@ from math import gcd, prod
 
 from .groebner import (buchberger, is_unit_ideal, is_zero_dimensional,
                        normal_form, staircase_for)
-from .poly import Poly, exp_mul, grevlex_key, render_poly
+from .poly import Poly, exp_mul, render_poly
 
 CARDINALITY_CAP = 4096
 TABLE_CAP = 256     # rings up to this size add and multiply by table lookup
@@ -349,7 +349,7 @@ def zmod(m: int) -> FiniteRing:
         raise ValueError("Zmod(m) needs m >= 2")
     is_prime = m > 1 and all(m % d for d in range(2, int(m ** 0.5) + 1))
     return _interned((m,), (((1,),),), (1,), f"Zmod({m})", ("1",),
-                     is_field=is_prime, lift_model=("int",))
+                     is_field=is_prime, lift_model=("intpoly", (0, 1)))
 
 
 def _poly_mod(num: list[int], den: list[int], p: int) -> list[int]:
@@ -504,7 +504,7 @@ def _fp_quotient(p: int, varnames: tuple, gens: list[Poly]) -> FiniteRing:
     stairs = staircase_for(nvars, basis, bound)
     _check_cardinality(p ** len(stairs))   # before the product table
     moduli, products, one, names, _ = quotient_structure(
-        gf(p, 1), basis, sorted(stairs, key=grevlex_key), varnames)
+        gf(p, 1), basis, stairs, varnames)
     rel_txt = ",".join(render_poly(g, varnames) for g in gens)
     return _interned(moduli, products, one,
                      f"GF({p})[{','.join(varnames)}]/({rel_txt})", names)

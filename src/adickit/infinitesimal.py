@@ -506,9 +506,9 @@ def classify_lifting(arg, test_rings: list, mode: str = "dR",
         coeff = _scalar_map(B, ring)
         x_points = point_set(B, ring)
         if mode == "dR":
+            xred = de_rham_point_set(B, ring, coeff)
             red, project = reduced_ring(ring)
             red_coeff = lambda c: project(coeff(c))  # noqa: E731
-            xred = point_set(B, red, red_coeff)
             y_points = point_set(A, ring)
             # completed points: pairs (reduced B-point, A-point) agreeing on A
             targets = set()

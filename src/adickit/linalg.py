@@ -158,3 +158,17 @@ def span_in_low_block(vectors: list, low_cols, width: int, one) -> RowSpace:
     low.rows = {piv - nhigh: {k - nhigh: c for k, c in tail.items()}
                 for piv, tail in space.rows.items() if piv >= nhigh}
     return low
+
+
+def settle(attempt, work: int) -> bool | None:
+    """A containment checked on truncated spaces: `attempt(w)` returns
+    (held, dimension of the span) at working degree w.  True if it holds at
+    `work` or `work + 1`; False only if the span did not grow between them;
+    else None (inconclusive)."""
+    held, dim = attempt(work)
+    if held:
+        return True
+    held, wider = attempt(work + 1)
+    if held:
+        return True
+    return False if wider == dim else None

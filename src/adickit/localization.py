@@ -13,8 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .groebner import DegreeOverflowError, unit_certificate
-from .linalg import RowSpace, kernel_of_map, solve, span_in_low_block
-from .poly import Poly, exp_total, grevlex_key, monomials_upto
+from .linalg import (RowSpace, kernel_of_map, settle, solve,
+                     span_in_low_block)
+from .poly import Poly, exp_total, monomials_upto
 from .tate import (IntegerBase, MorphismPresentation, PresentationError,
                    QpBase, RingPresentation)
 
@@ -164,7 +165,7 @@ class _TruncatedRing:
 
     def __init__(self, pres: RingPresentation, degree: int):
         self.pres = pres
-        self.monomials = sorted(pres.staircase(degree), key=grevlex_key)
+        self.monomials = pres.staircase(degree)
         self.index = {m: i for i, m in enumerate(self.monomials)}
         self.width = len(self.monomials)
 
@@ -194,9 +195,9 @@ def gluing_sequence_check(cov: BinaryCovering, degree_cap: int = 6,
     """Check the three exactness clauses on degree-capped coefficient spaces.
 
     The image spans are recomputed at an enlarged working degree before a
-    clause is allowed to fail: degree-cap staircases are grevlex-sorted, so
-    the degree <= cap block of a wider coordinate space matches the cap-level
-    coordinates position by position.
+    clause is allowed to fail (`linalg.settle`): staircases are
+    grevlex-ascending, so the degree <= cap block of a wider coordinate
+    space matches the cap-level coordinates position by position.
     """
     one = Fraction(1)
 
@@ -257,17 +258,9 @@ def gluing_sequence_check(cov: BinaryCovering, degree_cap: int = 6,
         ok = all(space.contains({k: one}) for k in range(C12.width))
         return ok, space.dim
 
-    def settle(attempt):
-        ok, dim = attempt(degree_cap + margin)
-        if ok:
-            return "exact"
-        ok2, dim2 = attempt(degree_cap + margin + 1)
-        if ok2:
-            return "exact"
-        return "failed" if dim2 == dim else "inconclusive"
-
-    middle = settle(middle_attempt)
-    right = settle(right_attempt)
+    clause = {True: "exact", False: "failed", None: "inconclusive"}
+    middle = clause[settle(middle_attempt, degree_cap + margin)]
+    right = clause[settle(right_attempt, degree_cap + margin)]
     return ExactnessReport(left, middle, right, degree_cap, precision, detail)
 
 

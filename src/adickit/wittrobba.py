@@ -28,46 +28,9 @@ class WittError(ValueError):
 
 # -- torsion-free lifts --------------------------------------------------------
 
-class _IntLift:
-    """Z covering Z/p."""
-
-    def __init__(self, ring: FiniteRing):
-        self.ring = ring
-        self.p = ring.characteristic
-
-    def lift(self, x):
-        return x.coords[0]
-
-    def reduce(self, v):
-        return self.ring.from_int(v)
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def int_mul(self, k, a):
-        return k * a
-
-    def power(self, a, k):
-        return a ** k
-
-    def div_exact(self, a, k):
-        q, r = divmod(a, k)
-        if r:
-            raise WittError("ghost unwinding hit a non-exact division")
-        return q
-
-    def zero(self):
-        return 0
-
-
 class _IntPolyLift:
-    """Z[x]/(monic integer lift of the defining polynomial) covering GF(p,k)."""
+    """Z[x]/(monic integer lift of the defining polynomial) covering GF(p,k);
+    Z/p is Z[x]/(x)."""
 
     def __init__(self, ring: FiniteRing, modulus: tuple):
         self.ring = ring
@@ -238,8 +201,6 @@ def lift_context(ring):
         model = ring.lift_model
         if model is None:
             raise WittError(f"no torsion-free lift model for {ring.name}")
-        if model[0] == "int":
-            return _IntLift(ring)
         if model[0] == "intpoly":
             return _IntPolyLift(ring, model[1])
         if model[0] == "product":

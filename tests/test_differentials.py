@@ -406,6 +406,40 @@ def test_finite_backend_agrees_with_a_smith_form_oracle(base):
     assert checked == 14
 
 
+def test_kahler_fitting_matches_the_complex_on_the_pinned_grid():
+    # the Kahler module over a finite non-field base runs the same Fitting
+    # loop as the complex: same statuses, and it vanishes iff Fitt_0 = (1)
+    checked = 0
+    for base, build in BASES.items():
+        ring = build()
+        for (names, rels), _expected in _grid(base):
+            pres = finite_pres(ring, names, rels)
+            km = kahler_differentials(pres)
+            fitting = naive_cotangent_complex(pres).fitting
+            assert km.fitting_status() == fitting, (base, rels)
+            assert km.is_zero() == (fitting[0] == "unit"), (base, rels)
+            checked += 1
+    assert checked == 70
+
+
+def test_kahler_over_a_finite_nonfield_base_raises_as_classify():
+    Z4 = zmod(4)
+    line = free_presentation(Z4, ("T",))
+    plane = line.extend(("u",), [])
+    relative = line.extend(("u",), [plane.var("u") ** 2 - plane.var("T")])
+    too_big = finite_pres(BASES["Prod(GF(3),Zmod(9))"](), ("T",),
+                          [{(17,): 1}])
+    for arg, message in ((relative, "^relative classification over a finite "
+                                    "non-field base is not supported"),
+                         (line, "^finite-base classification needs a finite "
+                                "quotient$"),
+                         (too_big, "^finite quotient of additive rank 34 "
+                                   "exceeds RANK_CAP = 32$")):
+        for call in (kahler_differentials, classify_morphism):
+            with pytest.raises(PresentationError, match=message):
+                call(arg)
+
+
 def test_finite_backend_decides_a_large_quotient_at_once():
     # B = Z/9[T]/(T^6 - T) has 9^6 elements; T^6 - T is separable mod 3,
     # so B is etale

@@ -62,6 +62,29 @@ def test_w2_f2_is_z4():
             assert iso(witt_mul(a, b)) == (iso(a) * iso(b)) % 4
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_witt_vectors_over_fp_are_z_mod_p_power(p):
+    # W_n(F_p) = Z/p^n through (a_i) -> sum p^i [a_i], where the Teichmueller
+    # lift [a] is a^(p^(n-1)) mod p^n on the integer representative of a
+    ring = gf(p, 1)
+    rng = random.Random(p)
+    for n in range(1, 5):
+        mod = p ** n
+
+        def iso(w):
+            return sum(p ** i * c.coords[0] ** (p ** (n - 1))
+                       for i, c in enumerate(w.coords)) % mod
+        elems = list(all_w(ring, n))
+        assert sorted(iso(w) for w in elems) == list(range(mod))
+        pairs = [(a, b) for a in elems for b in elems] \
+            if len(elems) ** 2 <= 256 else \
+            [(rng.choice(elems), rng.choice(elems)) for _ in range(256)]
+        for a, b in pairs:
+            assert iso(witt_arith("add", a, b)) == (iso(a) + iso(b)) % mod
+            assert iso(witt_arith("mul", a, b)) == (iso(a) * iso(b)) % mod
+            assert iso(witt_arith("sub", a, b)) == (iso(a) - iso(b)) % mod
+
+
 def test_ghost_consistency_mod_p_powers():
     # ghost components of an operation result agree with the ghost-wise
     # operation modulo p^(k+1) (reduction of the lifted coordinates can only
