@@ -383,7 +383,7 @@ def parse_script(text: str) -> SessionScript:
     return Parser(tokenize(text)).parse_script()
 
 
-# -- printer (round-trip support) -------------------------------------------------
+# -- printer (command echoes) -----------------------------------------------------
 
 def print_expr(node) -> str:
     if isinstance(node, Num):
@@ -405,55 +405,6 @@ def print_expr(node) -> str:
         parts += [f"{k}={print_expr(v)}" for k, v in node.kwargs]
         return f"{node.func}({', '.join(parts)})"
     raise TypeError(f"cannot print {node!r}")
-
-
-def print_script(script: SessionScript) -> str:
-    lines = []
-    for item in script.items:
-        if isinstance(item, Declaration):
-            lines.append(f"{item.name} = {print_expr(item.expr)};")
-        else:
-            parts = [print_expr(a) for a in item.args]
-            parts += [f"{k}={print_expr(v)}" for k, v in item.kwargs]
-            body = " ".join([item.command] + parts)
-            lines.append(f"{body};")
-    return "\n".join(lines) + "\n"
-
-
-def _strip_positions(node):
-    """Positions are diagnostics, not semantics; drop them for AST equality."""
-    if isinstance(node, SessionScript):
-        return ("script", tuple(_strip_positions(i) for i in node.items))
-    if isinstance(node, Declaration):
-        return ("decl", node.name, _strip_positions(node.expr))
-    if isinstance(node, CommandStmt):
-        return ("cmd", node.command,
-                tuple(_strip_positions(a) for a in node.args),
-                tuple((k, _strip_positions(v)) for k, v in node.kwargs))
-    if isinstance(node, Num):
-        return node
-    if isinstance(node, Name):
-        return ("name", node.ident)
-    if isinstance(node, Neg):
-        return ("neg", _strip_positions(node.operand))
-    if isinstance(node, BinOp):
-        return (node.op, _strip_positions(node.left),
-                _strip_positions(node.right))
-    if isinstance(node, Pow):
-        return ("pow", _strip_positions(node.base),
-                _strip_positions(node.exponent))
-    if isinstance(node, (ListExpr, TupleExpr)):
-        tag = "list" if isinstance(node, ListExpr) else "tuple"
-        return (tag, tuple(_strip_positions(i) for i in node.items))
-    if isinstance(node, Call):
-        return ("call", node.func,
-                tuple(_strip_positions(a) for a in node.args),
-                tuple((k, _strip_positions(v)) for k, v in node.kwargs))
-    raise TypeError(f"cannot normalize {node!r}")
-
-
-def scripts_equal(a: SessionScript, b: SessionScript) -> bool:
-    return _strip_positions(a) == _strip_positions(b)
 
 
 # -- evaluation --------------------------------------------------------------------
@@ -752,7 +703,7 @@ class Session:
         pres = obj.target if isinstance(obj, MorphismPresentation) else obj
         if isinstance(pres.base, QpBase):
             result["generator_gauss_norms"] = [
-                str(gauss_norm(pres.as_series(g))) for g in pres.gens]
+                str(gauss_norm(g, pres.base.p)) for g in pres.gens]
         return result, verdict.verdict
 
     def _cmd_classify_lifting(self, cmd: CommandStmt):
@@ -943,14 +894,13 @@ class Session:
         t_minus_f = Poly(1, {(1,): Fraction(1), (0,): -Fraction(f)})
         from .groebner import normal_form as nf
         divisible = nf(h, [t_minus_f]).is_zero
-        series = scratch.as_series(h)
         result = {
             "primitive": render_poly(h, ("T",)),
             "d_primitive_equals_omega": dh == omega,
             "vanishes_at_lower_point": not h.evaluate(
                 [Fraction(f)], lambda c: c, Fraction(0)),
             "in_ideal_T_minus_f": divisible,
-            "gauss_norm": str(gauss_norm(series)),
+            "gauss_norm": str(gauss_norm(h, p)),
             "flags": sorted(res.flags),
         }
         return result, render_poly(h, ("T",))

@@ -91,7 +91,7 @@ def relative_data(arg) -> RelativeData:
     full = RingPresentation(tgt.base, pres.varnames,
                             [g.extend_vars(n) for g in tgt.gens]
                             + graph_gens + src_gens,
-                            tgt.degree_cap, tgt.declared)
+                            tgt.degree_cap)
     rel_gens = [g.extend_vars(n) for g in tgt.gens] + graph_gens
     return RelativeData(full, list(range(tgt.nvars)), rel_gens, src_gens,
                         arg.describe())
@@ -139,9 +139,6 @@ class KahlerModule:
         B, coords, _ = self.quotient
         return spans_group([B._product(e.coords, coords(m)) for m in minors
                             for e in B.basis], B.moduli)
-
-    def is_zero(self) -> bool:
-        return self.fitting_status()[0] == "unit"
 
 
 def _all_minors(rows: list[list[Poly]], size: int,

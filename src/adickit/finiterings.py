@@ -572,19 +572,6 @@ def ideal_generated(ring, gens) -> frozenset:
     return additive_closure(ring, [e * g for g in gens for e in ring.basis])
 
 
-def is_ideal(ring, subset: frozenset) -> bool:
-    if ring.zero not in subset:
-        return False
-    for x in subset:
-        for y in subset:
-            if x + y not in subset:
-                return False
-        for r in ring.elements():
-            if r * x not in subset:
-                return False
-    return True
-
-
 def _diagonal_form(rows: list, n: int) -> tuple:
     """Diagonalise the lattice L in Z^n spanned by `rows`: d, the columns of
     a unimodular V and the rows of V^-1 with L.V = d_1 Z + ... + d_r Z, r

@@ -1,11 +1,11 @@
 """Buchberger's algorithm over field coefficients, with certificate tracking.
 
 Everything here works for any coefficient type supporting field operations
-(Fractions for the exact rational layer, finite-field elements, tracked
-p-adic numbers for normal forms only).  The tracked variants maintain the
-expression of each basis element as a combination of the input generators,
-which is what ideal-membership certificates and syzygy generators are built
-from.
+(Fractions for the exact rational layer, finite-field elements); normal
+forms also reduce over a finite ring against a basis with unit leading
+coefficients.  The tracked variants maintain the expression of each basis
+element as a combination of the input generators, which is what
+ideal-membership certificates and syzygy generators are built from.
 """
 
 from __future__ import annotations
@@ -38,17 +38,13 @@ def _vec_scale(a: list[Poly], coeff) -> list[Poly]:
     return [x.scale(coeff) for x in a]
 
 
-def normal_form(f: Poly, basis: list[Poly], *, degree_guard: int = DEGREE_GUARD,
-                track: bool = False):
+def normal_form(f: Poly, basis: list[Poly], *, track: bool = False):
     """Fully reduce f against basis (leading coefficients must be invertible).
 
     Returns the remainder, or (remainder, quotients) when track=True with
-    f = sum(quotients[i] * basis[i]) + remainder.
+    f = sum(quotients[i] * basis[i]) + remainder.  Raises
+    DegreeOverflowError on reaching a term of degree above DEGREE_GUARD.
     """
-    # reduction happens inside one term dict, making the coefficient
-    # operations of the Poly expression `work - g.mul_term(shift, factor)` in
-    # the same order, so tracked p-adic precision and PrecisionLossError come
-    # out as Poly arithmetic gives them
     leads = [(i, *g.leading(), g.terms) for i, g in enumerate(basis)
              if not g.is_zero]
     inverses: dict = {}
@@ -64,9 +60,9 @@ def normal_form(f: Poly, basis: list[Poly], *, degree_guard: int = DEGREE_GUARD,
         exp = key[:0:-1]
         if exp not in work:
             continue
-        if -key[0] > degree_guard:
+        if -key[0] > DEGREE_GUARD:
             raise DegreeOverflowError(
-                f"reduction exceeded degree guard {degree_guard}")
+                f"reduction exceeded degree guard {DEGREE_GUARD}")
         coeff = work[exp]
         div = next((lead for lead in leads if exp_divides(lead[1], exp)), None)
         if div is None:
@@ -125,7 +121,7 @@ def _s_pair(f: Poly, g: Poly) -> tuple[Poly, tuple, tuple]:
     return f.mul_term(mf, one_coeff) - g.mul_term(mg, one_coeff), mf, mg
 
 
-def buchberger_tracked(gens: list[Poly], *, degree_guard: int = DEGREE_GUARD):
+def buchberger_tracked(gens: list[Poly]):
     """Reduced monic Groebner basis G with transformation matrix M, G = M.F.
 
     Zero input generators are tolerated (they contribute nothing).
@@ -158,8 +154,7 @@ def buchberger_tracked(gens: list[Poly], *, degree_guard: int = DEGREE_GUARD):
         sp, mi, mj = _s_pair(basis[i], basis[j])
         sp_rep = _vec_sub(_vec_mul_term(reps[i], mi, basis[i].leading()[1]),
                           _vec_mul_term(reps[j], mj, basis[j].leading()[1]))
-        rem, quot = normal_form(sp, basis, degree_guard=degree_guard,
-                                track=True)
+        rem, quot = normal_form(sp, basis, track=True)
         if rem.is_zero:
             continue
         rem_rep = sp_rep
@@ -172,10 +167,10 @@ def buchberger_tracked(gens: list[Poly], *, degree_guard: int = DEGREE_GUARD):
         reps.append(_vec_scale(rem_rep, inv))
         pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
 
-    return _reduce_tracked(basis, reps, degree_guard)
+    return _reduce_tracked(basis, reps)
 
 
-def _reduce_tracked(basis, reps, degree_guard):
+def _reduce_tracked(basis, reps):
     """Inter-reduce a monic basis, keeping the transformation in sync."""
     changed = True
     while changed:
@@ -185,8 +180,7 @@ def _reduce_tracked(basis, reps, degree_guard):
                 continue
             others = [basis[k] if k != i else Poly.zero(basis[i].nvars)
                       for k in range(len(basis))]
-            rem, quot = normal_form(basis[i], others,
-                                    degree_guard=degree_guard, track=True)
+            rem, quot = normal_form(basis[i], others, track=True)
             if rem == basis[i]:
                 continue
             rep = reps[i]
@@ -207,15 +201,14 @@ def _reduce_tracked(basis, reps, degree_guard):
     return [g for g, _ in pairs], [r for _, r in pairs]
 
 
-def buchberger(gens: list[Poly], *, degree_guard: int = DEGREE_GUARD) -> list[Poly]:
-    basis, _ = buchberger_tracked(gens, degree_guard=degree_guard)
+def buchberger(gens: list[Poly]) -> list[Poly]:
+    basis, _ = buchberger_tracked(gens)
     return basis
 
 
-def representation(f: Poly, basis: list[Poly], *,
-                   degree_guard: int = DEGREE_GUARD) -> list[Poly]:
+def representation(f: Poly, basis: list[Poly]) -> list[Poly]:
     """Quotients q with f = sum(q[i] * basis[i]); f must reduce to zero."""
-    rem, quot = normal_form(f, basis, degree_guard=degree_guard, track=True)
+    rem, quot = normal_form(f, basis, track=True)
     if not rem.is_zero:
         raise ValueError("element is not in the ideal spanned by the basis")
     return quot
@@ -225,13 +218,12 @@ def is_unit_ideal(basis: list[Poly]) -> bool:
     return any(not g.is_zero and exp_total(g.leading()[0]) == 0 for g in basis)
 
 
-def unit_certificate(gens: list[Poly], *,
-                     degree_guard: int = DEGREE_GUARD) -> list[Poly] | None:
+def unit_certificate(gens: list[Poly]) -> list[Poly] | None:
     """Coefficients c with 1 = sum(c[i] * gens[i]), or None if 1 is not in
     the ideal."""
     if not gens:
         return None
-    basis, reps = buchberger_tracked(gens, degree_guard=degree_guard)
+    basis, reps = buchberger_tracked(gens)
     for g, rep in zip(basis, reps):
         exp, coeff = g.leading()
         if exp_total(exp) == 0:
@@ -240,8 +232,7 @@ def unit_certificate(gens: list[Poly], *,
     return None
 
 
-def syzygy_basis(gens: list[Poly], *,
-                 degree_guard: int = DEGREE_GUARD) -> list[list[Poly]]:
+def syzygy_basis(gens: list[Poly]) -> list[list[Poly]]:
     """Generators of the module of relations among gens.
 
     Uses Schreyer syzygies of the reduced Groebner basis pulled back through
@@ -253,9 +244,8 @@ def syzygy_basis(gens: list[Poly], *,
     if not live:
         return []
     nvars = gens[0].nvars
-    basis, m_rows = buchberger_tracked(gens, degree_guard=degree_guard)
-    n_rows = [representation(f, basis, degree_guard=degree_guard)
-              for f in gens]
+    basis, m_rows = buchberger_tracked(gens)
+    n_rows = [representation(f, basis) for f in gens]
     one = basis[0].leading()[1] if basis else None
 
     syzygies: list[list[Poly]] = []
@@ -263,8 +253,7 @@ def syzygy_basis(gens: list[Poly], *,
     for j in range(len(basis)):
         for i in range(j):
             sp, mi, mj = _s_pair(basis[i], basis[j])
-            rem, quot = normal_form(sp, basis, degree_guard=degree_guard,
-                                    track=True)
+            rem, quot = normal_form(sp, basis, track=True)
             if not rem.is_zero:
                 raise AssertionError("S-pair of a Groebner basis must reduce to 0")
             s_vec = [Poly.zero(nvars) for _ in basis]
@@ -342,19 +331,3 @@ def is_zero_dimensional(basis: list[Poly], nvars: int) -> bool:
             return False
     return True
 
-
-def quotient_dimension(basis: list[Poly], nvars: int) -> int:
-    """Krull dimension of the quotient by the ideal (via the leading-term
-    ideal): the largest size of a variable subset S such that no leading
-    monomial is supported inside S.  Returns -1 for the unit ideal."""
-    if is_unit_ideal(basis):
-        return -1
-    lts = [g.leading()[0] for g in basis if not g.is_zero]
-    from itertools import combinations
-    for size in range(nvars, -1, -1):
-        for subset in combinations(range(nvars), size):
-            inside = set(subset)
-            if not any(all(i in inside for i, e in enumerate(lt) if e > 0)
-                       for lt in lts):
-                return size
-    return 0

@@ -65,9 +65,6 @@ class PointSet:
     def __len__(self):
         return len(self.points)
 
-    def keys(self) -> list:
-        return [tuple(e.key() for e in pt) for pt in self.points]
-
 
 def point_set(pres: RingPresentation, ring, base_map=None) -> PointSet:
     """All base-compatible homomorphisms pres -> ring, by a depth-first

@@ -90,10 +90,6 @@ def _echelon(rows, width: int, one) -> RowSpace:
     return space
 
 
-def rank(rows: list, one) -> int:
-    return _echelon(rows, len(rows[0]) if rows else 0, one).dim
-
-
 def nullspace(rows: list, ncols: int, one) -> list[list]:
     """Basis of {x : A x = 0} for the matrix with the given (dense or sparse)
     rows: one dense vector per free column, with a one there."""

@@ -71,11 +71,6 @@ class ExactNorm:
     def is_zero(self) -> bool:
         return self._factors is None
 
-    def exponent_of(self, base: int) -> Fraction:
-        if self.is_zero:
-            raise ValueError("zero norm has no exponents")
-        return self._factors.get(base, Fraction(0))
-
     def __mul__(self, other: "ExactNorm") -> "ExactNorm":
         if self.is_zero or other.is_zero:
             return ExactNorm.zero()

@@ -1,9 +1,9 @@
 """Sparse multivariate polynomials over duck-typed coefficient rings.
 
-Coefficients may be Fractions (the exact layer used for Groebner bases),
-finite-ring elements, or tracked p-adic numbers; they only need +, -, *,
-truthiness for zero-testing, and ** -1 where division is required.  The
-monomial order everywhere is graded reverse lexicographic.
+Coefficients may be Fractions (the exact layer used for Groebner bases) or
+finite-ring elements; they only need +, -, *, truthiness for zero-testing,
+and ** -1 where division is required.  The monomial order everywhere is
+graded reverse lexicographic.
 """
 
 from __future__ import annotations

@@ -1,14 +1,13 @@
-"""Truncated Tate-algebra arithmetic and finitely presented quotients.
+"""Finitely presented Tate-algebra quotients and their Gauss norms.
 
 A presentation is always flattened over a scalar coefficient base: a p-adic
 field at fixed precision, the integers, or a finite ring.  Towers (B over A
 over the base) are represented by variable/generator prefixes, so composing
 and base-changing presentations is substitution on the flat data.
 
-Groebner bases are computed over exact coefficients (rationals for p-adic
-bases) and only the Gauss-norm / series layer sees tracked p-adic precision;
-p-adic Buchberger loses precision catastrophically, and every quotient in
-scope has an exact-coefficient presentation.
+Over a p-adic base the coefficients are exact rationals: Groebner bases are
+computed over Q, and a Gauss norm is read off the p-adic valuations of all
+of a polynomial's coefficients, whatever their degree.
 """
 
 from __future__ import annotations
@@ -17,9 +16,9 @@ from fractions import Fraction
 
 from .finiterings import FiniteRing, FiniteRingElement
 from .groebner import (DEGREE_GUARD, DegreeOverflowError, buchberger,
-                       normal_form, quotient_dimension, staircase_shell)
-from .norms import ExactNorm, norm_max
-from .padics import DEFAULT_PRECISION, PadicNumber, PrecisionLossError
+                       normal_form, staircase_shell)
+from .norms import ExactNorm
+from .padics import DEFAULT_PRECISION, rational_valuation
 from .poly import (Poly, exp_coprime, exp_divides, exp_total, grevlex_key,
                    render_poly)
 
@@ -72,150 +71,23 @@ def base_name(base) -> str:
     return str(base)
 
 
-# -- truncated series with p-adic coefficients -------------------------------
-
-class TateSeries:
-    """A multivariate series truncated at a total-degree cap, with tracked
-    p-adic coefficients and honest overflow / precision-loss flags."""
-
-    __slots__ = ("p", "precision", "varnames", "degree_cap", "coeffs", "flags")
-
-    def __init__(self, p: int, precision: int, varnames: tuple,
-                 degree_cap: int, coeffs: dict, flags: frozenset = frozenset()):
-        self.p = p
-        self.precision = precision
-        self.varnames = tuple(varnames)
-        self.degree_cap = degree_cap
-        self.coeffs = {e: c for e, c in coeffs.items() if c}
-        self.flags = flags
-
-    @classmethod
-    def from_poly(cls, poly: Poly, p: int, varnames: tuple,
-                  precision: int = DEFAULT_PRECISION,
-                  degree_cap: int = DEFAULT_DEGREE_CAP) -> "TateSeries":
-        coeffs = {}
-        flags = set()
-        for e, c in poly.terms.items():
-            if exp_total(e) > degree_cap:
-                flags.add("overflow")
-                continue
-            if isinstance(c, PadicNumber):
-                coeffs[e] = c
-            else:
-                coeffs[e] = PadicNumber.exact(Fraction(c), p)
-        return cls(p, precision, varnames, degree_cap, coeffs,
-                   frozenset(flags))
-
-    @classmethod
-    def zero(cls, p: int, varnames: tuple,
-             precision: int = DEFAULT_PRECISION,
-             degree_cap: int = DEFAULT_DEGREE_CAP) -> "TateSeries":
-        return cls(p, precision, varnames, degree_cap, {})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def _check(self, other: "TateSeries"):
-        if (self.p, self.varnames, self.degree_cap, self.precision) != \
-                (other.p, other.varnames, other.degree_cap, other.precision):
-            raise PresentationError("series caps or variables do not match")
-
-    def __add__(self, other: "TateSeries") -> "TateSeries":
-        self._check(other)
-        coeffs = dict(self.coeffs)
-        flags = set(self.flags | other.flags)
-        for e, c in other.coeffs.items():
-            if e in coeffs:
-                try:
-                    s = coeffs[e] + c
-                    if s:
-                        coeffs[e] = s
-                    else:
-                        del coeffs[e]
-                except PrecisionLossError:
-                    del coeffs[e]
-                    flags.add("precision_loss")
-            else:
-                coeffs[e] = c
-        return TateSeries(self.p, self.precision, self.varnames,
-                          self.degree_cap, coeffs, frozenset(flags))
-
-    def __mul__(self, other: "TateSeries") -> "TateSeries":
-        self._check(other)
-        acc: dict = {}
-        flags = set(self.flags | other.flags)
-        from .poly import exp_mul
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = exp_mul(e1, e2)
-                if exp_total(e) > self.degree_cap:
-                    flags.add("overflow")
-                    continue
-                prod = c1 * c2
-                if e in acc:
-                    try:
-                        s = acc[e] + prod
-                        if s:
-                            acc[e] = s
-                        else:
-                            del acc[e]
-                    except PrecisionLossError:
-                        del acc[e]
-                        flags.add("precision_loss")
-                elif prod:
-                    acc[e] = prod
-        return TateSeries(self.p, self.precision, self.varnames,
-                          self.degree_cap, acc, frozenset(flags))
-
-    def __eq__(self, other):
-        if not isinstance(other, TateSeries):
-            return NotImplemented
-        return (self.p == other.p and self.varnames == other.varnames
-                and self.coeffs == other.coeffs)
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e in sorted(self.coeffs, key=grevlex_key, reverse=True):
-            mono = "*".join(f"{self.varnames[i]}^{k}" if k > 1 else self.varnames[i]
-                            for i, k in enumerate(e) if k)
-            c = self.coeffs[e]
-            parts.append(f"({c!r})*{mono}" if mono else f"({c!r})")
-        tail = f" [{','.join(sorted(self.flags))}]" if self.flags else ""
-        return " + ".join(parts) + tail
-
-
-def tate_arith(op: str, f: TateSeries, g: TateSeries) -> TateSeries:
-    if op == "add":
-        return f + g
-    if op == "mul":
-        return f * g
-    raise ValueError(f"unknown series operation {op!r}")
-
-
-def gauss_norm(f: TateSeries) -> ExactNorm:
-    """Sup norm over the coefficients; exactly zero iff the series is zero.
-    When the series carries a precision-loss flag the value is a lower bound."""
+def gauss_norm(f: Poly, p: int) -> ExactNorm:
+    """The Gauss norm of f in Q_p<X>: the largest |c|_p = p^-v_p(c) over
+    every (rational) coefficient c of f, so p^-(min v_p(c)); exactly zero
+    iff f is zero."""
     if f.is_zero:
         return ExactNorm.zero()
-    return norm_max(*(c.norm() for c in f.coeffs.values()))
+    return ExactNorm.power(p, -min(rational_valuation(c, p)
+                                   for c in f.terms.values()))
 
 
 # -- presentations -----------------------------------------------------------
 
 class RingPresentation:
-    """B = base<X_1..X_n>/(f_1..f_p) with ordered generators.
-
-    The integral-subring data and the declared-property flags are carried
-    verbatim and never participate in computation.
-    """
+    """B = base<X_1..X_n>/(f_1..f_p) with ordered generators."""
 
     def __init__(self, base, varnames: tuple, gens: list[Poly],
                  degree_cap: int = DEFAULT_DEGREE_CAP,
-                 declared: frozenset = frozenset(),
-                 integral_generators: tuple = (),
                  parent: "RingPresentation | None" = None):
         self.base = base
         self.parent = parent  # the declared base ring of the tower, if any
@@ -226,21 +98,11 @@ class RingPresentation:
         for g in self.gens:
             if g.nvars != len(self.varnames):
                 raise PresentationError("generator variable count mismatch")
-            if not isinstance(base, FiniteRing):
-                for c in g.terms.values():
-                    # Buchberger over p-adic coefficients loses precision
-                    # catastrophically; generators stay exact
-                    if isinstance(c, PadicNumber):
-                        raise PresentationError(
-                            "generators need exact rational coefficients")
         self.degree_cap = degree_cap
-        self.declared = frozenset(declared)
-        self.integral_generators = tuple(integral_generators)
         self._basis = None
         self._border: dict = {}     # monomial -> NF terms, None if standard
         self._stairs: list = []     # standard monomials, grevlex-ascending
         self._stair_ends = [0]      # [d + 1]: how many have degree <= d
-        self._dim = None
 
     # -- coefficient domain helpers ----------------------------------------
 
@@ -377,40 +239,8 @@ class RingPresentation:
                     out[e] = b
         return out
 
-    def normal_form_series(self, f: TateSeries) -> TateSeries:
-        """Reduce a truncated p-adic series against the cached basis.
-
-        The basis is exact; the division happens in tracked p-adic
-        arithmetic, and full cancellations show up as a precision-loss flag
-        rather than a silent zero."""
-        if not isinstance(self.base, QpBase):
-            raise PresentationError("series reduction needs a p-adic base")
-        if f.varnames != self.varnames:
-            raise PresentationError("series variables do not match")
-        p, prec = self.base.p, f.precision
-        basis = [g.map_coeffs(lambda c: PadicNumber.exact(Fraction(c), p))
-                 for g in self.groebner_basis()]
-        work = Poly(self.nvars, dict(f.coeffs), normalize=False)
-        flags = set(f.flags)
-        try:
-            reduced = normal_form(work, basis,
-                                  degree_guard=f.degree_cap)
-        except DegreeOverflowError:
-            return TateSeries(p, prec, self.varnames, f.degree_cap,
-                              f.coeffs, frozenset(flags | {"overflow"}))
-        except PrecisionLossError:
-            return TateSeries(p, prec, self.varnames, f.degree_cap,
-                              f.coeffs, frozenset(flags | {"precision_loss"}))
-        return TateSeries(p, prec, self.varnames, f.degree_cap,
-                          dict(reduced.terms), frozenset(flags))
-
     def nf_zero(self, f: Poly) -> bool:
         return self.normal_form(f).is_zero
-
-    def dimension(self) -> int:
-        if self._dim is None:
-            self._dim = quotient_dimension(self.groebner_basis(), self.nvars)
-        return self._dim
 
     def staircase(self, max_degree: int | None = None) -> list[tuple]:
         """Standard monomials of degree <= max_degree (default the degree
@@ -432,8 +262,8 @@ class RingPresentation:
 
     # -- structure -----------------------------------------------------------
 
-    def extend(self, new_varnames: tuple, new_gens: list[Poly],
-               declared: frozenset = frozenset()) -> "RingPresentation":
+    def extend(self, new_varnames: tuple,
+               new_gens: list[Poly]) -> "RingPresentation":
         """Adjoin variables and relations (the flattened Quot construction).
         Existing generators are reinterpreted in the larger variable list;
         new generators must already use the combined list."""
@@ -446,8 +276,7 @@ class RingPresentation:
                     "new generators must use the extended variable list")
             gens.append(g)
         return RingPresentation(self.base, varnames, gens, self.degree_cap,
-                                self.declared | declared,
-                                self.integral_generators, parent=self)
+                                parent=self)
 
     def fresh_varname(self, stem: str) -> str:
         if stem not in self.varnames:
@@ -467,12 +296,6 @@ class RingPresentation:
             return False
         lifted = [g.extend_vars(self.nvars) for g in other.gens]
         return self.gens[:len(lifted)] == lifted
-
-    def as_series(self, f: Poly) -> TateSeries:
-        if not isinstance(self.base, QpBase):
-            raise PresentationError("series layer needs a p-adic base")
-        return TateSeries.from_poly(f, self.base.p, self.varnames,
-                                    self.base.precision, self.degree_cap)
 
     def describe(self) -> str:
         rel = "; ".join(render_poly(g, self.varnames) for g in self.gens)
@@ -546,13 +369,6 @@ class MorphismPresentation:
                 if not ok:
                     raise PresentationError(
                         "images do not satisfy the source relations")
-
-    @classmethod
-    def identity(cls, pres: RingPresentation) -> "MorphismPresentation":
-        one = pres.coeff_one()
-        return cls(pres, pres,
-                   [Poly.variable(i, pres.nvars, one) for i in range(pres.nvars)],
-                   check=False)
 
     @classmethod
     def inclusion(cls, source: RingPresentation,
@@ -632,6 +448,5 @@ def base_change(pres: RingPresentation,
               for g in extra_gens]
     final = RingPresentation(result.base, result.varnames,
                              result.gens + pushed, result.degree_cap,
-                             pres.declared, pres.integral_generators,
                              parent=aprime)
     return MorphismPresentation.inclusion(aprime, final)

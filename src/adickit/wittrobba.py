@@ -241,10 +241,6 @@ class WittVector:
         return "(" + ", ".join(repr(c) for c in self.coords) + ")"
 
 
-def witt_vector(p: int, coords, ring) -> WittVector:
-    return WittVector(p, tuple(coords), ring)
-
-
 def teichmuller(c, length: int, p: int | None = None) -> WittVector:
     ring = c.parent
     p = p if p is not None else ring.characteristic
@@ -305,13 +301,6 @@ def witt_mul(a: WittVector, b: WittVector) -> WittVector:
     return witt_arith("mul", a, b)
 
 
-def witt_int_mul(k: int, a: WittVector) -> WittVector:
-    ctx = lift_context(a.ring)
-    ghosts = [ctx.int_mul(k, g) for g in ghost_components(a, ctx)]
-    coords = _unwind(ghosts, a.p, ctx)
-    return WittVector(a.p, tuple(ctx.reduce(c) for c in coords), a.ring)
-
-
 def frobenius_witt(a: WittVector) -> WittVector:
     """Ghost-wise shift; the length drops by one."""
     if a.length < 2:
@@ -331,12 +320,6 @@ def verschiebung(a: WittVector) -> WittVector:
     return WittVector(a.p, coords, a.ring)
 
 
-def witt_map(hom, target_ring, a: WittVector) -> WittVector:
-    """Coordinate-wise functoriality: a ring map of coefficient rings induces
-    a ring map of the Witt rings."""
-    return WittVector(a.p, tuple(hom(c) for c in a.coords), target_ring)
-
-
 # -- tilting ---------------------------------------------------------------------
 
 class TiltResult:
@@ -346,16 +329,6 @@ class TiltResult:
         self.ring = ring
         self.depth = depth
         self.embed = embed      # the ring's isomorphism onto F^e(R) inside R
-
-    def project(self, k: int, x):
-        """The stage-k component of x: the y with y^(p^k) = x, read off the
-        Frobenius orbit of x, which is a cycle once the tilt is perfect."""
-        p, orbit = self.ring.characteristic, [x]
-        while len(orbit) <= self.ring.cardinality:
-            if (y := orbit[-1] ** p) == x:
-                return orbit[-k % len(orbit)]
-            orbit.append(y)
-        raise WittError(f"{x} lies on no Frobenius cycle of {self.ring.name}")
 
 
 def tilt(ring: FiniteRing, depth: int | None = None) -> TiltResult:

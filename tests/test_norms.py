@@ -37,8 +37,7 @@ small_exp = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 def test_multiplication_adds_exponents(a, b, c):
     x = ExactNorm.power(2, a) * ExactNorm.power(3, b)
     y = ExactNorm.power(2, c)
-    assert (x * y).exponent_of(2) == a + c
-    assert (x * y).exponent_of(3) == b
+    assert x * y == ExactNorm({2: a + c, 3: b})
 
 
 @given(small_exp, small_exp)
@@ -53,4 +52,4 @@ def test_power_scales(a, b, r):
     if r == 0:
         return
     x = ExactNorm.power(2, a) * ExactNorm.power(3, b)
-    assert (x ** r).exponent_of(2) == a * r
+    assert x ** r == ExactNorm({2: a * r, 3: b * r})

@@ -4,13 +4,15 @@ value semantics and argument checks its callers rely on."""
 import pytest
 
 from adickit.cli import (BinOp, ListExpr, Name, Num, Token, TupleExpr,
-                         _strip_positions, parse_script, scripts_equal)
+                         parse_script)
 from adickit.finiterings import gf
 from adickit.localization import ExactnessReport, JointSurjectionResult
 from adickit.padics import DEFAULT_PRECISION
 from adickit.tate import IntegerBase, QpBase
 from adickit.wittrobba import (WITT_LENGTH_CAP, CharPNormedRing,
-                               RobbaElement, WittError, witt_vector)
+                               RobbaElement, WittError, WittVector)
+
+from test_cli import _strip_positions, scripts_equal
 
 
 def test_detail_dicts_are_per_instance():
@@ -65,10 +67,10 @@ def test_bases_compare_and_hash_by_value():
 
 def test_witt_vectors_compare_and_hash_by_value():
     F2 = gf(2)
-    a = witt_vector(2, (F2.one, F2.zero), F2)
-    b = witt_vector(2, [F2.one, F2.zero], F2)
+    a = WittVector(2, (F2.one, F2.zero), F2)
+    b = WittVector(2, (F2.one, F2.zero), F2)
     assert a == b and hash(a) == hash(b)
-    assert a != witt_vector(2, (F2.one, F2.one), F2)
+    assert a != WittVector(2, (F2.one, F2.one), F2)
     assert a != (F2.one, F2.zero)
     assert repr(a) == f"({F2.one!r}, {F2.zero!r})"
 
@@ -77,10 +79,10 @@ def test_witt_and_robba_constructors_check_their_arguments():
     F2 = gf(2)
     long = (F2.zero,) * (WITT_LENGTH_CAP + 1)
     with pytest.raises(WittError, match="^Witt length exceeds cap 8$"):
-        witt_vector(2, long, F2)
+        WittVector(2, long, F2)
     with pytest.raises(WittError, match="^coefficient ring has characteristic "
                                         "2, expected 3$"):
-        witt_vector(3, (F2.one,), F2)
+        WittVector(3, (F2.one,), F2)
     R2 = CharPNormedRing(2)
     assert RobbaElement(R2, (R2.one,) * WITT_LENGTH_CAP).length == 8
     with pytest.raises(WittError, match="^expansion length exceeds the cap$"):

@@ -1,96 +1,78 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from adickit.finiterings import gf, zmod
 from adickit.norms import ExactNorm
 from adickit.poly import Poly
-from adickit.tate import (MorphismPresentation, PresentationError, QpBase,
-                          RingPresentation, TateSeries, base_change,
+from adickit.tate import (DEFAULT_DEGREE_CAP, MorphismPresentation,
+                          PresentationError, QpBase, base_change,
                           compose_presentations, free_presentation,
-                          gauss_norm, tate_arith)
+                          gauss_norm)
 
 
-def series(line, expr):
-    return line.as_series(Poly(1, {e: Fraction(c) for e, c in expr.items()}))
+def identity(pres):
+    """The identity morphism of a presentation."""
+    one = pres.coeff_one()
+    return MorphismPresentation(
+        pres, pres, [Poly.variable(i, pres.nvars, one)
+                     for i in range(pres.nvars)], check=False)
 
 
-def test_product_of_binomials(line):
-    one_plus = series(line, {(0,): 1, (1,): 1})
-    one_minus = series(line, {(0,): 1, (1,): -1})
-    prod = tate_arith("mul", one_plus, one_minus)
-    assert prod == series(line, {(0,): 1, (2,): -1})
-    assert not prod.flags
+# -- Gauss norms -----------------------------------------------------------------
+
+def univariate(terms: dict) -> Poly:
+    return Poly(1, {(i,): Fraction(c) for i, c in terms.items()})
 
 
-def test_mul_by_zero_no_overflow(line):
-    f = series(line, {(7,): 3, (0,): 1})
-    z = TateSeries.zero(2, ("T",))
-    prod = tate_arith("mul", f, z)
-    assert prod.is_zero and not prod.flags
+def test_gauss_norm_examples():
+    assert gauss_norm(univariate({0: 2, 1: 1, 2: 4}), 2) == ExactNorm.one()
+    assert gauss_norm(univariate({1: 2}), 2) == ExactNorm.power(2, -1)
+    assert gauss_norm(univariate({0: Fraction(1, 9), 3: 3}), 3) == \
+        ExactNorm.power(3, 2)
+    assert gauss_norm(Poly.zero(1), 2).is_zero
 
 
-def test_geometric_times_one(line):
-    f = series(line, {(i,): 2 ** i for i in range(4)})
-    one = series(line, {(0,): 1})
-    prod = tate_arith("mul", f, one)
-    assert prod == f
-    assert gauss_norm(prod) == ExactNorm.one()
+def test_gauss_norm_counts_terms_above_the_degree_cap():
+    # the degree cap D bounds working degrees, not the norm
+    above = DEFAULT_DEGREE_CAP + 1
+    assert gauss_norm(univariate({above: Fraction(1, 9)}), 2) == \
+        ExactNorm.one()
+    assert gauss_norm(univariate({0: 2, above: -1}), 2) == ExactNorm.one()
+    assert gauss_norm(univariate({0: 2, above + 3: Fraction(1, 4)}), 2) == \
+        ExactNorm.power(2, 2)
 
 
-def test_overflow_flag(line):
-    f = series(line, {(5,): 1})
-    g = series(line, {(4,): 1})
-    assert "overflow" in tate_arith("mul", f, g).flags
+coefficients = st.fractions(min_value=-60, max_value=60, max_denominator=24)
+polys = st.dictionaries(st.tuples(st.integers(0, 12), st.integers(0, 3)),
+                        coefficients, max_size=5).map(
+    lambda terms: Poly(2, terms))
+primes = st.sampled_from([2, 3, 5])
 
 
-def test_precision_loss_flag_on_series(line):
-    from adickit.padics import PadicNumber
-    approx = PadicNumber.approximate(2, 0, 3, 4)
-    f = TateSeries(2, 8, ("T",), 8, {(1,): approx})
-    g = TateSeries(2, 8, ("T",), 8, {(1,): -approx})
-    s = tate_arith("add", f, g)
-    assert "precision_loss" in s.flags
-    # the coefficient is dropped, so the norm is only a lower bound;
-    # the flag is what records that
-    assert gauss_norm(s).is_zero
+@given(polys, polys, primes)
+def test_gauss_norm_is_multiplicative(f, g, p):
+    # Gauss's lemma
+    assert gauss_norm(f * g, p) == gauss_norm(f, p) * gauss_norm(g, p)
 
 
-def test_gauss_norm_examples(line):
-    assert gauss_norm(series(line, {(0,): 2, (1,): 1, (2,): 4})) == ExactNorm.one()
-    assert gauss_norm(series(line, {(1,): 2})) == ExactNorm.power(2, -1)
-    assert gauss_norm(TateSeries.zero(2, ("T",))).is_zero
+@given(polys, st.integers(1, 4), primes)
+def test_gauss_norm_power_multiplicative(f, k, p):
+    assert gauss_norm(f ** k, p) == gauss_norm(f, p) ** k
 
 
-def test_gauss_norm_multiplicative_when_flagless(line):
-    samples = [
-        series(line, {(0,): 2, (1,): 1}),
-        series(line, {(1,): 6, (2,): Fraction(1, 2)}),
-        series(line, {(0,): Fraction(3, 4), (2,): 8}),
-        series(line, {(3,): 1}),
-    ]
-    for f in samples:
-        for g in samples:
-            prod = tate_arith("mul", f, g)
-            if prod.flags:
-                continue
-            assert gauss_norm(prod) == gauss_norm(f) * gauss_norm(g)
+@given(polys, polys, primes)
+def test_gauss_norm_is_ultrametric(f, g, p):
+    assert gauss_norm(f + g, p) <= max(gauss_norm(f, p), gauss_norm(g, p))
 
 
-def test_gauss_norm_power_multiplicative(line):
-    samples = [
-        series(line, {(0,): 2, (1,): 1}),
-        series(line, {(1,): 6, (2,): Fraction(1, 2)}),
-        series(line, {(0,): Fraction(3, 4)}),
-    ]
-    for f in samples:
-        power = f
-        for k in range(2, 5):
-            power = tate_arith("mul", power, f)
-            if power.flags:
-                continue
-            assert gauss_norm(power) == gauss_norm(f) ** k
+@given(polys, primes)
+def test_gauss_norm_is_zero_iff_the_polynomial_is(f, p):
+    assert gauss_norm(f, p).is_zero == f.is_zero
 
+
+# -- presentations ---------------------------------------------------------------
 
 def test_normal_form_examples(line):
     T = line.var("T")
@@ -123,15 +105,15 @@ def test_generators_reduce_to_zero(line):
 
 
 def test_compose_identity(line):
-    ident = MorphismPresentation.identity(line)
+    ident = identity(line)
     comp = compose_presentations(ident, ident)
     assert comp.images == ident.images
 
 
 def test_compose_mismatch(line):
     other = free_presentation(QpBase(2, 8), ("S",))
-    f = MorphismPresentation.identity(line)
-    g = MorphismPresentation.identity(other)
+    f = identity(line)
+    g = identity(other)
     with pytest.raises(PresentationError):
         compose_presentations(f, g)
 
@@ -173,38 +155,13 @@ def test_compose_associative_on_point_sets():
     C = B.extend(("c",), [Poly(3, {(0, 0, 2): F2.one, (0, 1, 0): -F2.one})])
     f = MorphismPresentation.inclusion(A, B)
     g = MorphismPresentation.inclusion(B, C)
-    h = MorphismPresentation.identity(C)
+    h = identity(C)
     lhs = compose_presentations(compose_presentations(f, g), h)
     rhs = compose_presentations(f, compose_presentations(g, h))
     assert lhs.images == rhs.images
     for ring in (F2, zmod(2)):
-        assert point_set(lhs.target, ring).keys() == point_set(rhs.target, ring).keys()
-
-
-def test_series_normal_form(line):
-    T = line.var("T")
-    B = line.extend((), [T * T - T])
-    reduced = B.normal_form_series(B.as_series(T * T))
-    assert reduced == B.as_series(T)
-    assert not reduced.flags
-    # reduction of an ideal element is an exact zero, not a small value
-    assert B.normal_form_series(B.as_series(T * T - T)).is_zero
-
-
-def test_padic_generator_coefficients_rejected(q2):
-    from adickit.padics import PadicNumber
-    bad = Poly(1, {(1,): PadicNumber.approximate(2, 0, 3, 4)})
-    with pytest.raises(PresentationError):
-        RingPresentation(q2, ("T",), [bad])
-
-
-def test_declared_flags_are_inert(line):
-    flagged = RingPresentation(line.base, line.varnames, [],
-                               declared=frozenset({"strongly_sheafy"}),
-                               integral_generators=("T",))
-    ext = flagged.extend(("u",), [])
-    assert "strongly_sheafy" in ext.declared
-    assert ext.integral_generators == ("T",)
+        assert point_set(lhs.target, ring).points == \
+            point_set(rhs.target, ring).points
 
 
 # -- incremental normal forms of monomial multiples ----------------------------
