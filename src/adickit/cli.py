@@ -451,9 +451,14 @@ class Session:
                 return left / right
         if isinstance(node, Pow):
             base = self.eval_const(node.base, line, col)
-            exp = self.eval_const(node.exponent, line, col)
-            return base ** int(exp)
+            return base ** self._exponent(node.exponent, line, col)
         raise ScriptError("expected a constant", line, col)
+
+    def _exponent(self, node, line, col) -> int:
+        exp = self.eval_const(node, line, col)
+        if exp.denominator != 1:
+            raise ScriptError(f"exponent {exp} is not an integer", line, col)
+        return exp.numerator
 
     def eval_poly(self, node, pres: RingPresentation, line, col) -> Poly:
         if isinstance(node, Num):
@@ -487,10 +492,10 @@ class Session:
                 return left * right
         if isinstance(node, Pow):
             base = self.eval_poly(node.base, pres, line, col)
-            exp = self.eval_const(node.exponent, line, col)
+            exp = self._exponent(node.exponent, line, col)
             if exp == 0:
                 return pres.const(1)
-            return base ** int(exp)
+            return base ** exp
         raise ScriptError("cannot interpret polynomial expression", line, col)
 
     def eval_ring_element(self, node, ring, line, col):
@@ -517,7 +522,7 @@ class Session:
                 return left * right
         if isinstance(node, Pow):
             base = self.eval_ring_element(node.base, ring, line, col)
-            return base ** int(self.eval_const(node.exponent, line, col))
+            return base ** self._exponent(node.exponent, line, col)
         raise ScriptError("cannot interpret ring element", line, col)
 
     def eval_robba(self, node, ring: CharPNormedRing, line, col) -> RobbaElement:

@@ -47,16 +47,14 @@ RANK_CAP = 32
 
 class RelativeData:
     """A presentation of a morphism's target with the source frozen out."""
-    __slots__ = ("pres", "rel_vars", "rel_gens", "source_gens", "label")
+    __slots__ = ("pres", "rel_vars", "rel_gens", "source_gens")
 
     def __init__(self, pres: RingPresentation, rel_vars: list[int],
-                 rel_gens: list[Poly], source_gens: list[Poly],
-                 label: str = ""):
+                 rel_gens: list[Poly], source_gens: list[Poly]):
         self.pres = pres            # flattened presentation (NF authority)
         self.rel_vars = rel_vars    # indices differentials are taken in
         self.rel_gens = rel_gens    # generators presenting B over the source
         self.source_gens = source_gens  # source relations (syzygy ambient)
-        self.label = label
 
 
 def relative_data(arg) -> RelativeData:
@@ -65,8 +63,7 @@ def relative_data(arg) -> RelativeData:
             # presentations remember the ring they were built over; classify
             # relative to it
             return relative_data(MorphismPresentation.inclusion(arg.parent, arg))
-        return RelativeData(arg, list(range(arg.nvars)), list(arg.gens), [],
-                            arg.describe())
+        return RelativeData(arg, list(range(arg.nvars)), list(arg.gens), [])
     if not isinstance(arg, MorphismPresentation):
         raise TypeError("expected a presentation or a morphism presentation")
     src, tgt = arg.source, arg.target
@@ -74,7 +71,7 @@ def relative_data(arg) -> RelativeData:
         rel_gens = [g for g in tgt.gens[len(src.gens):]]
         src_gens = [g.extend_vars(tgt.nvars) for g in src.gens]
         rel_vars = list(range(src.nvars, tgt.nvars))
-        return RelativeData(tgt, rel_vars, rel_gens, src_gens, arg.describe())
+        return RelativeData(tgt, rel_vars, rel_gens, src_gens)
     # graph construction: adjoin a copy of the source variables to the target
     n = tgt.nvars + src.nvars
     copies = []
@@ -93,8 +90,7 @@ def relative_data(arg) -> RelativeData:
                             + graph_gens + src_gens,
                             tgt.degree_cap)
     rel_gens = [g.extend_vars(n) for g in tgt.gens] + graph_gens
-    return RelativeData(full, list(range(tgt.nvars)), rel_gens, src_gens,
-                        arg.describe())
+    return RelativeData(full, list(range(tgt.nvars)), rel_gens, src_gens)
 
 
 # -- Kahler differentials -----------------------------------------------------
@@ -630,10 +626,6 @@ class IntegrationResult:
         self.lower_point = lower_point
         self.prime = prime
         self.flags = flags
-
-    def to_json(self) -> dict:
-        return {"primitive": repr(self.primitive),
-                "flags": sorted(self.flags)}
 
 
 def etale_integration(omega: Poly, f, prime: int | None = None,

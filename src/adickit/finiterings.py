@@ -697,13 +697,6 @@ def _identity(x):
     return x
 
 
-def reduced_ring(ring) -> tuple:
-    """R/Nil(R) together with the projection."""
-    quotient, project, _ = quotient_ring(ring, nilradical(ring),
-                                         name=f"{ring.name}_red")
-    return quotient, project
-
-
 def canonical_scalar_map(base, ring):
     """The canonical coefficient map base -> ring when one exists.
 

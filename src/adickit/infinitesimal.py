@@ -1,12 +1,15 @@
 """Point functors over finite test rings and the lifting-route classifiers.
 
-The de Rham point set of a presentation over a finite ring R is its point set
-over R/Nil(R): the colimit over nilpotent ideals stabilizes at the nilradical,
-the largest one.  The crystalline point set runs instead over pairs (I, gamma)
-of a nilpotent ideal with a divided-power structure, ordered by PD-compatible
-inclusion, and is computed as explicit equivalence classes.  On a ring of
-p-power order a divided-power structure is the one map gamma_p, solved for
-on additive generators of the ideal from cosets of its p-torsion.
+The de Rham and crystalline completed points of a presentation over a finite
+ring R are one construction over two families of thickenings R -> R/I:
+classes of (level, point over R/I), where a point at one level is identified
+with its reduction at every level whose ideal contains its own.  De Rham
+levels are the nilpotent ideals, whose filtered colimit stabilizes at the
+nilradical, so the levels 0 and Nil(R) suffice.  Crystalline levels are the
+pairs (I, gamma) of a nilpotent ideal with a divided-power structure, and an
+identification must also respect gamma.  On a ring of p-power order a
+divided-power structure is the one map gamma_p, solved for on additive
+generators of the ideal from cosets of its p-torsion.
 
 A morphism is etale / lisse / non-ramifie in the lifting sense when the
 canonical map from its points to its completed points is bijective /
@@ -21,7 +24,7 @@ from math import comb, factorial, prod
 
 from .finiterings import (FiniteRing, additive_closure, canonical_scalar_map,
                           ideal_generated, nilradical, quotient_ring,
-                          reduced_ring, subgroup_tree)
+                          subgroup_tree)
 from .poly import Poly
 from .tate import (IntegerBase, MorphismPresentation, PresentationError,
                    RingPresentation)
@@ -39,10 +42,6 @@ def _scalar_map(pres: RingPresentation, ring):
     return None
 
 
-def admits_base_map(pres: RingPresentation, ring) -> bool:
-    return _scalar_map(pres, ring) is not None
-
-
 def _base_map(pres: RingPresentation, ring, base_map=None):
     """The given base map into ring, else the canonical one."""
     coeff = base_map or _scalar_map(pres, ring)
@@ -53,14 +52,12 @@ def _base_map(pres: RingPresentation, ring, base_map=None):
 
 
 class PointSet:
-    __slots__ = ("pres", "ring", "points", "label")
+    __slots__ = ("pres", "ring", "points")
 
-    def __init__(self, pres: RingPresentation, ring, points: tuple,
-                 label: str = ""):
+    def __init__(self, pres: RingPresentation, ring, points: tuple):
         self.pres = pres
         self.ring = ring
         self.points = points    # sorted tuples of ring elements
-        self.label = label
 
     def __len__(self):
         return len(self.points)
@@ -117,7 +114,7 @@ def point_set(pres: RingPresentation, ring, base_map=None) -> PointSet:
 
     if consistent:
         search(0)
-    return PointSet(pres, ring, tuple(points), f"X({ring.name})")
+    return PointSet(pres, ring, tuple(points))
 
 
 def _stage_relations(gens: list, n: int, coeff):
@@ -150,18 +147,6 @@ def _stage_relations(gens: list, n: int, coeff):
             rel[e[last]].append((c, factors))
         stages[last].append(rel)
     return stages, top, consistent
-
-
-def de_rham_point_set(pres: RingPresentation, ring,
-                      base_map=None) -> PointSet:
-    """Points over R/Nil(R); in a finite ring the filtered colimit over
-    nilpotent ideals stabilizes at the nilradical.  The base map into R/Nil
-    is the one into R followed by the projection."""
-    coeff = _base_map(pres, ring, base_map)
-    red, project = reduced_ring(ring)
-    ps = point_set(pres, red, lambda c: project(coeff(c)))
-    ps.label = f"X({ring.name}/Nil)"
-    return ps
 
 
 # -- nilpotent ideals and divided powers --------------------------------------
@@ -365,9 +350,9 @@ def _solve_pd_structures(ring, ideal: frozenset) -> list[PDStructure]:
     return results
 
 
-# -- crystalline point sets -----------------------------------------------------
+# -- completed point sets -------------------------------------------------------
 
-class CrystallinePoints:
+class CompletedPoints:
     __slots__ = ("pres", "ring", "classes", "index", "_class_of")
 
     def __init__(self, pres: RingPresentation, ring, classes: list,
@@ -375,7 +360,7 @@ class CrystallinePoints:
         self.pres = pres
         self.ring = ring
         self.classes = classes  # frozensets of (index, point-key) nodes
-        # (ideal, PD, quotient_ring(R, ideal), PointSet)
+        # (ideal, PD or None, quotient_ring(R, ideal), PointSet), zero first
         self.index = index
         self._class_of = {node: i for i, cls in enumerate(classes)
                           for node in cls}
@@ -390,23 +375,38 @@ class CrystallinePoints:
         return cls
 
 
-def crystalline_point_set(pres: RingPresentation, ring,
-                          base_map=None) -> CrystallinePoints:
-    """Equivalence classes of (nilpotent PD ideal, point over the quotient)
-    under the PD-compatible reduction identifications.  The base map into
-    each R/I is the one into R followed by the projection."""
+def _levels(ring, mode: str):
+    """The levels R -> R/I of a mode, the zero ideal first, each with its
+    PD structures: "dR" has 0 and Nil(R) with None, "crys" every nilpotent
+    ideal with its divided-power structures."""
+    if mode == "dR":
+        for ideal in dict.fromkeys((frozenset({ring.zero}), nilradical(ring))):
+            yield ideal, [None]
+    else:
+        for ideal, _e in enumerate_nilpotent_ideals(ring):
+            yield ideal, enumerate_pd_structures(ring, ideal)
+
+
+def completed_points(pres: RingPresentation, ring, mode: str,
+                     base_map=None) -> CompletedPoints:
+    """Equivalence classes of (level, point over R/I) for the levels of the
+    mode, where a point is identified with its reduction at every level
+    whose ideal contains its own and, for a PD level, whose structure
+    restricts to its own.  Each ideal's point set is built once, and the
+    base map into R/I is the one into R followed by the projection."""
     coeff = _base_map(pres, ring, base_map)
     index = []
-    for ideal, _e in enumerate_nilpotent_ideals(ring):
-        structures = enumerate_pd_structures(ring, ideal)
+    for ideal, structures in _levels(ring, mode):
         if not structures:
             continue
         quot = quotient_ring(ring, ideal)      # (R/I, project, lift)
         pts = point_set(pres, quot[0], lambda c: quot[1](coeff(c)))
         index.extend((ideal, pd, quot, pts) for pd in structures)
 
-    # union-find over (index, point) nodes
-    parent: dict = {}
+    # union-find over (index, point-key) nodes, each its own root at first
+    keys = [[tuple([e.key() for e in pt]) for pt in pts.points]
+            for _, _, _, pts in index]
+    parent = {(i, k): (i, k) for i, level in enumerate(keys) for k in level}
 
     def find(x):
         while parent[x] != x:
@@ -419,31 +419,21 @@ def crystalline_point_set(pres: RingPresentation, ring,
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
 
-    for i, (_, _, _, pts) in enumerate(index):
-        for pt in pts.points:
-            node = (i, tuple(e.key() for e in pt))
-            parent[node] = node
-
     for i, (ideal_i, pd_i, (_, _, lift_i), pts_i) in enumerate(index):
-        for j, (ideal_j, pd_j, (_, project_j, _), pts_j) in enumerate(index):
-            if i == j or not set(ideal_i) <= set(ideal_j):
+        for j, (ideal_j, pd_j, (_, project_j, _), _) in enumerate(index):
+            if i == j or not ideal_i <= ideal_j:
                 continue
-            if not pd_j.restricts_to(pd_i):
+            if pd_j is not None and not pd_j.restricts_to(pd_i):
                 continue
-            available = {tuple(e.key() for e in pt) for pt in pts_j.points}
-            for pt in pts_i.points:
-                pushed = tuple(project_j(lift_i(e)) for e in pt)
-                pkey = tuple(e.key() for e in pushed)
-                if pkey in available:
-                    union((i, tuple(e.key() for e in pt)), (j, pkey))
+            for pt, k in zip(pts_i.points, keys[i]):
+                union((i, k), (j, tuple([project_j(lift_i(e)).key()
+                                         for e in pt])))
 
-    classes: dict = {}
+    classes: dict = {}                  # root -> class, in node order
     for node in parent:
-        root = find(node)
-        classes.setdefault(root, set()).add(node)
-    ordered = sorted((frozenset(v) for v in classes.values()),
-                     key=lambda cls: sorted(cls))
-    return CrystallinePoints(pres, ring, ordered, index)
+        classes.setdefault(find(node), set()).add(node)
+    return CompletedPoints(pres, ring, [frozenset(c) for c in classes.values()],
+                           index)
 
 
 # -- the lifting classifier ------------------------------------------------------
@@ -485,7 +475,8 @@ class LiftingVerdict:
 
 def classify_lifting(arg, test_rings: list, mode: str = "dR",
                      skip_inadmissible: bool = False) -> LiftingVerdict:
-    """Compare X(R) with the de Rham / crystalline completed points per ring."""
+    """Compare X(R) with its de Rham / crystalline completed points per
+    ring, read off one `completed_points` whose zero level is X(R)."""
     if mode not in ("dR", "crys"):
         raise ValueError("mode must be 'dR' or 'crys'")
     mor = _as_morphism(arg)
@@ -494,69 +485,46 @@ def classify_lifting(arg, test_rings: list, mode: str = "dR",
     evidence = []
     tested = 0
     for ring in test_rings:
-        if not admits_base_map(B, ring):
+        coeff = _scalar_map(B, ring)
+        if coeff is None:
             if skip_inadmissible:
                 evidence.append({"ring": ring.name, "skipped": "no base map"})
                 continue
             raise PresentationError(f"test ring {ring.name} admits no base map")
         tested += 1
-        coeff = _scalar_map(B, ring)
-        x_points = point_set(B, ring)
-        if mode == "dR":
-            xred = de_rham_point_set(B, ring, coeff)
-            red, project = reduced_ring(ring)
-            red_coeff = lambda c: project(coeff(c))  # noqa: E731
-            y_points = point_set(A, ring)
-            # completed points: pairs (reduced B-point, A-point) agreeing on A
-            targets = set()
-            for bpt in xred.points:
+        completed = completed_points(B, ring, mode, coeff)
+        y_points = point_set(A, ring)
+        x_points = completed.index[0][3]        # R/0 is R itself
+        images = [(completed.class_of(0, pt), tuple(
+            e.key() for e in _restrict_point(mor, pt, ring, coeff)))
+            for pt in x_points.points]
+        # completed points: pairs (class of a B-point over some R/I, A-point
+        # over R) agreeing on A over R/I; over R/0 they are the images
+        targets = set(images)
+        levels = enumerate(completed.index[1:], 1)
+        for i, (_, _, (quot, project, _), pts) in levels:
+            q_coeff = lambda c: project(coeff(c))  # noqa: E731
+            over = {}                   # A-point over R/I -> A-points over R
+            for apt in y_points.points:
+                over.setdefault(tuple(project(e).key() for e in apt),
+                                []).append(tuple(e.key() for e in apt))
+            for bpt in pts.points:
                 bka = tuple(e.key() for e in _restrict_point(
-                    mor, bpt, red, red_coeff))
-                for apt in y_points.points:
-                    if tuple(project(e).key() for e in apt) == bka:
-                        targets.add((tuple(e.key() for e in bpt),
-                                     tuple(e.key() for e in apt)))
-            seen = {}
-            images = []
-            for pt in x_points.points:
-                bimg = tuple(project(e).key() for e in pt)
-                aimg = tuple(e.key() for e in _restrict_point(
-                    mor, pt, ring, coeff))
-                images.append((bimg, aimg))
-            inj = len(set(images)) == len(images)
-            surj = set(images) == targets
-            counts = {"points": len(x_points), "reduced_points": len(targets)}
-        else:
-            crys = crystalline_point_set(B, ring)
-            y_points = point_set(A, ring)
-            zero_idx = next(i for i, (ideal, _, _, _) in enumerate(crys.index)
-                            if len(ideal) == 1)
-            targets = set()
-            for i, (_, _, (quot, project, _), pts) in enumerate(crys.index):
-                q_coeff = lambda c: project(coeff(c))  # noqa: E731
-                for bpt in pts.points:
-                    cls = crys.class_of(i, bpt)
-                    bka = tuple(e.key() for e in _restrict_point(
-                        mor, bpt, quot, q_coeff))
-                    for apt in y_points.points:
-                        if tuple(project(e).key() for e in apt) == bka:
-                            targets.add((cls, tuple(e.key() for e in apt)))
-            images = []
-            for pt in x_points.points:     # R/0 is R itself
-                cls = crys.class_of(zero_idx, pt)
-                aimg = tuple(e.key() for e in _restrict_point(
-                    mor, pt, ring, coeff))
-                images.append((cls, aimg))
-            inj = len(set(images)) == len(images)
-            surj = set(images) == targets
-            counts = {"points": len(x_points), "crys_classes": len(crys)}
+                    mor, bpt, quot, q_coeff))
+                cls = completed.class_of(i, bpt)
+                targets.update((cls, apt) for apt in over.get(bka, ()))
+        inj = len(set(images)) == len(images)
+        surj = set(images) == targets
         all_inj &= inj
         all_surj &= surj
         kind = ("bijective" if inj and surj else
                 "surjective" if surj else
                 "injective" if inj else "neither")
-        entry = {"ring": ring.name, "map": kind}
-        entry.update(counts)
+        entry = {"ring": ring.name, "map": kind, "points": len(x_points)}
+        if mode == "dR":
+            entry["reduced_points"] = len(targets)
+        else:
+            entry["crys_classes"] = len(completed)
         evidence.append(entry)
     if tested == 0:
         raise PresentationError("no admissible test rings in the corpus")

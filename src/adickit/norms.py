@@ -60,10 +60,6 @@ class ExactNorm:
         return cls(_zero=True)
 
     @classmethod
-    def one(cls) -> "ExactNorm":
-        return cls({})
-
-    @classmethod
     def power(cls, base: int, exponent) -> "ExactNorm":
         return cls({base: Fraction(exponent)})
 

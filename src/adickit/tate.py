@@ -396,14 +396,12 @@ class MorphismPresentation:
             im == Poly.variable(i, self.target.nvars, one)
             for i, im in enumerate(self.images))
 
-    def describe(self) -> str:
+    def __repr__(self):
         imgs = ", ".join(
             f"{v} -> {render_poly(im, self.target.varnames)}"
             for v, im in zip(self.source.varnames, self.images))
-        return f"{self.source.describe()} --[{imgs}]--> {self.target.describe()}"
-
-    def __repr__(self):
-        return f"MorphismPresentation({self.describe()})"
+        return (f"MorphismPresentation({self.source.describe()} --[{imgs}]--> "
+                f"{self.target.describe()})")
 
 
 def compose_presentations(f: MorphismPresentation,

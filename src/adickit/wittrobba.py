@@ -403,23 +403,6 @@ class NormedElement:
                     del out[e]
         return NormedElement(self.parent, out)
 
-    def times_int(self, k: int):
-        return NormedElement(self.parent,
-                             {e: (c * k) % self.parent.p
-                              for e, c in self.terms.items()})
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative powers not supported")
-        result = self.parent.one
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def frobenius(self):
         """x -> x^p; exponent scaling since the coefficients are in F_p."""
         return NormedElement(self.parent,
@@ -447,9 +430,6 @@ class NormedElement:
 
     def __hash__(self):
         return hash((id(self.parent), tuple(sorted(self.terms.items()))))
-
-    def key(self):
-        return tuple(sorted(self.terms.items()))
 
     def __repr__(self):
         if not self.terms:

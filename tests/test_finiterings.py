@@ -13,9 +13,8 @@ from adickit.cli import parse_script, run_script
 from adickit.finiterings import (TABLE_CAP, FiniteRing,
                                  canonical_scalar_map, dual_numbers,
                                  fp_quotient, gf, hom_kernel, ideal_generated,
-                                 nilradical, product_ring,
-                                 quotient_ring, reduced_ring, spans_group,
-                                 subgroup_tree, zmod)
+                                 nilradical, product_ring, quotient_ring,
+                                 spans_group, subgroup_tree, zmod)
 from adickit.groebner import normal_form
 from adickit.infinitesimal import default_corpus, enumerate_nilpotent_ideals
 from adickit.poly import Poly
@@ -68,15 +67,14 @@ def test_nilradical_matches_oracle_on_corpus():
 
 def test_reduction_is_reduced():
     for r in (zmod(4), zmod(8), dual_numbers(2)):
-        red, proj = reduced_ring(r)
+        red, proj, _ = quotient_ring(r, nilradical(r))
         assert nilradical(red) == frozenset({red.zero})
         assert proj(r.one) == red.one
 
 
 def test_quotient_rings_are_built_once_per_ideal_and_name():
     r = zmod(8)
-    red, _ = reduced_ring(r)
-    assert reduced_ring(r)[0] is red
+    red = quotient_ring(r, nilradical(r), name="Zmod(8)_red")[0]
     assert quotient_ring(r, nilradical(r), name="Zmod(8)_red")[0] is red
     ideal = ideal_generated(r, [r.from_int(4)])
     q = quotient_ring(r, ideal)[0]

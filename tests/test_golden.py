@@ -1,0 +1,28 @@
+"""Report bytes pinned: each script below must render exactly the reports
+committed beside it under golden/, as `adic-kit run` writes them to stdout.
+
+The scripts are `docs/demo.adk` and the seed-1 `lifting` and `points`
+benchmark scripts, kept as text so that no test depends on the benchmark
+package.  A change that alters a report on purpose regenerates the fixture
+with `adic-kit run SCRIPT > tests/golden/NAME.json` and says why.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from adickit.cli import Options, parse_script, render_reports, run_script
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SCRIPTS = {"demo": GOLDEN.parent.parent / "docs" / "demo.adk",
+           "lifting-1": GOLDEN / "lifting-1.adk",
+           "points-1": GOLDEN / "points-1.adk"}
+
+
+@pytest.mark.parametrize("name", sorted(SCRIPTS))
+def test_reports_match_the_golden_file(name):
+    text = SCRIPTS[name].read_text(encoding="utf-8")
+    out = run_script(parse_script(text), Options())
+    assert out.exit_code == 0
+    assert render_reports(out.reports) == \
+        (GOLDEN / f"{name}.json").read_text(encoding="utf-8")

@@ -8,10 +8,9 @@ import pytest
 from adickit.finiterings import (additive_closure, canonical_scalar_map,
                                  dual_numbers, fp_quotient, gf,
                                  ideal_generated, nilradical, product_ring,
-                                 reduced_ring, zmod)
+                                 quotient_ring, zmod)
 from adickit.infinitesimal import (PDStructure, classify_lifting,
-                                   crystalline_point_set,
-                                   de_rham_point_set, default_corpus,
+                                   completed_points, default_corpus,
                                    enumerate_nilpotent_ideals,
                                    enumerate_pd_structures, point_set)
 from adickit.poly import Poly
@@ -39,6 +38,9 @@ IDEM_F2 = fp_pres(F2, ("T",), [{(2,): 1, (1,): 1}])     # T^2 - T in char 2
 NILP_F2 = fp_pres(F2, ("T",), [{(2,): 1}])              # T^2
 IDEM_Z = z_pres(("T",), [{(2,): 1, (1,): -1}])
 NILP_Z = z_pres(("T",), [{(2,): 1}])
+LIFTING_FIXTURES = [IDEM_Z, NILP_Z, z_pres(("T",), [{(1,): 1}]),
+                    z_pres(("T", "S"), [{(2, 0): 1, (1, 0): -1},
+                                        {(0, 2): 1, (0, 1): -1}])]
 
 
 def keys(ps) -> list:
@@ -60,9 +62,10 @@ def test_point_set_nilpotents():
 
 def test_de_rham_point_set_collapses_nilpotents():
     D = dual_numbers(2)
-    assert len(de_rham_point_set(NILP_F2, D)) == 1
+    assert len(completed_points(NILP_F2, D, "dR")) == 1
     # reduced rings are untouched
-    assert len(de_rham_point_set(IDEM_F2, F2)) == len(point_set(IDEM_F2, F2))
+    assert len(completed_points(IDEM_F2, F2, "dR")) == \
+        len(point_set(IDEM_F2, F2))
 
 
 def test_de_rham_equals_points_on_reduced_rings():
@@ -71,14 +74,46 @@ def test_de_rham_equals_points_on_reduced_rings():
     for ring in reduced:
         assert nilradical(ring) == frozenset({ring.zero})
         for pres in fixtures:
-            assert de_rham_point_set(pres, ring).points == \
-                point_set(pres, ring).points
+            assert [pts.points for _, _, _, pts in
+                    completed_points(pres, ring, "dR").index] == \
+                [point_set(pres, ring).points]
 
 
 def test_de_rham_point_set_z4():
     ps = point_set(IDEM_Z, zmod(4))
-    dr = de_rham_point_set(IDEM_Z, zmod(4))
+    dr = completed_points(IDEM_Z, zmod(4), "dR")
     assert len(ps) == 2 and len(dr) == 2  # unique lifts of 0 and 1
+
+
+def test_de_rham_classes_are_the_points_over_the_reduction():
+    # every node of a class reduces to one point over R/Nil(R), and the
+    # classes meet the oracle's points, over a copy of R/Nil(R) built apart
+    # from the levels, one to one
+    for ring in default_corpus(2) + default_corpus(3):
+        red, project, _ = quotient_ring(ring, nilradical(ring), name="oracle")
+        for pres in LIFTING_FIXTURES:
+            dr = completed_points(pres, ring, "dR")
+            reductions: dict = {}
+            for i, (_, _, (_, _, lift), pts) in enumerate(dr.index):
+                for pt in pts.points:
+                    reductions.setdefault(dr.class_of(i, pt), set()).add(
+                        tuple(project(lift(e)).key() for e in pt))
+            assert len(reductions) == len(dr)
+            assert all(len(v) == 1 for v in reductions.values())
+            assert sorted(min(v) for v in reductions.values()) == \
+                keys(point_set(pres, red)), (ring.name, pres.gens)
+
+
+def test_zero_level_is_the_point_set_in_both_modes():
+    for ring in default_corpus(2) + default_corpus(3):
+        for pres in LIFTING_FIXTURES:
+            points = point_set(pres, ring).points
+            for mode in ("dR", "crys"):
+                ideal, pd, (quot, _, _), pts = \
+                    completed_points(pres, ring, mode).index[0]
+                assert ideal == frozenset({ring.zero}) and quot is ring
+                assert (pd is None) == (mode == "dR")
+                assert pts.points == points, (ring.name, mode)
 
 
 def test_point_search_cap():
@@ -101,7 +136,7 @@ def _brute_force_keys(pres, ring):
 
 def test_point_set_matches_brute_force():
     rings = default_corpus(2) + default_corpus(3) + [zmod(16)]
-    rings += [reduced_ring(r)[0] for r in rings]
+    rings += [quotient_ring(r, nilradical(r))[0] for r in rings]
     names = ("Y", "V", "W")
     presentations = [
         z_pres((), []), z_pres((), [{(): 0}]), z_pres((), [{(): 6}]),
@@ -370,14 +405,14 @@ def test_pd_structures_need_prime_power_order():
 
 
 def test_crystalline_reduces_to_points_on_fields():
-    crys = crystalline_point_set(IDEM_F2, F2)
+    crys = completed_points(IDEM_F2, F2, "crys")
     assert len(crys) == len(point_set(IDEM_F2, F2))
 
 
 def test_crystalline_over_z4():
-    crys = crystalline_point_set(IDEM_Z, zmod(4))
+    crys = completed_points(IDEM_Z, zmod(4), "crys")
     assert len(crys) == 2
-    again = crystalline_point_set(IDEM_Z, zmod(4))
+    again = completed_points(IDEM_Z, zmod(4), "crys")
     assert len(again.index) == len(crys.index)
     assert all(a[2] is b[2] for a, b in zip(crys.index, again.index))
 
@@ -446,7 +481,7 @@ def _monomial(pt, exps):
     (2, 8, IDEM_Z, 2), (2, 8, NILP_Z, 8)])
 def test_crystalline_classes_match_a_union_find_oracle(p, k, pres, count):
     R = zmod(p ** k)
-    crys = crystalline_point_set(pres, R)
+    crys = completed_points(pres, R, "crys")
     classes: dict = {}
     for i, (ideal, pd, (_, _, lift), pts) in enumerate(crys.index):
         gamma = tuple(sorted((x.coords[0], y.coords[0])
@@ -476,9 +511,8 @@ def test_classify_lifting_over_its_own_reduced_base_ring():
     assert classify_lifting(idem, [F4], "crys").verdict == "etale"
 
 
-@pytest.mark.parametrize("mode, completed_points", [
-    ("dR", de_rham_point_set), ("crys", crystalline_point_set)])
-def test_classify_lifting_over_a_base_with_nilpotents(mode, completed_points):
+@pytest.mark.parametrize("mode", ["dR", "crys"])
+def test_classify_lifting_over_a_base_with_nilpotents(mode):
     # D = F_2[e]/(e^2) has two coordinates; its maps to D/Nil and to D/I
     # are D's identity followed by the projection.  u^2 - u is separable,
     # so D<T>[u]/(u^2 - u) is etale over D<T>; both modes used to fail with
@@ -491,7 +525,7 @@ def test_classify_lifting_over_a_base_with_nilpotents(mode, completed_points):
     assert [e["map"] for e in v.per_ring] == ["bijective"]
     # T in F_2 and u in {0, 1}, over D/Nil = F_2 or up to the PD classes
     assert len(point_set(B, D)) == 8
-    assert len(completed_points(B, D)) == 4
+    assert len(completed_points(B, D, mode)) == 4
 
 
 def test_classify_lifting_nilpotent_fails_etale():

@@ -8,7 +8,7 @@ from adickit.norms import ExactNorm, norm_max
 def test_factored_rendering():
     assert str(ExactNorm.power(2, Fraction(-3, 2))) == "2^-3/2"
     assert str(ExactNorm.zero()) == "0"
-    assert str(ExactNorm.one()) == "1"
+    assert str(ExactNorm({})) == "1"
     assert str(ExactNorm.power(2, -1) * ExactNorm.power(3, 2)) == "2^-1*3^2"
 
 
