@@ -19,6 +19,7 @@ only over the supplied corpus and the evidence says so.
 
 from __future__ import annotations
 
+import operator
 from itertools import product as iproduct
 from math import comb, factorial, prod
 
@@ -65,23 +66,69 @@ class PointSet:
 
 def point_set(pres: RingPresentation, ring, base_map=None) -> PointSet:
     """All base-compatible homomorphisms pres -> ring, by a depth-first
-    search over the variables in order that tests each relation as soon as
-    its last variable is fixed.  Candidates run in key order, so the points
-    come out sorted by their keys."""
+    search over the variables in order.  At depth d every relation whose
+    last variable is x_d filters the surviving candidates for x_d at once,
+    by one Horner pass in x_d over the whole list.  Candidates are indices
+    into the elements in key order, so the points come out sorted by their
+    keys.  A ring of at most TABLE_CAP elements is searched on its Cayley
+    table, where a value is an element's index and a sum or product one
+    lookup; a larger ring computes with its elements.  Index 0 is the zero
+    element, so `not v` tests for zero either way."""
     coeff = _base_map(pres, ring, base_map)
     n = pres.nvars
     if ring.cardinality ** n > POINT_SEARCH_CAP:
         raise PresentationError("point search space exceeds the cap")
-    stages, top, consistent = _stage_relations(pres.gens, n, coeff)
-    elems = sorted(ring.elements(), key=lambda e: e.key())
+    table = ring._cayley()
     # powers[j][k] = elems[j] ** k for every exponent a fixed variable takes
-    powers = []
-    for x in elems:
-        row = [ring.one]
-        for _ in range(top):
-            row.append(row[-1] * x)
-        powers.append(row)
-    zero = ring.zero
+    if table:
+        elems, add, mul, index = (table.elements, table.add, table.mul,
+                                  table.index)
+
+        def to_index(c):
+            c = coeff(c)
+            c._check(ring.one)
+            return index[c.coords]
+
+        stages, top, consistent = _stage_relations(pres.gens, n, to_index)
+        one = index[ring.one.coords]
+        powers = []
+        for row in mul:
+            pw = [one]
+            for _ in range(top):
+                pw.append(row[pw[-1]])
+            powers.append(pw)
+        zero = 0
+
+        def plus(a, b):
+            return add[a][b]
+
+        def times(a, b):
+            return mul[a][b]
+
+        def horner(coeffs, xs):
+            vals = [coeffs[0]] * len(xs)
+            for a in coeffs[1:]:
+                shift = add[a]
+                vals = [shift[mul[v][x]] for v, x in zip(vals, xs)]
+            return vals
+    else:
+        elems = list(ring.elements())
+        stages, top, consistent = _stage_relations(pres.gens, n, coeff)
+        powers = []
+        for x in elems:
+            pw = [ring.one]
+            for _ in range(top):
+                pw.append(pw[-1] * x)
+            powers.append(pw)
+        zero, plus, times = ring.zero, operator.add, operator.mul
+
+        def horner(coeffs, xs):
+            vals = [coeffs[0]] * len(xs)
+            for a in coeffs[1:]:
+                vals = [v * elems[x] + a for v, x in zip(vals, xs)]
+            return vals
+
+    everything = range(len(elems))
     points = []
     prefix: list = []           # indices into elems of the fixed variables
 
@@ -89,28 +136,25 @@ def point_set(pres: RingPresentation, ring, base_map=None) -> PointSet:
         total = zero
         for c, factors in terms:
             for i, k in factors:
-                c = c * powers[prefix[i]][k]
-            total = total + c
+                c = times(c, powers[prefix[i]][k])
+            total = plus(total, c)
         return total
 
     def search(d: int):
         if d == n:
-            points.append(tuple(elems[j] for j in prefix))
+            points.append(tuple([elems[j] for j in prefix]))
             return
+        xs = everything
         # each relation as its coefficients in x_d, highest power first
-        tests = [[value(terms) for terms in reversed(rel)]
-                 for rel in stages[d]]
-        for j, x in enumerate(elems):
-            for coeffs in tests:
-                acc = coeffs[0]
-                for a in coeffs[1:]:
-                    acc = acc * x + a
-                if acc:
-                    break
-            else:
-                prefix.append(j)
-                search(d + 1)
-                prefix.pop()
+        for rel in stages[d]:
+            coeffs = [value(terms) for terms in reversed(rel)]
+            xs = [x for v, x in zip(horner(coeffs, xs), xs) if not v]
+            if not xs:
+                return
+        for x in xs:
+            prefix.append(x)
+            search(d + 1)
+            prefix.pop()
 
     if consistent:
         search(0)
@@ -118,8 +162,9 @@ def point_set(pres: RingPresentation, ring, base_map=None) -> PointSet:
 
 
 def _stage_relations(gens: list, n: int, coeff):
-    """Map every coefficient into the ring once and bucket each relation by
-    its last variable: stages[d] lists the relations whose highest variable
+    """Map every coefficient once through coeff (to a ring element, or to
+    its Cayley-table index; a falsy image is zero) and bucket each relation
+    by its last variable: stages[d] lists the relations whose highest variable
     with a nonzero term is x_d, each as a list over the powers k of x_d of
     the terms [(coefficient, ((i, e_i), ...)), ...] in x_0..x_{d-1} that
     multiply x_d^k.  Also returns the highest exponent of a variable below
@@ -425,9 +470,11 @@ def completed_points(pres: RingPresentation, ring, mode: str,
                 continue
             if pd_j is not None and not pd_j.restricts_to(pd_i):
                 continue
+            # each element of R/I_i that a point uses, reduced once
+            reduced = {e: project_j(lift_i(e)).key()
+                       for e in {e for pt in pts_i.points for e in pt}}
             for pt, k in zip(pts_i.points, keys[i]):
-                union((i, k), (j, tuple([project_j(lift_i(e)).key()
-                                         for e in pt])))
+                union((i, k), (j, tuple([reduced[e] for e in pt])))
 
     classes: dict = {}                  # root -> class, in node order
     for node in parent:

@@ -1,10 +1,13 @@
 """Report bytes pinned: each script below must render exactly the reports
 committed beside it under golden/, as `adic-kit run` writes them to stdout.
 
-The scripts are `docs/demo.adk` and the seed-1 `lifting` and `points`
+The scripts are `docs/demo.adk`, the seed-1 `lifting` and `points`
 benchmark scripts, kept as text so that no test depends on the benchmark
-package.  A change that alters a report on purpose regenerates the fixture
-with `adic-kit run SCRIPT > tests/golden/NAME.json` and says why.
+package, and `tablecap`, whose corpus has rings on both sides of
+`finiterings.TABLE_CAP` (`Zmod(256)` and `Zmod(512)`), so that the report
+bytes of the point search are pinned on its Cayley-table path and on its
+element path.  A change that alters a report on purpose regenerates the
+fixture with `adic-kit run SCRIPT > tests/golden/NAME.json` and says why.
 """
 
 from pathlib import Path
@@ -16,7 +19,8 @@ from adickit.cli import Options, parse_script, render_reports, run_script
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SCRIPTS = {"demo": GOLDEN.parent.parent / "docs" / "demo.adk",
            "lifting-1": GOLDEN / "lifting-1.adk",
-           "points-1": GOLDEN / "points-1.adk"}
+           "points-1": GOLDEN / "points-1.adk",
+           "tablecap": GOLDEN / "tablecap.adk"}
 
 
 @pytest.mark.parametrize("name", sorted(SCRIPTS))

@@ -4,11 +4,12 @@ from itertools import product as iproduct
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from adickit.finiterings import (additive_closure, canonical_scalar_map,
-                                 dual_numbers, fp_quotient, gf,
-                                 ideal_generated, nilradical, product_ring,
-                                 quotient_ring, zmod)
+from adickit.finiterings import (TABLE_CAP, additive_closure,
+                                 canonical_scalar_map, dual_numbers,
+                                 fp_quotient, gf, ideal_generated, nilradical,
+                                 product_ring, quotient_ring, zmod)
 from adickit.infinitesimal import (PDStructure, classify_lifting,
                                    completed_points, default_corpus,
                                    enumerate_nilpotent_ideals,
@@ -135,7 +136,12 @@ def _brute_force_keys(pres, ring):
 
 
 def test_point_set_matches_brute_force():
-    rings = default_corpus(2) + default_corpus(3) + [zmod(16)]
+    # zmod(512) and F_2[x]/(x^9) lie above TABLE_CAP, so they take the
+    # element path of the search; every other ring takes the table path
+    x9 = Poly(1, {(9,): F2.one})
+    rings = default_corpus(2) + default_corpus(3) + [
+        zmod(16), zmod(512), fp_quotient(2, ("x",), [x9])]
+    assert {r.cardinality > TABLE_CAP for r in rings} == {False, True}
     rings += [quotient_ring(r, nilradical(r))[0] for r in rings]
     names = ("Y", "V", "W")
     presentations = [
@@ -167,6 +173,40 @@ def test_point_set_matches_brute_force():
         Poly(1, {(0,): Fraction(1)}), Poly(1, {(1,): Fraction(1, 2)})])
     with pytest.raises(ValueError, match="fraction"):
         point_set(halves, zmod(4))
+
+
+_ZOO = ([zmod(p ** k) for p in (2, 3) for k in range(1, 5)]
+        + [fp_quotient(p, ("t",), [Poly(1, {(k,): 1})])
+           for p in (2, 3) for k in range(2, 5)]
+        + [product_ring(zmod(4), gf(3, 1))])
+
+
+@st.composite
+def _monic_systems(draw):
+    """A ring of the zoo and a monic integer system on it: a relation monic
+    in Y, and with two variables one monic in V over Z[Y], sometimes with a
+    third relation in Y and V.  Two variables only over rings of at most 27
+    elements, so the brute force stays small."""
+    ring = draw(st.sampled_from(_ZOO))
+    nvars = draw(st.integers(1, 2 if ring.cardinality <= 27 else 1))
+    small = st.integers(-6, 6)
+    pad = (0,) * (nvars - 1)
+    d = draw(st.integers(1, 3))
+    gens = [{(i,) + pad: draw(small) for i in range(d)} | {(d,) + pad: 1}]
+    if nvars == 2:
+        d = draw(st.integers(1, 3))
+        gens.append({(j, i): draw(small) for i in range(d) for j in range(3)}
+                    | {(0, d): 1})
+        if draw(st.booleans()):
+            gens.append({(1, 1): 1, (0, 0): draw(small)})
+    return ring, z_pres(("Y", "V")[:nvars], gens)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_monic_systems())
+def test_point_set_matches_brute_force_on_drawn_systems(system):
+    ring, pres = system
+    assert keys(point_set(pres, ring)) == _brute_force_keys(pres, ring)
 
 
 def ceil_div(a, b):
