@@ -451,14 +451,14 @@ class Session:
                 return left / right
         if isinstance(node, Pow):
             base = self.eval_const(node.base, line, col)
-            return base ** self._exponent(node.exponent, line, col)
+            return base ** self._integer(node.exponent, line, col)
         raise ScriptError("expected a constant", line, col)
 
-    def _exponent(self, node, line, col) -> int:
-        exp = self.eval_const(node, line, col)
-        if exp.denominator != 1:
-            raise ScriptError(f"exponent {exp} is not an integer", line, col)
-        return exp.numerator
+    def _integer(self, node, line, col, what: str = "exponent") -> int:
+        value = self.eval_const(node, line, col)
+        if value.denominator != 1:
+            raise ScriptError(f"{what} {value} is not an integer", line, col)
+        return value.numerator
 
     def eval_poly(self, node, pres: RingPresentation, line, col) -> Poly:
         if isinstance(node, Num):
@@ -492,7 +492,7 @@ class Session:
                 return left * right
         if isinstance(node, Pow):
             base = self.eval_poly(node.base, pres, line, col)
-            exp = self._exponent(node.exponent, line, col)
+            exp = self._integer(node.exponent, line, col)
             if exp == 0:
                 return pres.const(1)
             return base ** exp
@@ -522,7 +522,7 @@ class Session:
                 return left * right
         if isinstance(node, Pow):
             base = self.eval_ring_element(node.base, ring, line, col)
-            return base ** self._exponent(node.exponent, line, col)
+            return base ** self._integer(node.exponent, line, col)
         raise ScriptError("cannot interpret ring element", line, col)
 
     def eval_robba(self, node, ring: CharPNormedRing, line, col) -> RobbaElement:
@@ -601,18 +601,15 @@ class Session:
         if not isinstance(node, Call):
             raise ScriptError("expected a constructor call", line, col)
         fn = node.func
-        if fn == "Qp":
-            p = int(self.eval_const(node.args[0], line, col))
-            n = int(self.eval_const(node.args[1], line, col)) \
-                if len(node.args) > 1 else self.options.precision
-            return QpBase(p, n)
-        if fn == "Zmod":
-            return zmod(int(self.eval_const(node.args[0], line, col)))
-        if fn == "GF":
-            p = int(self.eval_const(node.args[0], line, col))
-            k = int(self.eval_const(node.args[1], line, col)) \
-                if len(node.args) > 1 else 1
-            return gf(p, k)
+        if fn in ("Qp", "Zmod", "GF"):
+            args = [self._integer(a, line, col, f"{fn} argument")
+                    for a in node.args]
+            if fn == "Zmod":
+                return zmod(args[0])
+            if fn == "GF":
+                return gf(*args[:2])
+            return QpBase(args[0], args[1] if len(args) > 1
+                          else self.options.precision)
         if fn == "Prod":
             a = self.eval_decl_expr(node.args[0], line, col)
             b = self.eval_decl_expr(node.args[1], line, col)
@@ -623,7 +620,7 @@ class Session:
             cap = self.options.degree
             for key, val in node.kwargs:
                 if key == "D":
-                    cap = int(self.eval_const(val, line, col))
+                    cap = self._integer(val, line, col, "D value")
             return free_presentation(base, tuple(varnames), degree_cap=cap)
         if fn == "Quot":
             head = self.eval_decl_expr(node.args[0], line, col)
@@ -695,7 +692,7 @@ class Session:
     def _int_kw(self, cmd, key, default):
         kw = self._kwargs(cmd)
         if key in kw:
-            return int(self.eval_const(kw[key], cmd.line, cmd.col))
+            return self._integer(kw[key], cmd.line, cmd.col, f"{key} value")
         return default
 
     def _cmd_classify(self, cmd: CommandStmt):
@@ -752,7 +749,7 @@ class Session:
         g = self.eval_poly(args[2], pres, cmd.line, cmd.col)
         cap = self._int_kw(cmd, "D", min(self.options.degree, 6))
         prec = self._int_kw(cmd, "N", min(self.options.precision, 6))
-        cov = binary_covering(pres, f, g, require_valid=False)
+        cov = binary_covering(pres, f, g)
         if cov.certificate.status != "true":
             raise ScriptError(
                 f"(f, g) is not a certified covering: {cov.certificate.status}",
@@ -871,10 +868,7 @@ class Session:
     def _cmd_tilt(self, cmd: CommandStmt):
         from .wittrobba import tilt
         ring = self.eval_decl_expr(cmd.args[0], cmd.line, cmd.col)
-        kw = self._kwargs(cmd)
-        depth = int(self.eval_const(kw["depth"], cmd.line, cmd.col)) \
-            if "depth" in kw else None
-        res = tilt(ring, depth)
+        res = tilt(ring, self._int_kw(cmd, "depth", None))
         again = tilt(res.ring)
         result = {
             "ring": ring.name,

@@ -31,7 +31,8 @@ from itertools import combinations
 from .finiterings import (FiniteRing, hom_kernel, quotient_structure,
                           spans_group)
 from .groebner import (DEGREE_GUARD, DegreeOverflowError, buchberger,
-                       is_unit_ideal, is_zero_dimensional, syzygy_basis)
+                       finite_staircase, is_unit_ideal, is_zero_dimensional,
+                       syzygy_basis)
 from .linalg import RowSpace, kernel_of_map, settle, span_in_low_block
 from .poly import Poly, exp_total
 from .tate import (MorphismPresentation, PresentationError, QpBase,
@@ -190,9 +191,7 @@ def _finite_quotient(data: RelativeData) -> tuple:
     if not is_zero_dimensional(rel_gens, n):
         raise PresentationError(
             "finite-base classification needs a finite quotient")
-    bound = sum(g.leading()[0][i] for g in rel_gens
-                for i in range(n) if g.leading()[0][i]) + 1
-    stairs = pres.staircase(bound)
+    stairs = finite_staircase(rel_gens, n)
     rank_b = len(stairs) * len(ring.moduli)
     if rank_b > RANK_CAP:
         raise PresentationError(f"finite quotient of additive rank {rank_b} "
@@ -628,18 +627,15 @@ class IntegrationResult:
         self.flags = flags
 
 
-def etale_integration(omega: Poly, f, prime: int | None = None,
-                      characteristic: int = 0) -> IntegrationResult:
+def etale_integration(omega: Poly, f,
+                      prime: int | None = None) -> IntegrationResult:
     """Integrate omega = sum a_i T^i dT from f to T.
 
     The primitive h = sum a_i/(i+1) (T^{i+1} - f^{i+1}) lies in (T - f) and
-    satisfies dh = omega on the nose.  Only characteristic 0 is supported
-    (the denominators i+1 must be invertible); when a prime is supplied, the
+    satisfies dh = omega on the nose.  The coefficients are rationals, so
+    the denominators i+1 are invertible; when a prime is supplied, the
     indices with p | i+1 are flagged as p-adic precision loss.
     """
-    if characteristic != 0:
-        raise PresentationError(
-            "integration requires a characteristic-zero base")
     if omega.nvars != 1:
         raise PresentationError("omega must be univariate in T")
     f = Fraction(f)

@@ -26,8 +26,8 @@ from functools import lru_cache
 from itertools import product as iproduct
 from math import gcd, prod
 
-from .groebner import (buchberger, is_unit_ideal, is_zero_dimensional,
-                       normal_form, staircase_for)
+from .groebner import (buchberger, finite_staircase, is_unit_ideal,
+                       is_zero_dimensional, normal_form)
 from .poly import Poly, exp_mul, render_poly
 
 CARDINALITY_CAP = 4096
@@ -499,9 +499,7 @@ def _fp_quotient(p: int, varnames: tuple, gens: list[Poly]) -> FiniteRing:
         raise ValueError("relations generate the unit ideal (zero ring)")
     if not is_zero_dimensional(basis, nvars):
         raise ValueError("quotient is not finite over F_p")
-    # the staircase is finite; a degree bound of sum of leading degrees is safe
-    bound = sum(g.total_degree() for g in basis) + 1 if basis else 1
-    stairs = staircase_for(nvars, basis, bound)
+    stairs = finite_staircase(basis, nvars)
     _check_cardinality(p ** len(stairs))   # before the product table
     moduli, products, one, names, _ = quotient_structure(
         gf(p, 1), basis, stairs, varnames)

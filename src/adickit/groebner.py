@@ -13,7 +13,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 
 from .poly import (Poly, exp_coprime, exp_div, exp_divides, exp_lcm,
-                   exp_mul, exp_total, grevlex_key, monomials_upto)
+                   exp_mul, exp_total, grevlex_key)
 
 DEGREE_GUARD = 64
 
@@ -282,21 +282,6 @@ def syzygy_basis(gens: list[Poly]) -> list[list[Poly]]:
     return syzygies
 
 
-def staircase_monomials(basis: list[Poly], max_degree: int) -> list[tuple]:
-    """Monomials of degree <= max_degree outside the leading-term ideal,
-    grevlex-ascending.  These are the canonical basis of the quotient at the
-    cap."""
-    if not basis:
-        lts = []
-    else:
-        lts = [g.leading()[0] for g in basis if not g.is_zero]
-    nvars = basis[0].nvars if basis else None
-    if nvars is None:
-        raise ValueError("empty basis needs an ambient variable count")
-    return [m for m in monomials_upto(nvars, max_degree)
-            if not any(exp_divides(lt, m) for lt in lts)]
-
-
 def staircase_shell(leading: list[tuple], nvars: int,
                     below: list[tuple] | None = None) -> list[tuple]:
     """Standard monomials of one degree, grevlex-ascending: of degree 0 when
@@ -313,10 +298,16 @@ def staircase_shell(leading: list[tuple], nvars: int,
                   key=grevlex_key)
 
 
-def staircase_for(nvars: int, basis: list[Poly], max_degree: int) -> list[tuple]:
-    if not basis:
-        return monomials_upto(nvars, max_degree)
-    return staircase_monomials(basis, max_degree)
+def finite_staircase(basis: list[Poly], nvars: int) -> list[tuple]:
+    """The standard monomials of a zero-dimensional Groebner basis,
+    grevlex-ascending: its degree shells up to the first empty one, after
+    which every shell is empty, as the staircase is downward closed."""
+    leading = [g.leading()[0] for g in basis if not g.is_zero]
+    stairs, shell = [], staircase_shell(leading, nvars)
+    while shell:
+        stairs.extend(shell)
+        shell = staircase_shell(leading, nvars, shell)
+    return stairs
 
 
 def is_zero_dimensional(basis: list[Poly], nvars: int) -> bool:

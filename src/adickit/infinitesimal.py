@@ -196,28 +196,12 @@ def _stage_relations(gens: list, n: int, coeff):
 
 # -- nilpotent ideals and divided powers --------------------------------------
 
-def nilpotency_exponent(gens) -> int:
-    """Smallest e with I^e = 0, for the ideal I additively spanned by gens:
-    I^e is additively spanned by the products of e generators, so it
-    vanishes iff each of them does, and no closure is needed."""
-    gens = [g for g in dict.fromkeys(gens) if g]
-    power = gens                        # the nonzero products of e generators
-    e = 1
-    while power:
-        power = list(dict.fromkeys(y for y in (a * g for a in power
-                                               for g in gens) if y))
-        e += 1
-        if e > 64:
-            raise ValueError("ideal does not look nilpotent")
-    return e
-
-
-def enumerate_nilpotent_ideals(ring) -> list[tuple[frozenset, int]]:
-    """All ideals inside the nilradical, each with its nilpotency exponent;
-    computed once per ring, returned as a fresh list.  Each ideal I found is
-    grown by every principal ideal Rx of a nilpotent x that it does not
-    contain: I + Rx is the additive span of I's additive generators and the
-    e * x for e in the ring's additive basis, since I is already an ideal."""
+def enumerate_nilpotent_ideals(ring) -> list[frozenset]:
+    """All ideals inside the nilradical, smallest first; computed once per
+    ring, returned as a fresh list.  Each ideal I found is grown by every
+    principal ideal Rx of a nilpotent x that it does not contain: I + Rx is
+    the additive span of I's additive generators and the e * x for e in the
+    ring's additive basis, since I is already an ideal."""
     if ring._nil_ideals is None:
         principal: dict = {}            # Rx -> its additive generators
         for x in nilradical(ring):
@@ -237,9 +221,8 @@ def enumerate_nilpotent_ideals(ring) -> list[tuple[frozenset, int]]:
                 if bigger not in seen:
                     seen[bigger] = grown
                     frontier.append(bigger)
-        ideals = sorted(seen, key=lambda I: (len(I), sorted(x.key() for x in I)))
-        ring._nil_ideals = [(I, nilpotency_exponent(seen[I]))
-                            for I in ideals]
+        ring._nil_ideals = sorted(
+            seen, key=lambda I: (len(I), sorted(x.key() for x in I)))
     return list(ring._nil_ideals)
 
 
@@ -428,7 +411,7 @@ def _levels(ring, mode: str):
         for ideal in dict.fromkeys((frozenset({ring.zero}), nilradical(ring))):
             yield ideal, [None]
     else:
-        for ideal, _e in enumerate_nilpotent_ideals(ring):
+        for ideal in enumerate_nilpotent_ideals(ring):
             yield ideal, enumerate_pd_structures(ring, ideal)
 
 

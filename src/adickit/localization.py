@@ -44,9 +44,6 @@ class CoveringCertificate:
         self.ideal_coeffs = ideal_coeffs
         self.note = note
 
-    def holds(self) -> bool:
-        return self.status == "true"
-
 
 def covering_check(B: RingPresentation, f: Poly, g: Poly) -> CoveringCertificate:
     """Decide 1 in I + (f, g) with an explicit combination as certificate."""
@@ -109,14 +106,12 @@ class BinaryCovering:
         self.certificate = certificate
 
 
-def binary_covering(B: RingPresentation, f: Poly, g: Poly,
-                    require_valid: bool = True) -> BinaryCovering:
+def binary_covering(B: RingPresentation, f: Poly, g: Poly) -> BinaryCovering:
+    """The pieces of the cover by B<f/g> and B<g/f>, with the certificate of
+    whether (f, g) generate the unit ideal, which the caller reads."""
     if B.has_field_coefficients():
         f, g = B.normal_form(f), B.normal_form(g)
     cert = covering_check(B, f, g)
-    if require_valid and not cert.holds():
-        raise PresentationError(
-            f"(f, g) do not generate the unit ideal: {cert.status}")
     loc_fg, _ = rational_localization(B, f, g, "u")
     loc_gf, _ = rational_localization(B, g, f, "v")
     n = B.nvars + 2

@@ -4,12 +4,14 @@ Arithmetic on length-n Witt vectors over a characteristic-p coefficient ring
 goes through a torsion-free lift: lift the coordinates, operate on ghost
 components w_k = sum p^i x_i^(p^(k-i)), solve back by exact division by p^k
 (integrality is universal, so the divisions are exact for any lift), and
-reduce.  The tilt of a finite ring is R/Nil(R), a `quotient_ring`: the
-image of x -> x^(p^e) is R/K_e, K_e = {x in Nil(R) : x^(p^e) = 0}, and
-K_e = Nil(R) for e large.  Robba elements are truncated Teichmueller
-expansions sum p^k [x_k] over a perfect normed model of F_p((t))-type; their
-interval norms are exact factored values, so the Frobenius scaling law is
-testable by exact equality.
+reduce.  Over a product ring it runs in each factor, as W_n(A x B) =
+W_n(A) x W_n(B); Frobenius, since p = 0 in the ring, is the p-th power of
+each coordinate and needs no lift.  The tilt of a finite ring is R/Nil(R), a
+`quotient_ring`: the image of x -> x^(p^e) is R/K_e, K_e = {x in Nil(R) :
+x^(p^e) = 0}, and K_e = Nil(R) for e large.  Robba elements are truncated
+Teichmueller expansions sum p^k [x_k] over a perfect normed model of
+F_p((t))-type; their interval norms are exact factored values, so the
+Frobenius scaling law is testable by exact equality.
 """
 
 from __future__ import annotations
@@ -26,185 +28,81 @@ class WittError(ValueError):
     pass
 
 
-# -- torsion-free lifts --------------------------------------------------------
+# -- the torsion-free lift ------------------------------------------------------
 
-class _IntPolyLift:
-    """Z[x]/(monic integer lift of the defining polynomial) covering GF(p,k);
-    Z/p is Z[x]/(x)."""
+class _IntegerLift:
+    """Sparse {exponent: int} elements of a torsion-free ring covering a
+    coefficient ring: Z[x]/(f) for GF(p,k), f a monic integer lift of its
+    defining polynomial (Z/p is Z[x]/(x)), or, without a modulus, the
+    integer Puiseux series Z[t^(1/p^oo)] covering the normed model."""
 
-    def __init__(self, ring: FiniteRing, modulus: tuple):
+    def __init__(self, ring, modulus: tuple | None = None):
         self.ring = ring
         self.modulus = modulus          # int coefficients, monic, index=degree
-        self.deg = len(modulus) - 1
 
-    def lift(self, x):
-        return tuple(x.coords)
+    def lift(self, x) -> dict:
+        if self.modulus is None:
+            return dict(x.terms)
+        return {i: c for i, c in enumerate(x.coords) if c}
 
-    def reduce(self, v):
-        p = self.ring.moduli[0]
-        return self.ring.element(tuple(c % p for c in v))
+    def reduce(self, v: dict):
+        if self.modulus is None:
+            return self.ring.element(v)
+        return self.ring.element([v.get(i, 0)
+                                  for i in range(len(self.modulus) - 1)])
 
-    def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple(-x for x in a)
-
-    def int_mul(self, k, a):
-        return tuple(k * x for x in a)
-
-    def mul(self, a, b):
-        prod = [0] * (2 * self.deg - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] += x * y
-        # reduce by the monic modulus over Z
-        for d in range(len(prod) - 1, self.deg - 1, -1):
-            lead = prod[d]
-            if lead:
-                shift = d - self.deg
-                for i, c in enumerate(self.modulus):
-                    prod[shift + i] -= lead * c
-        return tuple(prod[:self.deg])
-
-    def power(self, a, k):
-        result = tuple([1] + [0] * (self.deg - 1))
-        base = a
-        while k:
-            if k & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return result
-
-    def div_exact(self, a, k):
-        out = []
-        for x in a:
-            q, r = divmod(x, k)
-            if r:
-                raise WittError("ghost unwinding hit a non-exact division")
-            out.append(q)
-        return tuple(out)
-
-    def zero(self):
-        return (0,) * self.deg
-
-
-class _ProductLift:
-    def __init__(self, ring: FiniteRing, left: FiniteRing, right: FiniteRing):
-        self.ring = ring
-        self.left_ring, self.right_ring = left, right
-        self.left = lift_context(left)
-        self.right = lift_context(right)
-        self.split = len(left.moduli)
-
-    def lift(self, x):
-        a = self.left_ring.element(x.coords[:self.split])
-        b = self.right_ring.element(x.coords[self.split:])
-        return (self.left.lift(a), self.right.lift(b))
-
-    def reduce(self, v):
-        a = self.left.reduce(v[0])
-        b = self.right.reduce(v[1])
-        return self.ring.element(a.coords + b.coords)
-
-    def add(self, a, b):
-        return (self.left.add(a[0], b[0]), self.right.add(a[1], b[1]))
-
-    def neg(self, a):
-        return (self.left.neg(a[0]), self.right.neg(a[1]))
-
-    def int_mul(self, k, a):
-        return (self.left.int_mul(k, a[0]), self.right.int_mul(k, a[1]))
-
-    def mul(self, a, b):
-        return (self.left.mul(a[0], b[0]), self.right.mul(a[1], b[1]))
-
-    def power(self, a, k):
-        return (self.left.power(a[0], k), self.right.power(a[1], k))
-
-    def div_exact(self, a, k):
-        return (self.left.div_exact(a[0], k), self.right.div_exact(a[1], k))
-
-    def zero(self):
-        return (self.left.zero(), self.right.zero())
-
-
-class _LaurentLift:
-    """Integer-coefficient truncated Puiseux series covering the normed model."""
-
-    def __init__(self, ring: "CharPNormedRing"):
-        self.ring = ring
-
-    def lift(self, x):
-        return dict(x.terms)
-
-    def reduce(self, v):
-        return self.ring.element({a: c for a, c in v.items()})
-
-    def add(self, a, b):
+    @staticmethod
+    def add(a: dict, b: dict, k: int = 1) -> dict:
+        """a + k * b."""
         out = dict(a)
         for e, c in b.items():
-            out[e] = out.get(e, 0) + c
-            if not out[e]:
-                del out[e]
-        return out
+            out[e] = out.get(e, 0) + k * c
+        return {e: c for e, c in out.items() if c}
 
-    def neg(self, a):
-        return {e: -c for e, c in a.items()}
-
-    def int_mul(self, k, a):
-        if k == 0:
-            return {}
-        return {e: k * c for e, c in a.items()}
-
-    def mul(self, a, b):
+    def mul(self, a: dict, b: dict) -> dict:
         out: dict = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-                if not out[e]:
-                    del out[e]
-        return out
+                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+        if self.modulus is not None:
+            # x^d = x^(d - deg) (x^deg - f) mod f, from the top degree down
+            deg = len(self.modulus) - 1
+            for d in range(max(out, default=0), deg - 1, -1):
+                lead = out.pop(d, 0)
+                if lead:
+                    for i, c in enumerate(self.modulus[:-1]):
+                        out[d - deg + i] = out.get(d - deg + i, 0) - lead * c
+        return {e: c for e, c in out.items() if c}
 
-    def power(self, a, k):
-        result = {Fraction(0): 1}
-        base = a
+    def power(self, a: dict, k: int) -> dict:
+        result = {0: 1}
         while k:
             if k & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
+                result = self.mul(result, a)
             k >>= 1
+            if k:
+                a = self.mul(a, a)
         return result
 
-    def div_exact(self, a, k):
+    @staticmethod
+    def div_exact(a: dict, k: int) -> dict:
         out = {}
         for e, c in a.items():
             q, r = divmod(c, k)
             if r:
                 raise WittError("ghost unwinding hit a non-exact division")
-            if q:
-                out[e] = q
+            out[e] = q
         return out
 
-    def zero(self):
-        return {}
 
-
-def lift_context(ring):
+def lift_context(ring) -> _IntegerLift:
+    """The lift of a coefficient ring other than a product ring."""
     if isinstance(ring, CharPNormedRing):
-        return _LaurentLift(ring)
-    if isinstance(ring, FiniteRing):
-        model = ring.lift_model
-        if model is None:
-            raise WittError(f"no torsion-free lift model for {ring.name}")
-        if model[0] == "intpoly":
-            return _IntPolyLift(ring, model[1])
-        if model[0] == "product":
-            return _ProductLift(ring, model[1], model[2])
+        return _IntegerLift(ring)
+    if isinstance(ring, FiniteRing) and ring.lift_model is None:
+        raise WittError(f"no torsion-free lift model for {ring.name}")
+    if isinstance(ring, FiniteRing) and ring.lift_model[0] == "intpoly":
+        return _IntegerLift(ring, ring.lift_model[1])
     raise WittError("unsupported Witt coefficient ring")
 
 
@@ -248,27 +146,25 @@ def teichmuller(c, length: int, p: int | None = None) -> WittVector:
     return WittVector(p, (c,) + (zero,) * (length - 1), ring)
 
 
-def ghost_components(a: WittVector, ctx=None) -> list:
-    ctx = ctx or lift_context(a.ring)
-    lifts = [ctx.lift(c) for c in a.coords]
+def ghost_components(p: int, coords, ctx: _IntegerLift) -> list:
+    """w_k = sum_i p^i x_i^(p^(k-i)) on the lifted coordinates x_i."""
+    lifts = [ctx.lift(c) for c in coords]
     ghosts = []
-    for k in range(a.length):
-        total = ctx.zero()
+    for k in range(len(lifts)):
+        total: dict = {}
         for i in range(k + 1):
-            term = ctx.int_mul(a.p ** i, ctx.power(lifts[i], a.p ** (k - i)))
-            total = ctx.add(total, term)
+            total = ctx.add(total, ctx.power(lifts[i], p ** (k - i)), p ** i)
         ghosts.append(total)
     return ghosts
 
 
-def _unwind(ghosts: list, p: int, ctx) -> list:
+def _unwind(ghosts: list, p: int, ctx: _IntegerLift) -> list:
     """Witt coordinates (as lift elements) from ghost components."""
     coords = []
     for k, g in enumerate(ghosts):
         acc = g
         for i in range(k):
-            term = ctx.int_mul(p ** i, ctx.power(coords[i], p ** (k - i)))
-            acc = ctx.add(acc, ctx.neg(term))
+            acc = ctx.add(acc, ctx.power(coords[i], p ** (k - i)), -p ** i)
         coords.append(ctx.div_exact(acc, p ** k))
     return coords
 
@@ -278,19 +174,33 @@ def witt_arith(op: str, a: WittVector, b: WittVector) -> WittVector:
         raise WittError("operands live in different Witt rings")
     if a.length != b.length:
         raise WittError("operands have different lengths")
-    ctx = lift_context(a.ring)
-    ga = ghost_components(a, ctx)
-    gb = ghost_components(b, ctx)
-    if op == "add":
-        gc = [ctx.add(x, y) for x, y in zip(ga, gb)]
-    elif op == "mul":
-        gc = [ctx.mul(x, y) for x, y in zip(ga, gb)]
-    elif op == "sub":
-        gc = [ctx.add(x, ctx.neg(y)) for x, y in zip(ga, gb)]
-    else:
+    if op not in ("add", "mul", "sub"):
         raise WittError(f"unknown Witt operation {op!r}")
-    coords = _unwind(gc, a.p, ctx)
-    return WittVector(a.p, tuple(ctx.reduce(c) for c in coords), a.ring)
+    return WittVector(a.p, _arith(op, a.p, a.ring, a.coords, b.coords), a.ring)
+
+
+def _arith(op: str, p: int, ring, xs, ys) -> tuple:
+    """The coordinates of `op` on Witt coordinates xs and ys over ring.
+    W_n(A x B) = W_n(A) x W_n(B), so a product ring computes in the two
+    factors it records; any other ring through its lift."""
+    model = getattr(ring, "lift_model", None)
+    if model and model[0] == "product":
+        _, left, right = model
+        k = len(left.moduli)
+        lows = _arith(op, p, left, [left.element(x.coords[:k]) for x in xs],
+                      [left.element(y.coords[:k]) for y in ys])
+        highs = _arith(op, p, right, [right.element(x.coords[k:]) for x in xs],
+                       [right.element(y.coords[k:]) for y in ys])
+        return tuple(ring.element(u.coords + v.coords)
+                     for u, v in zip(lows, highs))
+    ctx = lift_context(ring)
+    ga, gb = ghost_components(p, xs, ctx), ghost_components(p, ys, ctx)
+    if op == "mul":
+        gc = [ctx.mul(x, y) for x, y in zip(ga, gb)]
+    else:
+        sign = 1 if op == "add" else -1
+        gc = [ctx.add(x, y, sign) for x, y in zip(ga, gb)]
+    return tuple(ctx.reduce(c) for c in _unwind(gc, p, ctx))
 
 
 def witt_add(a: WittVector, b: WittVector) -> WittVector:
@@ -302,13 +212,11 @@ def witt_mul(a: WittVector, b: WittVector) -> WittVector:
 
 
 def frobenius_witt(a: WittVector) -> WittVector:
-    """Ghost-wise shift; the length drops by one."""
+    """F(a_0, a_1, ...) = (a_0^p, a_1^p, ...), as p = 0 in the coefficient
+    ring; the length drops by one."""
     if a.length < 2:
         raise WittError("Frobenius needs length at least 2")
-    ctx = lift_context(a.ring)
-    ghosts = ghost_components(a, ctx)[1:]
-    coords = _unwind(ghosts, a.p, ctx)
-    return WittVector(a.p, tuple(ctx.reduce(c) for c in coords), a.ring)
+    return WittVector(a.p, tuple(c ** a.p for c in a.coords[:-1]), a.ring)
 
 
 def verschiebung(a: WittVector) -> WittVector:

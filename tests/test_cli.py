@@ -255,6 +255,22 @@ def test_fractional_exponent_of_a_ring_element_is_an_error():
         _first_error("witt add (3^(1/2),0) (1,0) p=2;")
 
 
+@pytest.mark.parametrize("text, message", [
+    # each was truncated: Zmod(9/2) to Zmod(4), GF(2,3/2) to GF(2),
+    # Qp(2,17/2) to Qp(2,8), D=7/2 and D=5/2 to 3 and 2, p=5/2 to p = 2
+    # (reported `ok`) and depth=3/2 to 1
+    ("R = Zmod(9/2); tilt R;", "Zmod argument 9/2"),
+    ("F = GF(2, 3/2); tilt F;", "GF argument 3/2"),
+    ("A = Tate(Qp(2, 17/2), [T]); classify A;", "Qp argument 17/2"),
+    ("A = Tate(Qp(2,8), [T]; D=7/2); classify A;", "D value 7/2"),
+    ("A = Tate(Qp(2,8), [T]); classify A D=5/2;", "D value 5/2"),
+    ("witt add (1,0) (1,0) p=5/2;", "p value 5/2"),
+    ("R = Quot(GF(2), [x], [x^4]); tilt R depth=3/2;", "depth value 3/2"),
+], ids=["Zmod", "GF", "Qp", "Tate-D", "keyword", "witt-p", "tilt-depth"])
+def test_fractional_integer_parameter_is_an_error(text, message):
+    assert f"{message} is not an integer" in _first_error(text)
+
+
 def test_fractional_exponent_of_a_polynomial_is_an_error():
     # the relation u - T^(3/2) was truncated to u - T
     assert "exponent 3/2 is not an integer" in _first_error(
@@ -421,9 +437,6 @@ UNREACHED_ALLOWED = {
         "the divided-power axiom oracle of the PD-structure tests",
     ("infinitesimal", "PDStructure.gamma"):
         "the divided powers gamma_n that the axiom oracle checks",
-    ("localization", "CoveringCertificate.holds"):
-        "the `require_valid=True` path of `binary_covering`; `glue-check` "
-        "reports an uncertified covering itself",
     **{("wittrobba", name): "the Witt-layer Robba product that acceptance "
                             "criterion 7 checks"
        for name in ("RobbaElement.padded", "RobbaElement.to_witt",

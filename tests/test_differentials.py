@@ -626,11 +626,6 @@ def test_integration_kernel_witness():
     assert res.primitive.derivative(0) == omega
 
 
-def test_integration_characteristic_p_disabled():
-    with pytest.raises(PresentationError):
-        etale_integration(Poly(1, {(0,): ONE}), 0, characteristic=2)
-
-
 # -- the incremental normal forms against the from-scratch loop -----------------
 
 def _reference_coords(form, subsets, monomials, index, pres):

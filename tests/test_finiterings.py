@@ -165,7 +165,7 @@ def _quotient_oracle_cases():
                             (1, 0), "Zmod(4)[C2]", ("1", "g"))
     for ring in default_corpus(2) + default_corpus(3) + [
             zmod(16), fp_quotient(2, ("x", "y"), [x2, y2]), group_ring]:
-        yield ring, [ideal for ideal, _ in enumerate_nilpotent_ideals(ring)]
+        yield ring, enumerate_nilpotent_ideals(ring)
     for ring in (zmod(12), product_ring(zmod(4), gf(3))):
         yield ring, list({ideal_generated(ring, [x]): None
                           for x in ring.elements()})

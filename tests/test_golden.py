@@ -3,11 +3,13 @@ committed beside it under golden/, as `adic-kit run` writes them to stdout.
 
 The scripts are `docs/demo.adk`, the seed-1 `lifting` and `points`
 benchmark scripts, kept as text so that no test depends on the benchmark
-package, and `tablecap`, whose corpus has rings on both sides of
+package; `tablecap`, whose corpus has rings on both sides of
 `finiterings.TABLE_CAP` (`Zmod(256)` and `Zmod(512)`), so that the report
 bytes of the point search are pinned on its Cayley-table path and on its
-element path.  A change that alters a report on purpose regenerates the
-fixture with `adic-kit run SCRIPT > tests/golden/NAME.json` and says why.
+element path; and `witt`, Witt arithmetic and Frobenius over prime fields,
+`GF(p,k)` for k = 2, 3, 4 and products, nested ones among them.  A change
+that alters a report on purpose regenerates the fixture with
+`adic-kit run SCRIPT > tests/golden/NAME.json` and says why.
 """
 
 from pathlib import Path
@@ -20,7 +22,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 SCRIPTS = {"demo": GOLDEN.parent.parent / "docs" / "demo.adk",
            "lifting-1": GOLDEN / "lifting-1.adk",
            "points-1": GOLDEN / "points-1.adk",
-           "tablecap": GOLDEN / "tablecap.adk"}
+           "tablecap": GOLDEN / "tablecap.adk",
+           "witt": GOLDEN / "witt.adk"}
 
 
 @pytest.mark.parametrize("name", sorted(SCRIPTS))

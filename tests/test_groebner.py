@@ -1,10 +1,13 @@
+import random
 from fractions import Fraction
 from itertools import permutations
 
+from adickit.finiterings import gf
 from adickit.groebner import (DEGREE_GUARD, buchberger, buchberger_tracked,
-                              is_unit_ideal, normal_form, staircase_for,
-                              syzygy_basis, unit_certificate)
-from adickit.poly import Poly, grevlex_key
+                              finite_staircase, is_unit_ideal,
+                              is_zero_dimensional, normal_form,
+                              staircase_shell, syzygy_basis, unit_certificate)
+from adickit.poly import Poly, exp_divides, grevlex_key, monomials_upto
 
 ONE = Fraction(1)
 
@@ -32,9 +35,50 @@ def test_two_generator_buchberger_by_hand():
     assert normal_form(X * Y, basis).is_zero
 
 
+def full_staircase(nvars: int, basis: list, degree: int) -> list:
+    """The oracle: every monomial up to the degree that no leading monomial
+    of the basis divides, grevlex-ascending."""
+    leading = [g.leading()[0] for g in basis if not g.is_zero]
+    return [m for m in monomials_upto(nvars, degree)
+            if not any(exp_divides(lt, m) for lt in leading)]
+
+
 def test_empty_ideal():
     assert buchberger([]) == []
-    assert len(staircase_for(2, [], 2)) == 6  # 1, x, y, x^2, xy, y^2
+    shells = [staircase_shell([], 2)]
+    for _ in range(2):
+        shells.append(staircase_shell([], 2, shells[-1]))
+    # 1; x, y; x^2, xy, y^2
+    assert sum(shells, []) == full_staircase(2, [], 2)
+    assert [len(s) for s in shells] == [1, 2, 3]
+
+
+def test_finite_staircase_matches_full_enumeration():
+    # random zero-dimensional ideals: a pure power of each variable plus
+    # random polynomials; no standard monomial exceeds the sum of the basis
+    # degrees
+    rng = random.Random(7)
+    checked = 0
+    for p in (2, 3, 5):
+        field = gf(p)
+        for _ in range(50):
+            n = rng.randint(1, 3)
+            gens = [Poly(n, {tuple(rng.randint(1, 4) if j == i else 0
+                                   for j in range(n)): field.one})
+                    for i in range(n)]
+            gens += [Poly(n, {tuple(rng.randint(0, 3) for _ in range(n)):
+                              field.from_int(rng.randrange(1, p))
+                              for _ in range(rng.randint(1, 4))})
+                     for _ in range(rng.randint(0, 2))]
+            basis = buchberger(gens)
+            if is_unit_ideal(basis):
+                continue
+            assert is_zero_dimensional(basis, n)
+            bound = sum(g.total_degree() for g in basis)
+            assert finite_staircase(basis, n) == \
+                full_staircase(n, basis, bound)
+            checked += 1
+    assert checked >= 100
 
 
 def test_reduced_basis_is_order_independent():

@@ -6,10 +6,10 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adickit.finiterings import (TABLE_CAP, additive_closure,
-                                 canonical_scalar_map, dual_numbers,
-                                 fp_quotient, gf, ideal_generated, nilradical,
-                                 product_ring, quotient_ring, zmod)
+from adickit.finiterings import (TABLE_CAP, canonical_scalar_map,
+                                 dual_numbers, fp_quotient, gf,
+                                 ideal_generated, nilradical, product_ring,
+                                 quotient_ring, zmod)
 from adickit.infinitesimal import (PDStructure, classify_lifting,
                                    completed_points, default_corpus,
                                    enumerate_nilpotent_ideals,
@@ -209,42 +209,28 @@ def test_point_set_matches_brute_force_on_drawn_systems(system):
     assert keys(point_set(pres, ring)) == _brute_force_keys(pres, ring)
 
 
-def ceil_div(a, b):
-    return -(-a // b)
-
-
 def test_nilpotent_ideal_enumeration():
     for p in (2, 3):
         field = gf(p, 1)
-        # Z/p^k: the k ideals (p^j), j = 1..k, with (p^j)^e = 0 iff je >= k
+        # Z/p^k: the k ideals (p^j), j = 1..k
         for k in range(1, 5):
             found = enumerate_nilpotent_ideals(zmod(p ** k))
-            assert [(len(I), e) for I, e in found] == \
-                [(p ** (k - j), ceil_div(k, j)) for j in range(k, 0, -1)]
+            assert [len(I) for I in found] == \
+                [p ** (k - j) for j in range(k, 0, -1)]
         # F_p[x]/(x^4): the chain (x^4) = 0 < (x^3) < (x^2) < (x)
         chain = enumerate_nilpotent_ideals(
             fp_quotient(p, ("x",), [Poly(1, {(4,): field.one})]))
-        assert [(len(I), e) for I, e in chain] == \
-            [(p ** (4 - j), ceil_div(4, j)) for j in range(4, 0, -1)]
-        assert all(a <= b for (a, _), (b, _) in zip(chain, chain[1:]))
+        assert [len(I) for I in chain] == \
+            [p ** (4 - j) for j in range(4, 0, -1)]
+        assert all(a <= b for a, b in zip(chain, chain[1:]))
         # F_p x F_p is reduced: only the zero ideal
         reduced = enumerate_nilpotent_ideals(product_ring(field, field))
-        assert [(len(I), e) for I, e in reduced] == [(1, 1)]
-
-
-def _nilpotency_exponent_by_closure(ring, ideal):
-    """Smallest e with I^e = 0, closing each power I^(k+1) = I^k * I."""
-    power, e = ideal, 1
-    while any(power):
-        power = additive_closure(ring, [a * b for a in power for b in ideal])
-        e += 1
-    return e
+        assert [len(I) for I in reduced] == [1]
 
 
 def _nilpotent_ideals_by_closure(ring):
-    """The former lattice growth and exponents, kept as the reference: each
-    ideal I found is grown by a nilpotent x to the ideal generated by I and
-    x, and each power of I is closed."""
+    """The former lattice growth, kept as the reference: each ideal I found
+    is grown by a nilpotent x to the ideal generated by I and x."""
     nil = nilradical(ring)
     seen = {frozenset({ring.zero})}
     frontier = list(seen)
@@ -255,8 +241,7 @@ def _nilpotent_ideals_by_closure(ring):
             if bigger not in seen:
                 seen.add(bigger)
                 frontier.append(bigger)
-    return [(I, _nilpotency_exponent_by_closure(ring, I)) for I in
-            sorted(seen, key=lambda I: (len(I), sorted(x.key() for x in I)))]
+    return sorted(seen, key=lambda I: (len(I), sorted(x.key() for x in I)))
 
 
 def test_nilpotent_ideals_match_closure_growth():
@@ -277,7 +262,7 @@ def test_enumeration_memos_hand_out_fresh_lists():
     expected = list(ideals)
     ideals.clear()
     assert enumerate_nilpotent_ideals(Z4) == expected
-    ideal = expected[-1][0]
+    ideal = expected[-1]
     structures = enumerate_pd_structures(Z4, ideal)
     expected_pd = list(structures)
     assert expected_pd
@@ -328,7 +313,7 @@ def test_pd_canonical_structure_on_p_power_ideals():
     for p in (2, 3):
         for k in range(2, 5):
             R = zmod(p ** k)
-            for ideal, _e in enumerate_nilpotent_ideals(R):
+            for ideal in enumerate_nilpotent_ideals(R):
                 elements = sorted(ideal, key=lambda x: x.key())
 
                 def canonical(n, x):
@@ -350,7 +335,7 @@ def _pd_test_rings():
 
 def test_pd_gammas_map_ideal_into_ideal():
     for ring in _pd_test_rings():
-        for ideal, _e in enumerate_nilpotent_ideals(ring):
+        for ideal in enumerate_nilpotent_ideals(ring):
             for pd in enumerate_pd_structures(ring, ideal):
                 top = pd.p ** 3 if pd.p else 1
                 assert all(pd.gamma(n, x) in ideal for x in ideal
@@ -365,7 +350,7 @@ def test_pd_solver_matches_brute_force():
         if ring.cardinality > 16:
             continue
         p = next(d for d in range(2, 4) if ring.cardinality % d == 0)
-        for ideal, _e in enumerate_nilpotent_ideals(ring):
+        for ideal in enumerate_nilpotent_ideals(ring):
             if len(ideal) > 4:
                 continue
             elements = tuple(sorted(ideal, key=lambda x: x.key()))

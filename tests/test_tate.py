@@ -11,6 +11,7 @@ from adickit.tate import (DEFAULT_DEGREE_CAP, MorphismPresentation,
                           compose_presentations, free_presentation,
                           gauss_norm)
 
+from test_groebner import full_staircase
 
 def identity(pres):
     """The identity morphism of a presentation."""
@@ -246,7 +247,7 @@ def test_multiples_nf_degree_guard():
 
 def test_staircase_is_enumerated_once_per_degree(monkeypatch):
     import adickit.tate as tate
-    from adickit.groebner import staircase_for, staircase_shell
+    from adickit.groebner import staircase_shell
     shells = []
 
     def counted(*args):
@@ -256,7 +257,7 @@ def test_staircase_is_enumerated_once_per_degree(monkeypatch):
     monkeypatch.setattr(tate, "staircase_shell", counted)
     pres, _ = _multiples_case("B2")
     first = pres.staircase(3)
-    assert first == staircase_for(pres.nvars, pres.groebner_basis(), 3)
+    assert first == full_staircase(pres.nvars, pres.groebner_basis(), 3)
     first.clear()                       # the caller owns its list
     again = pres.staircase(3)
     assert again and again == pres.staircase(3)
@@ -272,9 +273,8 @@ def test_staircase_matches_full_enumeration(label):
     # the oracle filters every monomial up to the degree against the
     # leading monomials; degrees ascend, descend and repeat, and a negative
     # degree (a user's D=-3) gets the degree-0 staircase, as the oracle does
-    from adickit.groebner import staircase_for
     pres, _ = _multiples_case(label)
     basis = pres.groebner_basis()
     for degree in (0, 2, 1, 4, 4, 3, 6, 0, -1, 5, -3, 7):
         assert pres.staircase(degree) == \
-            staircase_for(pres.nvars, basis, degree)
+            full_staircase(pres.nvars, basis, degree)
