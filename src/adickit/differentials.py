@@ -30,13 +30,12 @@ from itertools import combinations
 
 from .finiterings import (FiniteRing, hom_kernel, quotient_structure,
                           spans_group)
-from .groebner import (DEGREE_GUARD, DegreeOverflowError, buchberger,
-                       finite_staircase, is_unit_ideal, is_zero_dimensional,
-                       syzygy_basis)
+from .groebner import (DegreeOverflowError, buchberger, finite_staircase,
+                       is_unit_ideal, is_zero_dimensional, syzygy_basis)
 from .linalg import RowSpace, kernel_of_map, settle, span_in_low_block
-from .poly import Poly, exp_total
+from .poly import Poly
 from .tate import (MorphismPresentation, PresentationError, QpBase,
-                   RingPresentation)
+                   RingPresentation, TruncatedBlock)
 
 # building B's structure constants and checking its ring axioms grow with
 # the cube of B's additive rank: ~0.25 s at rank 32 on one core of a 2-vCPU
@@ -266,57 +265,37 @@ def _h_minus1_field(data: RelativeData, jac: list[list[Poly]],
 
     # kernel of v -> v.J on components of degree <= cap; normal forms are
     # exact, so kernel vectors are genuine relations in the quotient
-    source = pres.staircase(degree_cap)
-    target = pres.staircase(degree_cap + maxdeg)
-    t_index = {m: i for i, m in enumerate(target)}
-    t_offsets = [j * len(target) for j in range(len(data.rel_vars))]
+    source = TruncatedBlock(pres, degree_cap, range(p))
+    target = TruncatedBlock(pres, source.degree + maxdeg,
+                            range(len(data.rel_vars)))
     images = []
     for row in jac:
-        images.extend(_multiple_coords(dict(enumerate(row)), source,
-                                       t_offsets, t_index, pres))
-    kernel = kernel_of_map(images, len(target) * len(data.rel_vars), one)
+        images.extend(target.multiples(dict(enumerate(row)),
+                                       source.monomials))
+    kernel = kernel_of_map(images, target.width, one)
     if not kernel:
         return "zero", None
 
-    kernel_vectors = []
-    width = len(source)
-    for kv in kernel:
-        vec = [Poly(pres.nvars,
-                    {m: c for m, c in zip(source, kv[i * width:(i + 1) * width])
-                     if c})
-               for i in range(p)]
-        kernel_vectors.append(vec)
-
-    # syzygy image span at growing working degree
-    syz = [v for v in syz_images if any(not c.is_zero for c in v)]
+    # syzygy image span at growing working degree; the low block of the
+    # wide coordinates is the source block, column for column
+    syz = [dict(enumerate(v)) for v in syz_images
+           if any(not c.is_zero for c in v)]
 
     def attempt(work: int):
-        wide = pres.staircase(work)
-        w_index = {m: i for i, m in enumerate(wide)}
-        wwidth = len(wide)
-        w_offsets = [i * wwidth for i in range(p)]
-        low_cols = [off + w_index[m] for off in w_offsets for m in source]
-        vectors = []
-        for s in syz:
-            sdeg = max((c.total_degree() for c in s if not c.is_zero), default=0)
-            if sdeg > work:     # its normal form has terms beyond the block
-                raise DegreeOverflowError(
-                    f"syzygy image of degree {sdeg} exceeds working degree "
-                    f"{work}")
-            vectors.extend(_standard_multiples(dict(enumerate(s)), work,
-                                               w_offsets, w_index, pres))
-        space = span_in_low_block(vectors, low_cols, p * wwidth, one)
-        flat = [{i * width + k: comp.terms[m]
-                 for i, comp in enumerate(kv)
-                 for k, m in enumerate(source) if m in comp.terms}
-                for kv in kernel_vectors]
-        ok = all(space.contains(r) for r in flat)
-        return ok, space.dim
+        wide = TruncatedBlock(pres, work, range(p))
+        vectors = [vec for s in syz for vec in wide.standard_multiples(s)]
+        space = span_in_low_block(vectors, wide.low_columns(source.degree),
+                                  wide.width, one)
+        return all(space.contains(kv) for kv in kernel), space.dim
 
     held = settle(attempt, degree_cap + margin)
     if held:
         return "zero", None
-    return ("nonzero" if held is False else "inconclusive"), kernel_vectors[0]
+    size = len(source.monomials)
+    witness = [Poly(pres.nvars, {m: c for m, c in zip(
+                   source.monomials, kernel[0][off:off + size]) if c})
+               for off in source.offsets.values()]
+    return ("nonzero" if held is False else "inconclusive"), witness
 
 
 def _h_minus1_finite(km: KahlerModule) -> tuple[str, list[Poly] | None]:
@@ -462,30 +441,33 @@ class DeRhamComplexData:
         return _form_zero_in_quotient(form, self, cap)
 
 
-def _subset_sign(j: int, subset: tuple) -> int:
-    before = sum(1 for s in subset if s < j)
-    return -1 if before % 2 else 1
+def _wedge(dform: dict, subset: tuple, out: dict) -> dict:
+    """Add dform ^ e_subset into out, for a 1-form dform = {(j,): c}:
+    dx_j ^ e_S is (-1)^#{s in S : s < j} e_(S + j), and zero for j in S.
+    Coefficients that cancel stay in out, as zeros."""
+    for (j,), c in dform.items():
+        if j in subset:
+            continue
+        new = tuple(sorted(subset + (j,)))
+        piece = -c if sum(1 for s in subset if s < j) % 2 else c
+        out[new] = out[new] + piece if new in out else piece
+    return out
+
+
+def _nonzero(form: dict) -> dict:
+    return {s: c for s, c in form.items() if not c.is_zero}
 
 
 def _form_d(form: dict, data: RelativeData, reduce: bool = True) -> dict:
     pres = data.pres
     out: dict = {}
     for subset, coeff in form.items():
-        for j in data.rel_vars:
-            if j in subset:
-                continue
-            dc = coeff.derivative(j)
-            if dc.is_zero:
-                continue
-            if reduce:
-                dc = pres.normal_form(dc)
-                if dc.is_zero:
-                    continue
-            new = tuple(sorted(subset + (j,)))
-            sgn = _subset_sign(j, subset)
-            piece = dc if sgn > 0 else -dc
-            out[new] = out[new] + piece if new in out else piece
-    return {s: c for s, c in out.items() if not c.is_zero}
+        dc = _nonzero({(j,): coeff.derivative(j) for j in data.rel_vars
+                       if j not in subset})
+        if reduce:
+            dc = _nonzero({j: pres.normal_form(c) for j, c in dc.items()})
+        _wedge(dc, subset, out)
+    return _nonzero(out)
 
 
 def de_rham_complex(arg, top_degree: int) -> DeRhamComplexData:
@@ -494,25 +476,17 @@ def de_rham_complex(arg, top_degree: int) -> DeRhamComplexData:
     pres = data.pres
     generators = {k: list(combinations(data.rel_vars, k))
                   for k in range(top_degree + 1)}
-    relations: dict = {0: [{(): pres.normal_form(g)} for g in data.rel_gens]}
+    reduced = [(pres.normal_form(g), _form_d({(): g}, data))
+               for g in data.rel_gens]
+    relations: dict = {0: [{(): gnf} for gnf, _ in reduced]}
     for k in range(1, top_degree + 1):
         rels = []
-        for g in data.rel_gens:
-            gnf = pres.normal_form(g)
-            for subset in generators[k]:
-                if not gnf.is_zero:
-                    rels.append({subset: gnf})       # I . Omega^k
-            dg = _form_d({(): g}, data)
+        for gnf, dg in reduced:
+            if not gnf.is_zero:
+                rels.extend({subset: gnf}          # I . Omega^k
+                            for subset in generators[k])
             for subset in generators[k - 1]:
-                wedged: dict = {}
-                for (j,), c in dg.items():
-                    if j in subset:
-                        continue
-                    new = tuple(sorted((j,) + subset))
-                    sgn = _subset_sign(j, subset)
-                    piece = c if sgn > 0 else -c
-                    wedged[new] = wedged[new] + piece if new in wedged else piece
-                wedged = {s: c for s, c in wedged.items() if not c.is_zero}
+                wedged = _nonzero(_wedge(dg, subset, {}))
                 if wedged:
                     rels.append(wedged)              # dI ^ Omega^(k-1)
         relations[k] = rels
@@ -523,54 +497,16 @@ def de_rham_complex(arg, top_degree: int) -> DeRhamComplexData:
     return DeRhamComplexData(data, top_degree, generators, relations, ranks)
 
 
-def _multiple_coords(form: dict, monomials: list, offsets, index: dict,
-                     pres) -> list[dict]:
-    """Sparse coordinates of NF(m * form) for each m in a downward-closed
-    monomial list, in the truncated block: the coefficient on key s sits at
-    offsets[s] + index[staircase monomial]; terms beyond the block are
-    dropped."""
-    vectors = [{} for _ in monomials]
-    for s, c in form.items():
-        off = offsets[s]
-        for vec, nf in zip(vectors, pres.multiples_nf(c, monomials)):
-            vec.update((off + index[m], cc) for m, cc in nf.terms.items()
-                       if m in index)
-    return vectors
-
-
-def _standard_multiples(form: dict, work: int, offsets, index: dict,
-                        pres) -> list[dict]:
-    """Coordinates of NF(s * form) for the standard monomials s of degree
-    <= work - deg(form).  They span what the multiples by every monomial m
-    of that degree span: grevlex normal forms are linear and never raise
-    the degree, so NF(m * c) = sum a_s NF(s * c) over the terms a_s s of
-    NF(m), with the same a_s for every coefficient c of the form.  The
-    degree guard fires as it would for every monomial, also where a finite
-    staircase stops short of it."""
-    deg = max(c.total_degree() for c in form.values())
-    top = max(work - deg, 0)
-    if top + deg > DEGREE_GUARD:
-        raise DegreeOverflowError(
-            f"reduction exceeded degree guard {DEGREE_GUARD}")
-    return _multiple_coords(form, pres.staircase(top), offsets, index, pres)
-
-
 def _relation_block(relations: list, subsets: list, work: int,
                     pres) -> tuple:
-    """The truncated block of the k-forms at a working degree (staircase
-    monomials, their index, the subsets' column offsets) and the coordinates
-    of the standard-monomial multiples of every relation form that fit it.
-    Forms whose coefficients are all zero (the degree-0 relations NF(g) = 0)
-    add nothing to a span and are skipped."""
-    monomials = pres.staircase(work)
-    index = {m: i for i, m in enumerate(monomials)}
-    offsets = {s: i * len(monomials) for i, s in enumerate(subsets)}
-    vectors = []
-    for rel in relations:
-        if all(c.is_zero for c in rel.values()):
-            continue
-        vectors.extend(_standard_multiples(rel, work, offsets, index, pres))
-    return monomials, index, offsets, vectors
+    """The truncated block of the k-forms at a working degree, one staircase
+    copy per subset, and the coordinates of the standard-monomial multiples
+    of every relation form.  Forms whose coefficients are all zero (the
+    degree-0 relations NF(g) = 0) add nothing to a span and are skipped."""
+    block = TruncatedBlock(pres, work, subsets)
+    return block, [vec for rel in relations
+                   if any(not c.is_zero for c in rel.values())
+                   for vec in block.standard_multiples(rel)]
 
 
 def _truncated_rank(subsets: list, relations: list, data: RelativeData,
@@ -582,20 +518,17 @@ def _truncated_rank(subsets: list, relations: list, data: RelativeData,
     pres = data.pres
     if not pres.has_field_coefficients():
         return -1   # not computed over finite non-field bases
-    monomials, _, offsets, vectors = _relation_block(relations, subsets,
-                                                     cap + margin, pres)
-    low_cols = [off + i for off in offsets.values()
-                for i, m in enumerate(monomials) if exp_total(m) <= cap]
-    span = span_in_low_block(vectors, low_cols,
-                             len(monomials) * len(subsets), pres.coeff_one())
+    block, vectors = _relation_block(relations, subsets, cap + margin, pres)
+    low_cols = block.low_columns(cap)
+    span = span_in_low_block(vectors, low_cols, block.width,
+                             pres.coeff_one())
     return len(low_cols) - span.dim
 
 
 def _form_zero_in_quotient(form: dict, cx: DeRhamComplexData,
                            cap: int | None = None) -> bool:
     pres = cx.data.pres
-    reduced = {s: pres.normal_form(c) for s, c in form.items()}
-    reduced = {s: c for s, c in reduced.items() if not c.is_zero}
+    reduced = _nonzero({s: pres.normal_form(c) for s, c in form.items()})
     if not reduced:
         return True
     k = len(next(iter(reduced)))
@@ -603,15 +536,12 @@ def _form_zero_in_quotient(form: dict, cx: DeRhamComplexData,
         raise PresentationError("quotient membership needs field coefficients")
     cap = cap if cap is not None else pres.degree_cap
     work = max(cap, max(c.total_degree() for c in reduced.values())) + 2
-    subsets = cx.generators[k]
-    monomials, index, offsets, vectors = _relation_block(
-        cx.relations.get(k, []), subsets, work, pres)
-    span = RowSpace(len(monomials) * len(subsets), pres.coeff_one())
+    block, vectors = _relation_block(cx.relations.get(k, []),
+                                     cx.generators[k], work, pres)
+    span = RowSpace(block.width, pres.coeff_one())
     for vec in vectors:
         span.insert(vec)
-    unit = [(0,) * pres.nvars]
-    return span.contains(_multiple_coords(reduced, unit, offsets, index,
-                                          pres)[0])
+    return span.contains(block.multiples(reduced, [(0,) * pres.nvars])[0])
 
 
 # -- the explicit integration primitive ----------------------------------------

@@ -15,9 +15,9 @@ from fractions import Fraction
 from .groebner import DegreeOverflowError, unit_certificate
 from .linalg import (RowSpace, kernel_of_map, settle, solve,
                      span_in_low_block)
-from .poly import Poly, exp_total, monomials_upto
+from .poly import Poly, monomials_upto
 from .tate import (IntegerBase, MorphismPresentation, PresentationError,
-                   QpBase, RingPresentation)
+                   QpBase, RingPresentation, TruncatedBlock)
 
 
 def rational_localization(B: RingPresentation, f: Poly, g: Poly,
@@ -49,42 +49,31 @@ def covering_check(B: RingPresentation, f: Poly, g: Poly) -> CoveringCertificate
     """Decide 1 in I + (f, g) with an explicit combination as certificate."""
     gens = list(B.gens) + [f, g]
     try:
-        if B.has_field_coefficients():
+        if B.has_field_coefficients() or isinstance(B.base, IntegerBase):
             cert = unit_certificate(gens)
             if cert is None:
                 return CoveringCertificate("false")
-            return CoveringCertificate("true", f_coeff=cert[-2],
-                                        g_coeff=cert[-1],
-                                        ideal_coeffs=cert[:-2])
-        if isinstance(B.base, IntegerBase):
-            cert = unit_certificate(gens)
-            if cert is None:
-                return CoveringCertificate("false")
-            integral = all(c.denominator == 1
-                           for poly in cert for c in poly.terms.values())
-            if integral:
-                return CoveringCertificate("true", f_coeff=cert[-2],
-                                           g_coeff=cert[-1],
-                                           ideal_coeffs=cert[:-2])
-            return CoveringCertificate(
-                "inconclusive",
-                note="rational certificate exists but is not integral")
-        # finite non-field base: only the easy constant-unit cases
-        for poly, which in ((g, "g"), (f, "f")):
-            nf = B.normal_form(poly)
-            if not nf.is_zero and nf.total_degree() == 0:
-                c = nf.leading()[1]
-                if c.is_unit():
-                    inv = Poly.constant(c.inverse(), B.nvars)
-                    if which == "g":
-                        return CoveringCertificate(
-                            "true", f_coeff=Poly.zero(B.nvars), g_coeff=inv,
-                            ideal_coeffs=[Poly.zero(B.nvars)] * len(B.gens))
-                    return CoveringCertificate(
-                        "true", f_coeff=inv, g_coeff=Poly.zero(B.nvars),
-                        ideal_coeffs=[Poly.zero(B.nvars)] * len(B.gens))
-        return CoveringCertificate(
-            "inconclusive", note="no decision procedure over this base")
+            if isinstance(B.base, IntegerBase) and any(
+                    c.denominator != 1
+                    for poly in cert for c in poly.terms.values()):
+                return CoveringCertificate(
+                    "inconclusive",
+                    note="rational certificate exists but is not integral")
+        else:
+            # finite non-field base: only the easy constant-unit cases
+            for poly, at in ((g, -1), (f, -2)):
+                nf = B.normal_form(poly)
+                if not nf.is_zero and nf.total_degree() == 0 and \
+                        nf.leading()[1].is_unit():
+                    cert = [Poly.zero(B.nvars)] * (len(B.gens) + 2)
+                    cert[at] = Poly.constant(nf.leading()[1].inverse(),
+                                             B.nvars)
+                    break
+            else:
+                return CoveringCertificate(
+                    "inconclusive", note="no decision procedure over this base")
+        return CoveringCertificate("true", f_coeff=cert[-2], g_coeff=cert[-1],
+                                   ideal_coeffs=cert[:-2])
     except DegreeOverflowError:
         return CoveringCertificate("inconclusive",
                                    note="degree guard hit during the check")
@@ -155,33 +144,10 @@ def _negated(vec: dict) -> dict:
     return {k: -c for k, c in vec.items()}
 
 
-class _TruncatedRing:
-    """Staircase coordinates of a presentation at a working degree."""
-
-    def __init__(self, pres: RingPresentation, degree: int):
-        self.pres = pres
-        self.monomials = pres.staircase(degree)
-        self.index = {m: i for i, m in enumerate(self.monomials)}
-        self.width = len(self.monomials)
-
-    def coords(self, nf: Poly, offset: int = 0) -> dict:
-        """Sparse staircase coordinates of a normal form, shifted by offset
-        columns."""
-        return {offset + self.index[e]: c for e, c in nf.terms.items()}
-
-    def nf_coords(self, poly: Poly, offset: int = 0) -> dict:
-        return self.coords(self.pres.normal_form(poly), offset)
-
-    def monomial_coords(self, monomials: list, offset: int = 0) -> list:
-        """coords of NF(m) for each exponent m, built incrementally as the
-        multiples of the constant 1."""
-        one = Poly.constant(self.pres.coeff_one(), self.pres.nvars)
-        return [self.coords(nf, offset)
-                for nf in self.pres.multiples_nf(one, monomials)]
-
-    def low_indices(self, degree: int):
-        return [i for i, m in enumerate(self.monomials)
-                if exp_total(m) <= degree]
+def _monomial_coords(block: TruncatedBlock, monomials: list) -> list[dict]:
+    """Coordinates of NF(m) for each exponent m: the multiples of 1."""
+    return block.multiples({0: Poly.constant(Fraction(1), block.pres.nvars)},
+                           monomials)
 
 
 def gluing_sequence_check(cov: BinaryCovering, degree_cap: int = 6,
@@ -190,9 +156,9 @@ def gluing_sequence_check(cov: BinaryCovering, degree_cap: int = 6,
     """Check the three exactness clauses on degree-capped coefficient spaces.
 
     The image spans are recomputed at an enlarged working degree before a
-    clause is allowed to fail (`linalg.settle`): staircases are
-    grevlex-ascending, so the degree <= cap block of a wider coordinate
-    space matches the cap-level coordinates position by position.
+    clause is allowed to fail (`linalg.settle`): the degree <= cap block of
+    a wider coordinate space is a prefix of it (`TruncatedBlock`), matching
+    the cap-level coordinates position by position.
     """
     one = Fraction(1)
 
@@ -202,27 +168,29 @@ def gluing_sequence_check(cov: BinaryCovering, degree_cap: int = 6,
     def loc2_into_joint(monomials):  # (x.., v) -> (x.., u, v)
         return [m[:-1] + (0, m[-1]) for m in monomials]
 
+    def blocks(degree):     # B1 (+) B2: B2's columns after B1's
+        T1 = TruncatedBlock(cov.loc_fg, degree)
+        return T1, TruncatedBlock(cov.loc_gf, degree, shift=T1.width)
+
     def alpha(T1, T2, base_monomials):  # B -> B1 (+) B2
         lifted = padded(base_monomials)
-        return [a | b for a, b in zip(T1.monomial_coords(lifted),
-                                      T2.monomial_coords(lifted, T1.width))]
+        return [a | b for a, b in zip(_monomial_coords(T1, lifted),
+                                      _monomial_coords(T2, lifted))]
 
     def beta(T12, loc1_monomials, loc2_monomials):  # B1 (+) B2 -> B12
-        return T12.monomial_coords(padded(loc1_monomials)) + [
+        return _monomial_coords(T12, padded(loc1_monomials)) + [
             _negated(v) for v in
-            T12.monomial_coords(loc2_into_joint(loc2_monomials))]
+            _monomial_coords(T12, loc2_into_joint(loc2_monomials))]
 
     detail: dict = {}
 
     # Cap-level coordinates (also the shared low block of every working degree).
-    Bc = _TruncatedRing(cov.base_pres, degree_cap)
-    C1 = _TruncatedRing(cov.loc_fg, degree_cap)
-    C2 = _TruncatedRing(cov.loc_gf, degree_cap)
-    C12 = _TruncatedRing(cov.joint, degree_cap)
+    C1, C2 = blocks(degree_cap)
+    C12 = TruncatedBlock(cov.joint, degree_cap)
 
     # (i) injectivity of B -> B1 (+) B2 on degree <= cap.  Normal forms are
     # exact, so a kernel vector is a genuine algebraic counterexample.
-    alpha_cap = alpha(C1, C2, Bc.monomials)
+    alpha_cap = alpha(C1, C2, cov.base_pres.staircase(degree_cap))
     kernel = kernel_of_map(alpha_cap, C1.width + C2.width, one)
     left = "exact" if not kernel else "failed"
     detail["left_kernel_dim"] = len(kernel)
@@ -233,22 +201,18 @@ def gluing_sequence_check(cov: BinaryCovering, degree_cap: int = 6,
     detail["middle_kernel_dim"] = len(ker_beta)
 
     def middle_attempt(work: int):
-        Bw = _TruncatedRing(cov.base_pres, work)
-        W1 = _TruncatedRing(cov.loc_fg, work)
-        W2 = _TruncatedRing(cov.loc_gf, work)
-        vectors = alpha(W1, W2, Bw.monomials)
-        low_cols = W1.low_indices(degree_cap) + \
-            [W1.width + i for i in W2.low_indices(degree_cap)]
+        W1, W2 = blocks(work)
+        vectors = alpha(W1, W2, cov.base_pres.staircase(work))
+        low_cols = W1.low_columns(degree_cap) + W2.low_columns(degree_cap)
         space = span_in_low_block(vectors, low_cols, W1.width + W2.width, one)
         ok = all(space.contains(v) for v in ker_beta)
         return ok, space.dim
 
     def right_attempt(work: int):
-        W1 = _TruncatedRing(cov.loc_fg, work)
-        W2 = _TruncatedRing(cov.loc_gf, work)
-        W12 = _TruncatedRing(cov.joint, work)
+        W1, W2 = blocks(work)
+        W12 = TruncatedBlock(cov.joint, work)
         images = beta(W12, W1.monomials, W2.monomials)
-        space = span_in_low_block(images, W12.low_indices(degree_cap),
+        space = span_in_low_block(images, W12.low_columns(degree_cap),
                                   W12.width, one)
         ok = all(space.contains({k: one}) for k in range(C12.width))
         return ok, space.dim
@@ -300,13 +264,13 @@ def joint_surjection_lift(cov: BinaryCovering, s1: list[Poly], s2: list[Poly],
     sub_nvars = over.nvars if over is not None else 0
 
     work = degree_cap + 2
-    Bt = _TruncatedRing(B, work)
+    Bt = TruncatedBlock(B, work)
 
     def solve_preimage(target_pres, element: Poly):
         """b in B (poly model) with the same normal form in the localization."""
-        tr = _TruncatedRing(target_pres, work)
-        images = tr.monomial_coords([m + (0,) for m in Bt.monomials])
-        rhs = tr.nf_coords(element)
+        tr = TruncatedBlock(target_pres, work)
+        images = _monomial_coords(tr, [m + (0,) for m in Bt.monomials])
+        rhs, = tr.multiples({0: element}, [(0,) * tr.pres.nvars])
         rows = [[Fraction(0)] * len(images) for _ in range(tr.width)]
         for i, image in enumerate(images):
             for w, c in image.items():
@@ -335,7 +299,7 @@ def joint_surjection_lift(cov: BinaryCovering, s1: list[Poly], s2: list[Poly],
 
     # certify: sub-algebra monomials times generator products span B at cap
     span = RowSpace(Bt.width, one)
-    low = Bt.low_indices(degree_cap)
+    low = Bt.low_columns(degree_cap)
 
     sub_monos = [m + (0,) * (B.nvars - sub_nvars)
                  for m in monomials_upto(sub_nvars, work)]
@@ -353,8 +317,8 @@ def joint_surjection_lift(cov: BinaryCovering, s1: list[Poly], s2: list[Poly],
     for gp in products:
         d = gp.total_degree()
         shifts = [m for m in sub_monos if sum(m) + d <= work]
-        for nf in B.multiples_nf(gp, shifts):
-            span.insert(Bt.coords(nf))
+        for vec in Bt.multiples({0: gp}, shifts):
+            span.insert(vec)
     ok = all(span.contains({k: one}) for k in low)
     return JointSurjectionResult(generators,
                                  "certified" if ok else "failed", perturbed,

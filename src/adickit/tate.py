@@ -313,6 +313,63 @@ class RingPresentation:
         return f"RingPresentation({self.describe()})"
 
 
+class TruncatedBlock:
+    """Forms over a presentation, truncated at a working degree, in sparse
+    staircase coordinates: one copy of the standard monomials of degree <=
+    `degree` per key (a de Rham subset, a conormal component, or the one
+    summand of a direct sum), key i at columns shift + i * size onward.
+
+    Staircases are grevlex-ascending, so the block at a lower cap is a
+    prefix of each copy, and grevlex normal forms never raise the degree,
+    so NF(m * c) lies in the block whenever m * c does."""
+    __slots__ = ("pres", "degree", "monomials", "index", "offsets", "width")
+
+    def __init__(self, pres: RingPresentation, degree: int, keys=(0,),
+                 shift: int = 0):
+        self.pres = pres
+        self.degree = max(degree, 0)    # as staircase: degree 0 below zero
+        self.monomials = pres.staircase(degree)
+        self.index = {m: i for i, m in enumerate(self.monomials)}
+        size = len(self.monomials)
+        self.offsets = {k: shift + i * size for i, k in enumerate(keys)}
+        self.width = size * len(self.offsets)
+
+    def multiples(self, form: dict, monomials: list) -> list[dict]:
+        """Sparse coordinates of NF(m * form) for each exponent m: the
+        coefficient on key k sits at offsets[k] plus its monomial's index.
+        A term outside the block raises KeyError."""
+        index = self.index
+        vectors = [{} for _ in monomials]
+        for k, c in form.items():
+            off = self.offsets[k]
+            for vec, nf in zip(vectors, self.pres.multiples_nf(c, monomials)):
+                vec.update((off + index[m], a) for m, a in nf.terms.items())
+        return vectors
+
+    def standard_multiples(self, form: dict) -> list[dict]:
+        """Coordinates of NF(s * form) for the standard monomials s of degree
+        <= degree - deg(form).  They span what the multiples by every
+        monomial m of that degree span: normal forms are linear, so
+        NF(m * c) = sum a_s NF(s * c) over the terms a_s s of NF(m), with the
+        same a_s for every coefficient c of the form.  The degree guard
+        fires as it would for every monomial, also where a finite staircase
+        stops short of it."""
+        deg = max(c.total_degree() for c in form.values())
+        if deg > self.degree:   # its normal form has terms beyond the block
+            raise DegreeOverflowError(
+                f"form of degree {deg} exceeds working degree {self.degree}")
+        if self.degree > DEGREE_GUARD:
+            raise DegreeOverflowError(
+                f"reduction exceeded degree guard {DEGREE_GUARD}")
+        return self.multiples(form, self.pres.staircase(self.degree - deg))
+
+    def low_columns(self, cap: int) -> list[int]:
+        """The columns of the monomials of degree <= cap (at most the
+        block's degree), key by key: a prefix of each copy."""
+        size = len(self.pres.staircase(cap)) if cap >= 0 else 0
+        return [off + i for off in self.offsets.values() for i in range(size)]
+
+
 def _integral_membership(poly: Poly, gens: list[Poly]) -> bool:
     """Ideal membership over the integers, certified through the rational
     basis: sufficient when the pulled-back combination has integral

@@ -108,12 +108,18 @@ def lift_context(ring) -> _IntegerLift:
 
 # -- Witt vectors ---------------------------------------------------------------
 
+def _is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
 class WittVector:
     __slots__ = ("p", "coords", "ring")
 
     def __init__(self, p: int, coords: tuple, ring):
         if len(coords) > WITT_LENGTH_CAP:
             raise WittError(f"Witt length exceeds cap {WITT_LENGTH_CAP}")
+        if not _is_prime(p):
+            raise WittError(f"Witt vectors need a prime p, got {p}")
         char = ring.characteristic
         if char != p:
             raise WittError(
@@ -248,7 +254,7 @@ def tilt(ring: FiniteRing, depth: int | None = None) -> TiltResult:
     after e0 + 1 steps.  `depth` caps the steps, and the result is then
     F^e(R) for e = min(e0, steps)."""
     p = ring.characteristic
-    if p < 2 or any(p % d == 0 for d in range(2, p)):
+    if not _is_prime(p):
         raise WittError("tilting needs a prime-characteristic ring")
     nil, e0 = nilradical(ring), 0
     while any(x ** p ** e0 for x in nil):

@@ -14,8 +14,8 @@ from adickit.groebner import DegreeOverflowError, normal_form
 from adickit.localization import rational_localization
 from adickit.poly import Poly, exp_div, exp_lcm, grevlex_key
 from adickit.tate import (MorphismPresentation, PresentationError, QpBase,
-                          RingPresentation, compose_presentations,
-                          free_presentation)
+                          RingPresentation, TruncatedBlock,
+                          compose_presentations, free_presentation)
 
 ONE = Fraction(1)
 
@@ -776,29 +776,29 @@ def test_h_minus1_syzygy_span_matches_all_monomial_multiples(monkeypatch):
     def summary(cx):
         return cx.h_minus1, cx.h_minus1_witness, cx.h0, cx.flags
 
-    def every_monomial(form, work, offsets, index, pres):
+    def every_monomial(block, form):
+        pres = block.pres
         one = pres.coeff_one()
         deg = max(c.total_degree() for c in form.values())
         vectors = []
-        for m in monomials_upto(pres.nvars, max(work - deg, 0)):
+        for m in monomials_upto(pres.nvars, max(block.degree - deg, 0)):
             vec = {}
             for s, c in form.items():
-                vec.update((offsets[s] + index[e], cc) for e, cc in
+                vec.update((block.offsets[s] + block.index[e], cc) for e, cc in
                            pres.normal_form(c.mul_term(m, one)).terms.items()
-                           if e in index)
+                           if e in block.index)
             vectors.append(vec)
         return vectors
 
     blocks = []
-    real = differentials._standard_multiples
+    real = TruncatedBlock.standard_multiples
 
-    def recording(form, work, offsets, index, pres):
-        vectors = real(form, work, offsets, index, pres)
-        blocks.append((vectors, every_monomial(form, work, offsets, index,
-                                               pres), pres))
+    def recording(block, form):
+        vectors = real(block, form)
+        blocks.append((vectors, every_monomial(block, form), block.pres))
         return vectors
 
-    monkeypatch.setattr(differentials, "_standard_multiples", recording)
+    monkeypatch.setattr(TruncatedBlock, "standard_multiples", recording)
     fast = [summary(naive_cotangent_complex(pres)) for pres in cases]
     assert blocks       # X^2, XY has a nonzero syzygy image
     for standard, every, pres in blocks:
@@ -811,7 +811,7 @@ def test_h_minus1_syzygy_span_matches_all_monomial_multiples(monkeypatch):
             dims.append(span.dim)
         assert dims[0] == dims[1] == dims[2]
 
-    monkeypatch.setattr(differentials, "_standard_multiples", every_monomial)
+    monkeypatch.setattr(TruncatedBlock, "standard_multiples", every_monomial)
     assert fast == [summary(naive_cotangent_complex(pres)) for pres in cases]
     assert {h for h, *_ in fast} >= {"zero", "nonzero"}
 
@@ -847,6 +847,16 @@ def test_de_rham_degree_guard_boundary(q2, names, gens, ranks):
     with pytest.raises(DegreeOverflowError, match="degree guard 64"):
         at_cap(61)
 
+
+
+def test_de_rham_relation_beyond_the_working_degree_raises(q2):
+    # d(X^14 - Y) = 14 X^13 dX - dY has degree 13, above the working degree
+    # cap + 4 = 12; dropping its X^13 term would make the block read dY = 0
+    # and give the 1-forms rank 89 of 90
+    B = pres_over(q2, ("X", "Y"), [{(14, 0): 1, (0, 1): -1}])
+    with pytest.raises(DegreeOverflowError,
+                       match="degree 13 exceeds working degree 12"):
+        de_rham_complex(B, 1)
 
 def test_h_minus1_degree_guard_boundary(q2):
     # (f, 2f) with the finite staircase {1, u} has the syzygy (2, -1); its

@@ -1,9 +1,11 @@
 """Report bytes pinned: each script below must render exactly the reports
 committed beside it under golden/, as `adic-kit run` writes them to stdout.
 
-The scripts are `docs/demo.adk`, the seed-1 `lifting` and `points`
-benchmark scripts, kept as text so that no test depends on the benchmark
-package; `tablecap`, whose corpus has rings on both sides of
+The scripts are `docs/demo.adk`, the seed-1 `lifting`, `jacobian` and
+`points` benchmark scripts, kept as text so that no test depends on the
+benchmark package (`jacobian-1` without its `classify KD`, the known wrong
+verdict that `test_classify_kd_is_etale` pins as a strict xfail);
+`tablecap`, whose corpus has rings on both sides of
 `finiterings.TABLE_CAP` (`Zmod(256)` and `Zmod(512)`), so that the report
 bytes of the point search are pinned on its Cayley-table path and on its
 element path; and `witt`, Witt arithmetic and Frobenius over prime fields,
@@ -20,6 +22,7 @@ from adickit.cli import Options, parse_script, render_reports, run_script
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SCRIPTS = {"demo": GOLDEN.parent.parent / "docs" / "demo.adk",
+           "jacobian-1": GOLDEN / "jacobian-1.adk",
            "lifting-1": GOLDEN / "lifting-1.adk",
            "points-1": GOLDEN / "points-1.adk",
            "tablecap": GOLDEN / "tablecap.adk",

@@ -6,7 +6,7 @@ from adickit.localization import (BinaryCovering, binary_covering,
                                   joint_surjection_lift,
                                   rational_localization)
 from adickit.poly import Poly
-from adickit.tate import IntegerBase, free_presentation
+from adickit.tate import IntegerBase, TruncatedBlock, free_presentation
 
 
 def test_localization_shape(line):
@@ -184,35 +184,41 @@ def test_localized_pieces_classify_etale(line):
         assert classify_morphism(cov.loc_gf).verdict == "etale"
 
 
-def _scratch_coords(tr, monomials, offset=0):
-    """The from-scratch loop that monomial_coords replaced: one normal form
-    per monomial."""
-    one = tr.pres.coeff_one()
-    return [tr.nf_coords(Poly(tr.pres.nvars, {m: one}), offset)
-            for m in monomials]
+def _scratch_multiples(block, form, monomials):
+    """The from-scratch loop that the incremental block coordinates
+    replaced: one normal form per monomial and coefficient."""
+    one = block.pres.coeff_one()
+    vectors = []
+    for m in monomials:
+        vec = {}
+        for k, c in form.items():
+            nf = block.pres.normal_form(c.mul_term(m, one))
+            vec.update((block.offsets[k] + block.index[e], a)
+                       for e, a in nf.terms.items())
+        vectors.append(vec)
+    return vectors
 
 
 def test_monomial_coords_match_from_scratch(line):
-    from adickit.localization import _TruncatedRing
     T = line.var("T")
     covs = [binary_covering(line, T, line.const(c)) for c in (1, 2)]
     covs += _negative_controls(line)
     for cov in covs:
         for pres in (cov.loc_fg, cov.joint):
-            tr = _TruncatedRing(pres, 7)
+            block = TruncatedBlock(pres, 7, shift=3)
             monos = [m + (0,) * (pres.nvars - cov.base_pres.nvars)
-                     for m in _TruncatedRing(cov.base_pres, 7).monomials]
-            monos += list(reversed(tr.monomials))
-            assert tr.monomial_coords(monos, 3) == \
-                _scratch_coords(tr, monos, 3)
+                     for m in cov.base_pres.staircase(7)]
+            monos += list(reversed(block.monomials))
+            one = {0: Poly.constant(Fraction(1), pres.nvars)}
+            assert block.multiples(one, monos) == \
+                _scratch_multiples(block, one, monos)
 
 
 def test_gluing_check_matches_from_scratch_loop(line, monkeypatch):
-    from adickit.localization import _TruncatedRing
     T = line.var("T")
     covs = [binary_covering(line, T, line.const(c)) for c in (1, 2)]
     covs += _negative_controls(line)
     reports = [gluing_sequence_check(cov, 5, 5) for cov in covs]
-    monkeypatch.setattr(_TruncatedRing, "monomial_coords", _scratch_coords)
+    monkeypatch.setattr(TruncatedBlock, "multiples", _scratch_multiples)
     # the reports compare their kernel and span dimensions too
     assert reports == [gluing_sequence_check(cov, 5, 5) for cov in covs]

@@ -245,6 +245,58 @@ def test_multiples_nf_degree_guard():
         == [Poly.zero(B2.nvars)]
 
 
+
+@pytest.mark.parametrize("names, gens", [
+    # staircase {1, u}: it ends far below the working degree
+    (("u",), [{(2,): 1, (1,): -1, (0,): -1}]),
+    # u^2 - T with the Tate variable T: the staircase runs up T
+    (("T", "u"), [{(0, 2): 1, (1, 0): -1}]),
+], ids=["finite", "tate"])
+def test_truncated_block_lays_out_normal_forms_by_key(q2, names, gens):
+    from adickit.groebner import DegreeOverflowError
+    from adickit.poly import monomials_upto
+    from adickit.tate import RingPresentation, TruncatedBlock
+    n = len(names)
+    pres = RingPresentation(q2, names, [
+        Poly(n, {e: Fraction(c) for e, c in g.items()}) for g in gens])
+    one = pres.coeff_one()
+    keys, work = ("a", (0, 1), 2), 6
+    block = TruncatedBlock(pres, work, keys, shift=5)
+    stairs = pres.staircase(work)
+    assert block.monomials == stairs
+    assert block.offsets == {k: 5 + i * len(stairs)
+                             for i, k in enumerate(keys)}
+    assert block.width == len(keys) * len(stairs)
+    # each vector is NF(m * c) of each coefficient at its key's offset,
+    # for standard and non-standard m alike
+    x = pres.var(names[-1])
+    form = {"a": x * x + pres.const(3), 2: pres.var(names[0]) - x}
+    monomials = monomials_upto(n, work - 2)
+    expected = []
+    for m in monomials:
+        vec = {}
+        for k, c in form.items():
+            nf = pres.normal_form(c.mul_term(m, one))
+            vec.update((block.offsets[k] + stairs.index(e), a)
+                       for e, a in nf.terms.items())
+        expected.append(vec)
+    assert block.multiples(form, monomials) == expected
+    assert block.standard_multiples(form) == \
+        block.multiples(form, pres.staircase(work - 2))
+    # the low columns at a cap are the positions of its monomials of degree
+    # <= cap, key by key
+    for cap in range(-1, work + 1):
+        assert block.low_columns(cap) == [
+            block.offsets[k] + i for k in keys
+            for i, e in enumerate(stairs) if sum(e) <= cap]
+    # a form beyond the working degree has terms outside the block
+    wide = x ** (work + 1) + pres.var(names[0]) ** (work + 1)
+    with pytest.raises(DegreeOverflowError, match="exceeds working degree"):
+        block.standard_multiples({"a": wide})
+    if pres.normal_form(wide).total_degree() > work:
+        with pytest.raises(KeyError):
+            block.multiples({"a": wide}, [(0,) * n])
+
 def test_staircase_is_enumerated_once_per_degree(monkeypatch):
     import adickit.tate as tate
     from adickit.groebner import staircase_shell

@@ -214,6 +214,17 @@ def test_wrong_characteristic_rejected():
         WittVector(2, (z4.one, z4.zero), z4)
 
 
+@pytest.mark.parametrize("p, ring", [(4, zmod(4)), (6, zmod(6)),
+                                     (9, zmod(9)), (1, zmod(2))],
+                         ids=["4", "6", "9", "1"])
+def test_composite_p_rejected(p, ring):
+    # the characteristic matches, but for composite p the ghost map is no
+    # Witt structure: W_2(Z/4) at p = 4 would add with a non-exact division
+    # and multiply to vectors of no Witt ring
+    with pytest.raises(WittError, match="prime p"):
+        WittVector(p, (ring.one, ring.zero), ring)
+
+
 def test_length_mismatch_rejected():
     with pytest.raises(WittError):
         witt_add(w2(F2.one, F2.zero), WittVector(2, (F2.one,), F2))
