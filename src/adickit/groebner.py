@@ -25,9 +25,6 @@ class DegreeOverflowError(ArithmeticError):
 def _vec_zero(length: int, nvars: int) -> list[Poly]:
     return [Poly.zero(nvars) for _ in range(length)]
 
-def _vec_add(a: list[Poly], b: list[Poly]) -> list[Poly]:
-    return [x + y for x, y in zip(a, b)]
-
 def _vec_sub(a: list[Poly], b: list[Poly]) -> list[Poly]:
     return [x - y for x, y in zip(a, b)]
 
@@ -36,6 +33,13 @@ def _vec_mul_term(a: list[Poly], exp: tuple, coeff) -> list[Poly]:
 
 def _vec_scale(a: list[Poly], coeff) -> list[Poly]:
     return [x.scale(coeff) for x in a]
+
+def _vec_less(a: list[Poly], quotients: list[Poly], rows) -> list[Poly]:
+    """a - sum(q * rows[k]) over the nonzero quotients q = quotients[k]."""
+    for q, row in zip(quotients, rows):
+        if not q.is_zero:
+            a = _vec_sub(a, [x * q for x in row])
+    return a
 
 
 def normal_form(f: Poly, basis: list[Poly], *, track: bool = False):
@@ -126,84 +130,97 @@ def buchberger_tracked(gens: list[Poly]):
 
     Zero input generators are tolerated (they contribute nothing).
     """
+    return _buchberger(gens, track=True)
+
+
+def buchberger(gens: list[Poly]) -> list[Poly]:
+    return _buchberger(gens, track=False)[0]
+
+
+def _buchberger(gens: list[Poly], track: bool):
+    """Buchberger's algorithm with the sugar strategy: pairs wait in a heap
+    keyed once by (sugar, grevlex lcm), and a pair is skipped by the
+    product criterion, or by the chain criterion when a third leading
+    monomial divides its lcm and neither pair with that element waits
+    (Gebauer and Moeller, On an installation of Buchberger's algorithm,
+    1988).  The transformation rows are kept only when `track`."""
     if not gens:
         return [], []
     nvars = gens[0].nvars
     basis: list[Poly] = []
-    reps: list[list[Poly]] = []
-    for i, f in enumerate(gens):
-        if f.is_zero:
-            continue
-        _, lc = f.leading()
-        inv = lc ** -1
-        basis.append(f.scale(inv))
-        rep = _vec_zero(len(gens), nvars)
-        rep[i] = Poly.constant(inv, nvars)
-        reps.append(rep)
+    reps: list = []
+    leads: list[tuple] = []
+    sugars: list[int] = []
+    queue: list = []
+    waiting: set = set()
 
-    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
-    while pairs:
-        # normal selection: smallest lcm first, deterministic
-        pairs.sort(key=lambda ij: grevlex_key(
-            exp_lcm(basis[ij[0]].leading()[0], basis[ij[1]].leading()[0])),
-            reverse=True)
-        i, j = pairs.pop()
-        ei, ej = basis[i].leading()[0], basis[j].leading()[0]
-        if exp_coprime(ei, ej):
-            continue  # product criterion
+    def add(f: Poly, rep, sugar: int) -> None:
+        exp, lc = f.leading()
+        inv = lc ** -1
+        j = len(basis)
+        for i, e in enumerate(leads):
+            if not exp_coprime(e, exp):     # else the product criterion
+                lcm = exp_lcm(e, exp)
+                s = exp_total(lcm) + max(sugars[i] - exp_total(e),
+                                         sugar - exp_total(exp))
+                heappush(queue, (s, grevlex_key(lcm), i, j, lcm))
+                waiting.add((i, j))
+        basis.append(f.scale(inv))
+        reps.append(_vec_scale(rep, inv) if track else None)
+        leads.append(exp)
+        sugars.append(sugar)
+
+    for i, f in enumerate(gens):
+        if not f.is_zero:
+            lc = f.leading()[1]
+            add(f, [Poly.constant(lc * lc ** -1, nvars) if k == i else
+                    Poly.zero(nvars) for k in range(len(gens))]
+                if track else None, f.total_degree())
+    while queue:
+        sugar, _, i, j, lcm = heappop(queue)
+        waiting.discard((i, j))
+        if any(k != i and k != j and exp_divides(e, lcm)
+               and (min(i, k), max(i, k)) not in waiting
+               and (min(j, k), max(j, k)) not in waiting
+               for k, e in enumerate(leads)):
+            continue    # the chain criterion
         sp, mi, mj = _s_pair(basis[i], basis[j])
-        sp_rep = _vec_sub(_vec_mul_term(reps[i], mi, basis[i].leading()[1]),
-                          _vec_mul_term(reps[j], mj, basis[j].leading()[1]))
-        rem, quot = normal_form(sp, basis, track=True)
+        rem, quot = (normal_form(sp, basis, track=True) if track else
+                     (normal_form(sp, basis), None))
         if rem.is_zero:
             continue
-        rem_rep = sp_rep
-        for k, q in enumerate(quot):
-            if not q.is_zero:
-                rem_rep = _vec_sub(rem_rep, [x * q for x in reps[k]])
-        _, lc = rem.leading()
-        inv = lc ** -1
-        basis.append(rem.scale(inv))
-        reps.append(_vec_scale(rem_rep, inv))
-        pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
-
-    return _reduce_tracked(basis, reps)
+        rep = None
+        if track:
+            one = basis[i].leading()[1]
+            rep = _vec_less(_vec_sub(_vec_mul_term(reps[i], mi, one),
+                                     _vec_mul_term(reps[j], mj, one)),
+                            quot, reps)
+        add(rem, rep, max(sugar, rem.total_degree()))
+    return _reduce(basis, reps, leads, track)
 
 
-def _reduce_tracked(basis, reps):
-    """Inter-reduce a monic basis, keeping the transformation in sync."""
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(basis)):
-            if basis[i].is_zero:
-                continue
-            others = [basis[k] if k != i else Poly.zero(basis[i].nvars)
-                      for k in range(len(basis))]
-            rem, quot = normal_form(basis[i], others, track=True)
-            if rem == basis[i]:
-                continue
-            rep = reps[i]
-            for k, q in enumerate(quot):
-                if not q.is_zero:
-                    rep = _vec_sub(rep, [x * q for x in reps[k]])
-            if rem.is_zero:
-                basis[i] = rem
-                reps[i] = rep
-            else:
-                _, lc = rem.leading()
-                inv = lc ** -1
-                basis[i] = rem.scale(inv)
-                reps[i] = _vec_scale(rep, inv)
-            changed = True
-    pairs = [(g, r) for g, r in zip(basis, reps) if not g.is_zero]
-    pairs.sort(key=lambda gr: grevlex_key(gr[0].leading()[0]))
-    return [g for g, _ in pairs], [r for _, r in pairs]
-
-
-def buchberger(gens: list[Poly]) -> list[Poly]:
-    basis, _ = buchberger_tracked(gens)
-    return basis
+def _reduce(basis, reps, leads, track):
+    """The reduced basis, grevlex-ascending, with its transformation rows
+    when `track`: keep one element per minimal leading monomial, then
+    reduce each tail against the others, which leaves every leading
+    monomial in place."""
+    keep = []
+    for i, e in enumerate(leads):
+        if not any(exp_divides(leads[k], e) and (leads[k] != e or k < i)
+                   for k in range(len(leads)) if k != i):
+            keep.append(i)
+    keep.sort(key=lambda i: grevlex_key(leads[i]))
+    minimal = [basis[i] for i in keep]
+    out, rows = [], []
+    for a, i in enumerate(keep):
+        others = minimal[:a] + [Poly.zero(basis[i].nvars)] + minimal[a + 1:]
+        if not track:
+            out.append(normal_form(basis[i], others))
+            continue
+        rem, quot = normal_form(basis[i], others, track=True)
+        out.append(rem)
+        rows.append(_vec_less(reps[i], quot, [reps[k] for k in keep]))
+    return out, rows
 
 
 def representation(f: Poly, basis: list[Poly]) -> list[Poly]:
@@ -240,8 +257,7 @@ def syzygy_basis(gens: list[Poly]) -> list[list[Poly]]:
     the generators in the basis.
     """
     gens = list(gens)
-    live = [(i, f) for i, f in enumerate(gens) if not f.is_zero]
-    if not live:
+    if all(f.is_zero for f in gens):
         return []
     nvars = gens[0].nvars
     basis, m_rows = buchberger_tracked(gens)
@@ -256,16 +272,11 @@ def syzygy_basis(gens: list[Poly]) -> list[list[Poly]]:
             rem, quot = normal_form(sp, basis, track=True)
             if not rem.is_zero:
                 raise AssertionError("S-pair of a Groebner basis must reduce to 0")
-            s_vec = [Poly.zero(nvars) for _ in basis]
-            s_vec[i] = s_vec[i] + Poly(nvars, {mi: one})
-            s_vec[j] = s_vec[j] - Poly(nvars, {mj: one})
-            for k, q in enumerate(quot):
-                s_vec[k] = s_vec[k] - q
-            pulled = _vec_zero(len(gens), nvars)
-            for a, s in enumerate(s_vec):
-                if s.is_zero:
-                    continue
-                pulled = _vec_add(pulled, [s * x for x in m_rows[a]])
+            # minus the basis syzygy x^mi e_i - x^mj e_j - quot, pulled back
+            neg = list(quot)
+            neg[i] = neg[i] - Poly(nvars, {mi: one})
+            neg[j] = neg[j] + Poly(nvars, {mj: one})
+            pulled = _vec_less(_vec_zero(len(gens), nvars), neg, m_rows)
             if any(not x.is_zero for x in pulled):
                 syzygies.append(pulled)
     # Rows of Id - N.M.
@@ -274,9 +285,7 @@ def syzygy_basis(gens: list[Poly]) -> list[list[Poly]]:
             continue
         row = _vec_zero(len(gens), nvars)
         row[i] = Poly.constant(one, nvars)
-        for a, q in enumerate(n_rows[i]):
-            if not q.is_zero:
-                row = _vec_sub(row, [q * x for x in m_rows[a]])
+        row = _vec_less(row, n_rows[i], m_rows)
         if any(not x.is_zero for x in row):
             syzygies.append(row)
     return syzygies

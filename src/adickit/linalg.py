@@ -1,9 +1,10 @@
 """Exact sparse linear algebra over any field-like coefficient type.
 
-Used for the truncated-coefficient-space exactness checks: ranks, kernels and
-span containment are computed with exact arithmetic (Fractions or finite-field
-elements), so a verdict of "exact at this cap" is a certificate, never a
-float artifact.
+Used for the truncated-coefficient-space checks: the H^-1 kernel, the gluing
+and joint-lift checks.  Ranks, kernels and span containment are computed
+with exact arithmetic (Fractions or finite-field elements), so a verdict of
+"exact at this cap" is a certificate, never a float artifact.  `settle`
+serves only the gluing check, whose images span no submodule.
 
 A vector is a dense list or a sparse dict {column: coefficient}.  One echelon
 core, `RowSpace`, serves every routine: its rows are sparse dicts keyed by

@@ -160,6 +160,8 @@ def gluing_sequence_check(cov: BinaryCovering, degree_cap: int = 6,
     a wider coordinate space is a prefix of it (`TruncatedBlock`), matching
     the cap-level coordinates position by position.
     """
+    if degree_cap < 0:
+        raise PresentationError(f"negative degree cap {degree_cap}")
     one = Fraction(1)
 
     def padded(monomials):  # B -> loc_fg, loc_gf and (x.., u) -> (x.., u, v)
@@ -254,6 +256,8 @@ def joint_surjection_lift(cov: BinaryCovering, s1: list[Poly], s2: list[Poly],
     """Patch generating sets of the two localized pieces into a joint
     generating set of B over a sub-Tate-algebra, re-certifying surjectivity
     at the cap after the p^-1 truncation perturbation."""
+    if degree_cap < 0:
+        raise PresentationError(f"negative degree cap {degree_cap}")
     B = cov.base_pres
     if not isinstance(B.base, QpBase):
         raise PresentationError("joint lifting needs a p-adic base")

@@ -19,8 +19,8 @@ from .groebner import (DEGREE_GUARD, DegreeOverflowError, buchberger,
                        normal_form, staircase_shell)
 from .norms import ExactNorm
 from .padics import DEFAULT_PRECISION, rational_valuation
-from .poly import (Poly, exp_coprime, exp_divides, exp_total, grevlex_key,
-                   render_poly)
+from .poly import (Poly, exp_coprime, exp_divides, exp_mul, exp_total,
+                   grevlex_key, render_poly)
 
 DEFAULT_DEGREE_CAP = 8
 
@@ -98,6 +98,8 @@ class RingPresentation:
         for g in self.gens:
             if g.nvars != len(self.varnames):
                 raise PresentationError("generator variable count mismatch")
+        if degree_cap < 0:
+            raise PresentationError(f"negative degree cap {degree_cap}")
         self.degree_cap = degree_cap
         self._basis = None
         self._border: dict = {}     # monomial -> NF terms, None if standard
@@ -316,8 +318,8 @@ class RingPresentation:
 class TruncatedBlock:
     """Forms over a presentation, truncated at a working degree, in sparse
     staircase coordinates: one copy of the standard monomials of degree <=
-    `degree` per key (a de Rham subset, a conormal component, or the one
-    summand of a direct sum), key i at columns shift + i * size onward.
+    `degree` per key (a conormal component, or the one summand of a direct
+    sum), key i at columns shift + i * size onward.
 
     Staircases are grevlex-ascending, so the block at a lower cap is a
     prefix of each copy, and grevlex normal forms never raise the degree,
@@ -346,28 +348,60 @@ class TruncatedBlock:
                 vec.update((off + index[m], a) for m, a in nf.terms.items())
         return vectors
 
-    def standard_multiples(self, form: dict) -> list[dict]:
-        """Coordinates of NF(s * form) for the standard monomials s of degree
-        <= degree - deg(form).  They span what the multiples by every
-        monomial m of that degree span: normal forms are linear, so
-        NF(m * c) = sum a_s NF(s * c) over the terms a_s s of NF(m), with the
-        same a_s for every coefficient c of the form.  The degree guard
-        fires as it would for every monomial, also where a finite staircase
-        stops short of it."""
-        deg = max(c.total_degree() for c in form.values())
-        if deg > self.degree:   # its normal form has terms beyond the block
-            raise DegreeOverflowError(
-                f"form of degree {deg} exceeds working degree {self.degree}")
-        if self.degree > DEGREE_GUARD:
-            raise DegreeOverflowError(
-                f"reduction exceeded degree guard {DEGREE_GUARD}")
-        return self.multiples(form, self.pres.staircase(self.degree - deg))
-
     def low_columns(self, cap: int) -> list[int]:
         """The columns of the monomials of degree <= cap (at most the
         block's degree), key by key: a prefix of each copy."""
         size = len(self.pres.staircase(cap)) if cap >= 0 else 0
         return [off + i for off in self.offsets.values() for i in range(size)]
+
+
+class Submodule:
+    """The submodule N + I.F of F = (K[X]/I)^keys spanned by forms (dicts
+    key -> Poly), as one Groebner basis in K[X, E], a tag E_j per key after
+    the X variables (Eisenbud, Commutative Algebra, ch. 15), of g.E_j for g
+    in the presentation's basis, each form as sum c_j E_j, and every E_i E_j
+    (so S-pairs across tags reduce to zero).  Its E-linear part is N + I.F;
+    grevlex orders the X^a E_j by X-degree first, so its E-linear standard
+    monomials of X-degree <= d are a basis of F / (N + I.F) in degree <= d."""
+    __slots__ = ("pres", "tags", "basis", "leading")
+
+    def __init__(self, pres: RingPresentation, keys, forms):
+        n, keys = pres.nvars, list(keys)
+        units = [tuple(int(i == j) for i in range(len(keys)))
+                 for j in range(len(keys))]
+        self.pres, self.tags = pres, dict(zip(keys, units))
+        one = pres.coeff_one()
+        gens = [Poly(n + len(keys), {(0,) * n + exp_mul(a, b): one})
+                for i, a in enumerate(units) for b in units[i:]]
+        gens += [self._tagged({k: g}) for g in pres.groebner_basis()
+                 for k in keys]
+        gens += [f for f in map(self._tagged, forms) if not f.is_zero]
+        self.basis = buchberger(gens)
+        # X-parts of the E-linear leading monomials, tag by tag
+        self.leading = {t: [] for t in units}
+        for g in self.basis:
+            exp = g.leading()[0]
+            if exp[n:] in self.leading:
+                self.leading[exp[n:]].append(exp[:n])
+
+    def _tagged(self, form: dict) -> Poly:
+        tags = self.tags
+        return Poly(self.pres.nvars + len(tags),
+                    {e + tags[k]: c for k, f in form.items()
+                     for e, c in f.terms.items()}, normalize=False)
+
+    def rank(self, cap: int) -> int:
+        """Dimension of the degree <= cap part of F / (N + I.F)."""
+        total = 0
+        for leading in self.leading.values():
+            shell = None
+            for _ in range(cap + 1):
+                shell = staircase_shell(leading, self.pres.nvars, shell)
+                total += len(shell)
+        return total
+
+    def contains(self, form: dict) -> bool:
+        return normal_form(self._tagged(form), self.basis).is_zero
 
 
 def _integral_membership(poly: Poly, gens: list[Poly]) -> bool:

@@ -193,3 +193,30 @@ def script_names(text: str) -> dict:
 
 def jacobian_presentations() -> dict:
     return script_names(JACOBIAN_DECLARATIONS)
+
+
+# coefficients of the seeded random presentations below
+RANDOM_COEFFS = (-3, -2, -1, 1, 2, 3, 4, 8)
+# draws whose 1-forms' tagged ideal takes Buchberger more than 5 s each
+# without the sugar queue and the chain criterion, and 0.05-0.35 s with
+# them, on one core of a 2-vCPU container
+SLOW_DRAWS = (10, 27, 29, 31, 50)
+
+
+def random_plane_presentations(count: int) -> list:
+    """The first `count` of a seeded family: one or two relations in X, Y
+    over Q_2 at D = 3, each of two to four terms with exponents 0..4 and
+    coefficients from RANDOM_COEFFS."""
+    import random
+    rng = random.Random(7)
+    out = []
+    for _ in range(count):
+        gens = []
+        for _ in range(rng.randint(1, 2)):
+            terms = {}
+            for _ in range(rng.randint(2, 4)):
+                terms[(rng.randint(0, 4), rng.randint(0, 4))] = \
+                    Fraction(rng.choice(RANDOM_COEFFS))
+            gens.append(Poly(2, terms))
+        out.append(RingPresentation(Q2, ("X", "Y"), gens, 3))
+    return out

@@ -14,8 +14,8 @@ from adickit.groebner import DegreeOverflowError, normal_form
 from adickit.localization import rational_localization
 from adickit.poly import Poly, exp_div, exp_lcm, grevlex_key
 from adickit.tate import (MorphismPresentation, PresentationError, QpBase,
-                          RingPresentation, TruncatedBlock,
-                          compose_presentations, free_presentation)
+                          RingPresentation, compose_presentations,
+                          free_presentation)
 
 ONE = Fraction(1)
 
@@ -84,13 +84,15 @@ def test_cotangent_h_minus1_overflow_is_flagged(q2, monkeypatch):
 
 
 def test_cotangent_syzygy_above_working_degree_is_flagged(q2):
-    # the syzygy (Y^6, -X) of (X^5, X^4 Y^6) does not fit the working degree
-    # cap + 2 = 3, so its span cannot be truncated there
+    # the syzygy (Y^6, -X) of (X^5, X^4 Y^6) has degree 6, far above cap 1,
+    # and its submodule still decides H^-1 there: X.e_1 is in the kernel
+    # (X.5X^4 = 5X^5 = 0) and outside the image, as X^6 is not in I^2
     B = pres_over(q2, ("X", "Y"), [{(5, 0): 1}, {(4, 6): 1}])
-    cx = naive_cotangent_complex(B, degree_cap=1)
-    assert cx.h_minus1 == "inconclusive"
-    assert "h_minus1_overflow" in cx.flags
-    assert naive_cotangent_complex(B, degree_cap=4).h_minus1 == "nonzero"
+    X = B.var("X")
+    for cap in (1, 4):
+        cx = naive_cotangent_complex(B, degree_cap=cap)
+        assert (cx.h_minus1, cx.flags) == ("nonzero", [])
+        assert cx.h_minus1_witness == [X, Poly.zero(2)]
 
 
 def test_cotangent_nilpotent_both_nonzero(q2):
@@ -554,22 +556,18 @@ def test_de_rham_etale_collapses(q2):
 
 
 def test_zero_relation_forms_feed_no_rows(q2, monkeypatch):
-    # the degree-0 relations NF(g) = 0 are kept on the complex, but rank and
-    # membership checks must not eliminate their all-zero multiples
+    # the degree-0 relations NF(g) = 0 are kept on the complex, but the
+    # submodule of the 0-forms gets no generator from them: only E^2 and
+    # (T^2 - T).E in K[T, E]
+    from adickit import tate
     fed = []
-    real_span, real_insert = differentials.span_in_low_block, \
-        differentials.RowSpace.insert
+    real = tate.buchberger
 
-    def span(vectors, *args):
-        fed.extend(vectors)
-        return real_span(vectors, *args)
+    def recording(gens):
+        fed.append(gens)
+        return real(gens)
 
-    def insert(self, vec):
-        fed.append(vec)
-        return real_insert(self, vec)
-
-    monkeypatch.setattr(differentials, "span_in_low_block", span)
-    monkeypatch.setattr(differentials.RowSpace, "insert", insert)
+    monkeypatch.setattr(tate, "buchberger", recording)
     B = pres_over(q2, ("T",), [{(2,): 1, (1,): -1}])
     cx = de_rham_complex(B, 1)
     assert cx.relations[0] and all(c.is_zero for rel in cx.relations[0]
@@ -577,7 +575,9 @@ def test_zero_relation_forms_feed_no_rows(q2, monkeypatch):
     assert cx.truncated_ranks[0] == 2
     assert cx.is_zero_form({(): B.var("T") * B.var("T") - B.var("T")})
     assert not cx.is_zero_form({(): B.var("T")})
-    assert fed and all(fed)
+    tagged = [gens for gens in fed if gens[0].nvars == 2]   # T and E
+    assert tagged[0] == [Poly(2, {(0, 2): ONE}),
+                         Poly(2, {(2, 1): ONE, (1, 1): -ONE})]
 
 
 def test_d_squared_zero_exhaustive(q2):
@@ -758,116 +758,119 @@ def test_cotangent_complex_matches_from_scratch_multiples(monkeypatch):
     assert {h for h, *_ in fast} >= {"zero", "nonzero"}
 
 
-def test_h_minus1_syzygy_span_matches_all_monomial_multiples(monkeypatch):
-    # the syzygy image span from standard-monomial multiples equals the span
-    # of the multiples by every monomial up to the working degree, each
-    # reduced from scratch: row for row the spans agree, and so do the H^-1
-    # verdicts, witnesses, h0 and flags
-    from corpus import classifier_fixtures, jacobian_presentations
-
-    from adickit.linalg import RowSpace
-    from adickit.poly import monomials_upto
-    named = jacobian_presentations()
-    cases = [pres for _, pres, _ in classifier_fixtures()]
-    cases += [named[k] for k in ("B1", "C1", "D2", "L1", "KD")]
-    cases.append(_drham_case("X^2,XY"))
-    cases.append(_drham_case("GF(3)"))
-
-    def summary(cx):
-        return cx.h_minus1, cx.h_minus1_witness, cx.h0, cx.flags
-
-    def every_monomial(block, form):
-        pres = block.pres
-        one = pres.coeff_one()
-        deg = max(c.total_degree() for c in form.values())
-        vectors = []
-        for m in monomials_upto(pres.nvars, max(block.degree - deg, 0)):
-            vec = {}
-            for s, c in form.items():
-                vec.update((block.offsets[s] + block.index[e], cc) for e, cc in
-                           pres.normal_form(c.mul_term(m, one)).terms.items()
-                           if e in block.index)
-            vectors.append(vec)
-        return vectors
-
-    blocks = []
-    real = TruncatedBlock.standard_multiples
-
-    def recording(block, form):
-        vectors = real(block, form)
-        blocks.append((vectors, every_monomial(block, form), block.pres))
-        return vectors
-
-    monkeypatch.setattr(TruncatedBlock, "standard_multiples", recording)
-    fast = [summary(naive_cotangent_complex(pres)) for pres in cases]
-    assert blocks       # X^2, XY has a nonzero syzygy image
-    for standard, every, pres in blocks:
-        width = 1 + max(k for vec in every for k in vec)
-        dims = []
-        for rows in (standard, every, standard + every):
-            span = RowSpace(width, pres.coeff_one())
-            for vec in rows:
-                span.insert(vec)
-            dims.append(span.dim)
-        assert dims[0] == dims[1] == dims[2]
-
-    monkeypatch.setattr(TruncatedBlock, "standard_multiples", every_monomial)
-    assert fast == [summary(naive_cotangent_complex(pres)) for pres in cases]
-    assert {h for h, *_ in fast} >= {"zero", "nonzero"}
-
-
-def test_de_rham_relation_block_takes_standard_multiples():
-    # k = 1 of drham B2: two relation forms of degree 1, each multiplied by
-    # the standard monomials of degree <= cap + 3 (every monomial of that
-    # degree gave 2730 rows of the same span)
-    from corpus import jacobian_presentations
-    pres = jacobian_presentations()["B2"]
-    cx = de_rham_complex(pres, 3)
-    cap = pres.degree_cap
-    *_, vectors = differentials._relation_block(
-        cx.relations[1], cx.generators[1], cap + 4, pres)
-    assert len(vectors) == 2 * len(pres.staircase(cap + 3)) == 530
-
-
 @pytest.mark.parametrize("names, gens, ranks", [
     # staircase {1, u}: it ends far below the degree guard
-    (("u",), [{(2,): 1, (1,): -1, (0,): -1}], {0: 2, 1: 0}),
+    (("u",), [{(2,): 1, (1,): -1, (0,): -1}],
+     {60: {0: 2, 1: 0}, 61: {0: 2, 1: 0}}),
     # u - T^2 with the Tate variable T: the staircase runs up T
-    (("T", "u"), [{(0, 1): 1, (2, 0): -1}], {0: 121, 1: 122}),
+    (("T", "u"), [{(0, 1): 1, (2, 0): -1}],
+     {60: {0: 121, 1: 122}, 61: {0: 123, 1: 124}}),
 ], ids=["finite", "tate"])
 def test_de_rham_degree_guard_boundary(q2, names, gens, ranks):
-    # the working degree is cap + 4, and relation multiples of total degree
-    # above DEGREE_GUARD = 64 raise whether or not the staircase reaches it
+    # the ranks are counted off one Groebner basis, whose reductions stay
+    # far below the degree guard whatever the cap
     gens = pres_over(q2, names, gens).gens
+    for cap, expected in ranks.items():
+        cx = de_rham_complex(RingPresentation(q2, names, gens, cap), 1)
+        assert cx.truncated_ranks == expected
 
-    def at_cap(cap):
-        return de_rham_complex(RingPresentation(q2, names, gens, cap), 1)
 
-    assert at_cap(60).truncated_ranks == ranks
+def test_de_rham_degree_guard_bounds_the_groebner_work(q2):
+    # u - T^d is tagged as (u - T^d).E of degree d + 1 in K[T, u, E]; its
+    # reduction stays within DEGREE_GUARD = 64 up to d = 63
+    assert de_rham_complex(pres_over(q2, ("T", "u"), [
+        {(0, 1): 1, (63, 0): -1}]), 1).truncated_ranks[0] == 45
     with pytest.raises(DegreeOverflowError, match="degree guard 64"):
-        at_cap(61)
-
+        de_rham_complex(pres_over(q2, ("T", "u"), [
+            {(0, 1): 1, (64, 0): -1}]), 1)
 
 
 def test_de_rham_relation_beyond_the_working_degree_raises(q2):
-    # d(X^14 - Y) = 14 X^13 dX - dY has degree 13, above the working degree
-    # cap + 4 = 12; dropping its X^13 term would make the block read dY = 0
-    # and give the 1-forms rank 89 of 90
+    # d(X^14 - Y) = 14 X^13 dX - dY has degree 13, beyond cap + 4 = 12: B is
+    # Q_2<X>, Omega^1 is free on dX, as dY = 14 X^13 dX, and Omega^2 = 0
     B = pres_over(q2, ("X", "Y"), [{(14, 0): 1, (0, 1): -1}])
-    with pytest.raises(DegreeOverflowError,
-                       match="degree 13 exceeds working degree 12"):
-        de_rham_complex(B, 1)
+    assert de_rham_complex(B, 2).truncated_ranks == {0: 45, 1: 54, 2: 0}
+
 
 def test_h_minus1_degree_guard_boundary(q2):
-    # (f, 2f) with the finite staircase {1, u} has the syzygy (2, -1); its
-    # multiples reach the working degree cap + 2, past the guard at cap 63
+    # (f, 2f) with the finite staircase {1, u} has the syzygy (2, -1): its
+    # submodule holds the kernel at every cap, also past the guard
     f = {(2,): 1, (1,): -1, (0,): -1}
     B = pres_over(q2, ("u",), [f, {e: 2 * c for e, c in f.items()}])
-    cx = naive_cotangent_complex(B, degree_cap=62)
-    assert (cx.h_minus1, cx.flags) == ("zero", [])
-    cx = naive_cotangent_complex(B, degree_cap=63)
-    assert cx.h_minus1 == "inconclusive"
-    assert "h_minus1_overflow" in cx.flags
+    for cap in (62, 63, 64):
+        cx = naive_cotangent_complex(B, degree_cap=cap)
+        assert (cx.h_minus1, cx.flags) == ("zero", [])
+    # along the Tate variable T the kernel's multiples of the degree-1
+    # Jacobian reach degree cap + 1, past the guard at cap 64
+    B = pres_over(q2, ("T", "u"), [{(0, 1): 1, (2, 0): -1}])
+    assert naive_cotangent_complex(B, degree_cap=63).h_minus1 == "zero"
+    cx = naive_cotangent_complex(B, degree_cap=64)
+    assert (cx.h_minus1, cx.flags) == ("inconclusive", ["h_minus1_overflow"])
+
+
+def test_de_rham_ranks_are_exact_where_a_margin_plateaus(q2):
+    # G = Q_2<X,Y>/(g), g = 2Y + 2X^4Y^4: (g, g_X, g_Y) holds Y g_Y - g =
+    # 6 X^4Y^4 and X g_X = 8 X^4Y^4, so Y, so 2 = g_Y - 8 X^4Y^3: the 2-forms
+    # vanish; the rank of a margin's span stays flat at 17 for margins 7-11
+    # and then drops, so no plateau certifies it
+    G = RingPresentation(q2, ("X", "Y"), pres_over(q2, ("X", "Y"), [
+        {(0, 1): 2, (4, 4): 2}]).gens, 3)
+    cx = de_rham_complex(G, 2)
+    assert cx.truncated_ranks == {0: 10, 1: 14, 2: 0}
+    assert cx.truncated_ranks[1] < _reference_truncated_rank(cx, 1, 11)
+    assert cx.is_zero_form({(0, 1): G.const(1)})
+
+
+def test_de_rham_ranks_match_the_margin_reference_on_random_presentations():
+    # a margin only spans part of the relation module, so its rank is an
+    # upper bound; at margin 20 it reaches the exact rank on these draws
+    from corpus import random_plane_presentations
+    seen = set()
+    for pres in random_plane_presentations(3):
+        cx = de_rham_complex(pres, 2)
+        for k in range(3):
+            rank = cx.truncated_ranks[k]
+            assert rank <= _reference_truncated_rank(cx, k, 4)
+            assert rank <= _reference_truncated_rank(cx, k, 8)
+            assert rank == _reference_truncated_rank(cx, k, 20)
+            seen.add(rank < _reference_truncated_rank(cx, k, 4))
+    assert seen == {False, True}
+
+
+def test_h_minus1_witness_lies_outside_the_syzygy_image(q2):
+    # I = (X^3, X^3 + 8X, 8Y^2 - 3X^3 Y) = (X, Y^2): the kernel of v -> v.J at
+    # cap 2 is spanned by e_1, Y.e_1 and Y.e_3; v is in the syzygy image plus
+    # I.F iff sum v_i g_i lies in I^2, which holds for e_1 (X^3) and Y.e_1
+    # but not for Y.e_3 (8Y^3 mod I^2)
+    from adickit.groebner import buchberger
+    B = RingPresentation(q2, ("X", "Y"), pres_over(q2, ("X", "Y"), [
+        {(3, 0): 1}, {(3, 0): 1, (1, 0): 8}, {(0, 2): 8, (3, 1): -3}]).gens, 2)
+    cx = naive_cotangent_complex(B)
+    assert cx.h_minus1 == "nonzero"
+    witness = cx.h_minus1_witness
+    assert witness == [Poly.zero(2), Poly.zero(2), B.var("Y")]
+    for j in range(2):
+        assert B.normal_form(sum((w * g.derivative(j) for w, g in
+                                  zip(witness, B.gens)), Poly.zero(2))).is_zero
+    square = buchberger([f * g for f in B.gens for g in B.gens])
+    image = sum((w * g for w, g in zip(witness, B.gens)), Poly.zero(2))
+    assert not normal_form(image, square).is_zero
+
+
+def test_cotangent_complex_rejects_a_negative_cap(q2):
+    B = pres_over(q2, ("T",), [{(2,): 1}])
+    with pytest.raises(PresentationError, match="negative degree cap -2"):
+        naive_cotangent_complex(B, degree_cap=-2)
+    # the witness T.e_1 of H^-1 has degree 1
+    assert naive_cotangent_complex(B, degree_cap=0).h_minus1 == "zero"
+    assert naive_cotangent_complex(B, degree_cap=1).h_minus1 == "nonzero"
+
+
+def test_de_rham_rejects_a_negative_top_degree(q2):
+    B = pres_over(q2, ("T",), [{(2,): 1}])
+    with pytest.raises(PresentationError, match="negative top degree -2"):
+        de_rham_complex(B, -2)
+    assert de_rham_complex(B, 0).truncated_ranks == {0: 2}
 
 
 def test_de_rham_normal_form_count_bound(monkeypatch):

@@ -212,6 +212,60 @@ def test_normal_form_remainder_matches_sympy():
                             expected) == 0
 
 
+def tagged_ideal(pres, keys, forms):
+    """The ideal of the submodule N + I.F of F = (K[X]/I)^keys in K[X, E],
+    one tag E_j per key after the X variables: g.E_j for g in the
+    presentation's basis, each form as sum c_j E_j, and every E_i E_j."""
+    n, keys = pres.nvars, list(keys)
+    width = n + len(keys)
+
+    def tag(poly, j):
+        return Poly(width, {e + tuple(int(i == j) for i in range(len(keys))):
+                            c for e, c in poly.terms.items()})
+
+    one = Poly.constant(pres.coeff_one(), n)
+    gens = [tag(one, i) * tag(one, j) for i in range(len(keys))
+            for j in range(i, len(keys))]
+    gens += [tag(g, j) for g in pres.groebner_basis()
+             for j in range(len(keys))]
+    for form in forms:
+        total = Poly.zero(width)
+        for k, c in form.items():
+            total = total + tag(c, keys.index(k))
+        if not total.is_zero:
+            gens.append(total)
+    return gens
+
+
+def tagged_cases():
+    """(label, presentation, keys, forms) of the 1-forms of plane
+    presentations: the forms are dg = g_X dX + g_Y dY in normal form; G is
+    2Y + 2X^4Y^4, then X^14 - Y and the slow random draws."""
+    from corpus import SLOW_DRAWS, Q2, qp_pres, random_plane_presentations
+    draws = random_plane_presentations(max(SLOW_DRAWS) + 1)
+    cases = [("G", qp_pres(Q2, ("X", "Y"), [{(0, 1): 2, (4, 4): 2}])),
+             ("X^14 - Y", qp_pres(Q2, ("X", "Y"), [{(14, 0): 1,
+                                                    (0, 1): -1}]))]
+    cases += [(f"draw {i}", draws[i]) for i in SLOW_DRAWS]
+    for label, pres in cases:
+        forms = [{j: pres.normal_form(g.derivative(j[0]))
+                  for j in ((0,), (1,))} for g in pres.gens]
+        yield label, pres, [(0,), (1,)], forms
+
+
+def _sympy_basis(sympy, gens):
+    """The reduced grevlex basis of sympy.groebner, monic, in our order."""
+    nvars = gens[0].nvars
+    xs = sympy.symbols(f"x0:{nvars}")
+    exprs = [_to_sympy(sympy, g, xs) for g in gens]
+    expected = []
+    for h in sympy.groebner(exprs, *xs, order="grevlex").exprs:
+        poly = Poly(nvars, {e: Fraction(int(c.p), int(c.q)) for e, c in
+                            sympy.Poly(h, *xs).terms()})
+        expected.append(poly.scale(poly.leading()[1] ** -1))
+    return sorted(expected, key=lambda g: grevlex_key(g.leading()[0]))
+
+
 def test_buchberger_matches_sympy():
     import random
 
@@ -224,17 +278,35 @@ def test_buchberger_matches_sympy():
                             for _ in range(rng.randint(2, 3))) if not g.is_zero]
         if not gens:
             continue
-        xs = sympy.symbols(f"x0:{nvars}")
-        exprs = [_to_sympy(sympy, g, xs) for g in gens]
-        expected = []
-        for h in sympy.groebner(exprs, *xs, order="grevlex").exprs:
-            poly = Poly(nvars, {e: Fraction(int(c.p), int(c.q)) for e, c in
-                                sympy.Poly(h, *xs).terms()})
-            expected.append(poly.scale(poly.leading()[1] ** -1))
-        expected.sort(key=lambda g: grevlex_key(g.leading()[0]))
         basis = buchberger(gens)
         assert all(g.leading()[1] == 1 for g in basis)
-        assert basis == expected
+        assert basis == _sympy_basis(sympy, gens)
+    # tagged-module ideals, whose E_i E_j pairs the chain criterion prunes
+    for label, *case in tagged_cases():
+        gens = tagged_ideal(*case)
+        assert buchberger(gens) == _sympy_basis(sympy, gens), label
+
+
+def test_tracked_bases_satisfy_g_equals_m_f():
+    # with pairs queued by sugar and pruned by both criteria, each row of M
+    # still expresses its basis element in the generators, and the basis is
+    # the untracked one
+    rng = random.Random(17)
+    systems = [[g for g in (_random_poly(rng, rng.randint(2, 3), 3, 2)
+                            for _ in range(3)) if not g.is_zero]
+               for _ in range(20)]
+    systems = [gens for gens in systems
+               if len({g.nvars for g in gens}) == 1 and gens]
+    systems += [tagged_ideal(*case) for label, *case in tagged_cases()
+                if label in ("G", "draw 50")]
+    for gens in systems:
+        basis, rows = buchberger_tracked(gens)
+        assert basis == buchberger(gens)
+        for g, row in zip(basis, rows):
+            total = Poly.zero(g.nvars)
+            for coeff, f in zip(row, gens):
+                total = total + coeff * f
+            assert total == g
 
 
 def test_tracked_normal_form_is_an_exact_division():

@@ -1,12 +1,15 @@
 from fractions import Fraction
 
+import pytest
+
 from adickit.finiterings import gf, zmod
 from adickit.localization import (BinaryCovering, binary_covering,
                                   covering_check, gluing_sequence_check,
                                   joint_surjection_lift,
                                   rational_localization)
 from adickit.poly import Poly
-from adickit.tate import IntegerBase, TruncatedBlock, free_presentation
+from adickit.tate import (IntegerBase, PresentationError, TruncatedBlock,
+                          free_presentation)
 
 
 def test_localization_shape(line):
@@ -84,6 +87,23 @@ def test_gluing_requires_covering(line):
     # and `glue-check` refuses to go on
     T = line.var("T")
     assert binary_covering(line, T, T * T).certificate.status == "false"
+
+
+def test_gluing_check_rejects_a_negative_cap(line):
+    # at D = -1 the kernel clause was read on the degree-0 staircase and the
+    # image clauses on empty low blocks: left exact, middle and right failed
+    cov = binary_covering(line, line.var("T") + line.const(3), line.const(2))
+    with pytest.raises(PresentationError, match="negative degree cap -1"):
+        gluing_sequence_check(cov, -1, 6)
+    assert gluing_sequence_check(cov, 0, 6).all_exact()
+
+
+def test_joint_lift_rejects_a_negative_cap(line):
+    cov = binary_covering(line, line.var("T"), line.const(2))
+    with pytest.raises(PresentationError, match="negative degree cap -1"):
+        joint_surjection_lift(cov, [], [], over=line, degree_cap=-1)
+    assert joint_surjection_lift(cov, [], [], over=line,
+                                 degree_cap=0).status == "certified"
 
 
 def _negative_controls(line):

@@ -253,7 +253,6 @@ def test_multiples_nf_degree_guard():
     (("T", "u"), [{(0, 2): 1, (1, 0): -1}]),
 ], ids=["finite", "tate"])
 def test_truncated_block_lays_out_normal_forms_by_key(q2, names, gens):
-    from adickit.groebner import DegreeOverflowError
     from adickit.poly import monomials_upto
     from adickit.tate import RingPresentation, TruncatedBlock
     n = len(names)
@@ -281,8 +280,6 @@ def test_truncated_block_lays_out_normal_forms_by_key(q2, names, gens):
                        for e, a in nf.terms.items())
         expected.append(vec)
     assert block.multiples(form, monomials) == expected
-    assert block.standard_multiples(form) == \
-        block.multiples(form, pres.staircase(work - 2))
     # the low columns at a cap are the positions of its monomials of degree
     # <= cap, key by key
     for cap in range(-1, work + 1):
@@ -291,8 +288,6 @@ def test_truncated_block_lays_out_normal_forms_by_key(q2, names, gens):
             for i, e in enumerate(stairs) if sum(e) <= cap]
     # a form beyond the working degree has terms outside the block
     wide = x ** (work + 1) + pres.var(names[0]) ** (work + 1)
-    with pytest.raises(DegreeOverflowError, match="exceeds working degree"):
-        block.standard_multiples({"a": wide})
     if pres.normal_form(wide).total_degree() > work:
         with pytest.raises(KeyError):
             block.multiples({"a": wide}, [(0,) * n])
@@ -330,3 +325,75 @@ def test_staircase_matches_full_enumeration(label):
     for degree in (0, 2, 1, 4, 4, 3, 6, 0, -1, 5, -3, 7):
         assert pres.staircase(degree) == \
             full_staircase(pres.nvars, basis, degree)
+
+
+def test_presentation_rejects_a_negative_degree_cap(q2):
+    from adickit.cli import Options, parse_script, run_script
+    with pytest.raises(PresentationError, match="negative degree cap -1"):
+        free_presentation(q2, ("T",), degree_cap=-1)
+    assert free_presentation(q2, ("T",), degree_cap=0).staircase() == [(0,)]
+    out = run_script(parse_script("A = Tate(Qp(2, 8), [T]; D=-1);"),
+                     Options())
+    assert out.reports[0]["error"].startswith("negative degree cap -1")
+
+
+def _sympy_tagged_ranks(sympy, gens, nvars, caps):
+    """sympy's grevlex basis of a tagged ideal, and for each cap its E-linear
+    standard monomials of X-degree <= cap, counted off the leading
+    monomials."""
+    from test_groebner import _to_sympy
+
+    from adickit.poly import exp_divides, monomials_upto
+    width = gens[0].nvars
+    xs = sympy.symbols(f"x0:{width}")
+    basis = sympy.groebner([_to_sympy(sympy, g, xs) for g in gens], *xs,
+                           order="grevlex")
+    leading = [sympy.Poly(h, *xs).monoms(order="grevlex")[0]
+               for h in basis.exprs]
+    tags = [tuple(int(i == j) for i in range(width - nvars))
+            for j in range(width - nvars)]
+    leads = [[m[:nvars] for m in leading if m[nvars:] == tag] for tag in tags]
+    return basis, [sum(1 for lead in leads for m in monomials_upto(nvars, cap)
+                       if not any(exp_divides(e, m) for e in lead))
+                   for cap in caps]
+
+
+@pytest.mark.parametrize("label", ["G", "X^14 - Y", "draw 10", "KD"])
+def test_submodule_matches_a_sympy_basis_of_the_tagged_ideal(label):
+    # rank: the E-linear standard monomials of sympy's basis; contains: a
+    # form is in N + I.F iff its tagged polynomial is in the tagged ideal
+    import random
+
+    from corpus import jacobian_presentations
+    from test_groebner import _to_sympy, tagged_cases, tagged_ideal
+
+    from adickit.differentials import de_rham_complex
+    from adickit.poly import monomials_upto
+    from adickit.tate import Submodule
+    sympy = pytest.importorskip("sympy")
+    if label == "KD":     # relative: the 1-forms are free on du
+        pres = jacobian_presentations()["KD"]
+        cx = de_rham_complex(pres, 1)
+        keys, forms = cx.generators[1], cx.relations[1]
+    else:
+        pres, keys, forms = next(case for name, *case in tagged_cases()
+                                 if name == label)
+    gens = tagged_ideal(pres, keys, forms)
+    module = Submodule(pres, keys, forms)
+    basis, ranks = _sympy_tagged_ranks(sympy, gens, pres.nvars, (0, 3, 8))
+    assert [module.rank(cap) for cap in (0, 3, 8)] == ranks
+    xs = sympy.symbols(f"x0:{gens[0].nvars}")
+    rng = random.Random(label)
+    one = pres.coeff_one()
+    monos = monomials_upto(pres.nvars, 3)
+    candidates = [{k: c.mul_term(m, one) for k, c in form.items()}
+                  for form in forms for m in rng.sample(monos, 2)]
+    candidates += [{k: Poly(pres.nvars, {m: Fraction(rng.randint(1, 4))
+                                        for m in rng.sample(monos, 2)})}
+                   for k in keys]
+    answers = [module.contains(form) for form in candidates]
+    assert True in answers and False in answers
+    for form, answer in zip(candidates, answers):
+        tagged = tagged_ideal(pres, keys, [form])[-1]
+        assert basis.contains(_to_sympy(sympy, tagged, xs)) == answer
+
