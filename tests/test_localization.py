@@ -98,6 +98,21 @@ def test_gluing_check_rejects_a_negative_cap(line):
     assert gluing_sequence_check(cov, 0, 6).all_exact()
 
 
+
+@pytest.mark.parametrize("base, pieces, error", [
+    ("ZZ", "(T) (1 - T)", "PresentationError: normal forms over the integer"
+     " base are not supported; use point functors at 2:1"),
+    ("Zmod(4)", "(T) (1)", "PresentationError: finite-base presentation"
+     " needs one pure-power leading monomial per variable at 2:1"),
+    ("GF(3)", "(T) (1 - T)",
+     "PresentationError: joint lifting needs a p-adic base at 2:1")])
+def test_glue_check_error_reports_off_the_p_adic_base(base, pieces, error):
+    from adickit.cli import Options, parse_script, run_script
+    script = f"A = Tate({base}, [T]);\nglue-check A {pieces};\n"
+    out = run_script(parse_script(script), Options())
+    assert out.exit_code != 0
+    assert [r.get("error") for r in out.reports] == [error]
+
 def test_joint_lift_rejects_a_negative_cap(line):
     cov = binary_covering(line, line.var("T"), line.const(2))
     with pytest.raises(PresentationError, match="negative degree cap -1"):
