@@ -1,10 +1,9 @@
 """Exact sparse linear algebra over any field-like coefficient type.
 
-Used for the truncated-coefficient-space checks: the H^-1 kernel, the gluing
-and joint-lift checks.  Ranks, kernels and span containment are computed
-with exact arithmetic (Fractions or finite-field elements), so a verdict of
-"exact at this cap" is a certificate, never a float artifact.  `settle`
-serves only the gluing check, whose images span no submodule.
+Used for the truncated-coefficient-space checks: the H^-1 kernel and the
+joint-lift check.  Ranks, kernels and span containment are computed with
+exact arithmetic (Fractions or finite-field elements), so a verdict of
+"exact at this cap" is a certificate, never a float artifact.
 
 A vector is a dense list or a sparse dict {column: coefficient}.  One echelon
 core, `RowSpace`, serves every routine: its rows are sparse dicts keyed by
@@ -138,34 +137,3 @@ def solve(rows: list[list], rhs: list, one):
         x[pc] = tail.get(ncols, x[pc])
     return x
 
-
-def span_in_low_block(vectors: list, low_cols, width: int, one) -> RowSpace:
-    """Basis (as a RowSpace over the low columns) of span(vectors) intersected
-    with the coordinate subspace supported on low_cols.  Columns outside
-    low_cols come first in the elimination order, so the echelon rows with a
-    pivot in the low block span the intersection."""
-    nhigh = width - len(low_cols)
-    low_at = {col: nhigh + j for j, col in enumerate(low_cols)}
-    high = iter(range(nhigh))
-    at = [low_at[col] if col in low_at else next(high) for col in range(width)]
-    space = RowSpace(width, one)
-    for v in vectors:
-        space.insert({at[k]: c for k, c in _sparse(v).items()})
-    low = RowSpace(len(low_cols), one)
-    low.rows = {piv - nhigh: {k - nhigh: c for k, c in tail.items()}
-                for piv, tail in space.rows.items() if piv >= nhigh}
-    return low
-
-
-def settle(attempt, work: int) -> bool | None:
-    """A containment checked on truncated spaces: `attempt(w)` returns
-    (held, dimension of the span) at working degree w.  True if it holds at
-    `work` or `work + 1`; False only if the span did not grow between them;
-    else None (inconclusive)."""
-    held, dim = attempt(work)
-    if held:
-        return True
-    held, wider = attempt(work + 1)
-    if held:
-        return True
-    return False if wider == dim else None

@@ -1,11 +1,12 @@
-"""Rational localizations and the finite-precision gluing exactness checker.
+"""Rational localizations and the gluing exactness checker.
 
-The sequence 0 -> B -> B<f/g> (+) B<g/f> -> B<f/g,g/f> -> 0 is checked on
-truncated coefficient spaces by exact rank computations.  "Inconclusive" is a
-first-class verdict: a clause is only reported "exact" when the containment
-is certified at the cap, and only reported "failed" when the relevant image
-has stabilized under extra working degree and the containment still fails, so
-a false "exact" is impossible by construction.
+On a covering, 1 = a*f + b*g in B, the sequence
+0 -> B -> B<f/g> (+) B<g/f> -> B<f/g,g/f> -> 0 is the Cech complex of the
+standard open cover of B by B_g and B_f (Tate's acyclicity theorem for the
+completed rings), so it is exact in every degree once the pieces are those
+localizations.  The checker certifies that from the pieces' presentations
+and three exact normal forms of the covering identity; a covering whose
+pieces differ is refused.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .groebner import DegreeOverflowError, unit_certificate
-from .linalg import (RowSpace, kernel_of_map, settle, solve,
-                     span_in_low_block)
+from .linalg import RowSpace, solve
 from .poly import Poly, monomials_upto
 from .tate import (IntegerBase, MorphismPresentation, PresentationError,
                    QpBase, RingPresentation, TruncatedBlock)
@@ -95,12 +95,9 @@ class BinaryCovering:
         self.certificate = certificate
 
 
-def binary_covering(B: RingPresentation, f: Poly, g: Poly) -> BinaryCovering:
-    """The pieces of the cover by B<f/g> and B<g/f>, with the certificate of
-    whether (f, g) generate the unit ideal, which the caller reads."""
-    if B.has_field_coefficients():
-        f, g = B.normal_form(f), B.normal_form(g)
-    cert = covering_check(B, f, g)
+def _pieces(B: RingPresentation, f: Poly, g: Poly) -> tuple:
+    """B<f/g> = B<u>/(g*u - f), B<g/f> = B<v>/(f*v - g), and B<f/g, g/f>
+    with both relations."""
     loc_fg, _ = rational_localization(B, f, g, "u")
     loc_gf, _ = rational_localization(B, g, f, "v")
     n = B.nvars + 2
@@ -110,7 +107,16 @@ def binary_covering(B: RingPresentation, f: Poly, g: Poly) -> BinaryCovering:
     fe, ge = f.extend_vars(n), g.extend_vars(n)
     joint = B.extend((loc_fg.varnames[-1], loc_gf.varnames[-1]),
                      [ge * u - fe, fe * v - ge])
-    return BinaryCovering(B, f, g, loc_fg, loc_gf, joint, cert)
+    return loc_fg, loc_gf, joint
+
+
+def binary_covering(B: RingPresentation, f: Poly, g: Poly) -> BinaryCovering:
+    """The pieces of the cover by B<f/g> and B<g/f>, with the certificate of
+    whether (f, g) generate the unit ideal, which the caller reads."""
+    if B.has_field_coefficients():
+        f, g = B.normal_form(f), B.normal_form(g)
+    cert = covering_check(B, f, g)
+    return BinaryCovering(B, f, g, *_pieces(B, f, g), cert)
 
 
 class ExactnessReport:
@@ -140,89 +146,53 @@ class ExactnessReport:
                 "degree_cap": self.degree_cap, "precision": self.precision}
 
 
-def _negated(vec: dict) -> dict:
-    return {k: -c for k, c in vec.items()}
-
-
 def _monomial_coords(block: TruncatedBlock, monomials: list) -> list[dict]:
     """Coordinates of NF(m) for each exponent m: the multiples of 1."""
     return block.multiples({0: Poly.constant(Fraction(1), block.pres.nvars)},
                            monomials)
 
 
-def gluing_sequence_check(cov: BinaryCovering, degree_cap: int = 6,
-                          precision: int = 6,
-                          margin: int = 3) -> ExactnessReport:
-    """Check the three exactness clauses on degree-capped coefficient spaces.
+def _is_one(pres: RingPresentation, poly: Poly) -> bool:
+    return pres.normal_form(
+        poly - Poly.constant(pres.coeff_one(), pres.nvars)).is_zero
 
-    The image spans are recomputed at an enlarged working degree before a
-    clause is allowed to fail (`linalg.settle`): the degree <= cap block of
-    a wider coordinate space is a prefix of it (`TruncatedBlock`), matching
-    the cap-level coordinates position by position.
+
+def gluing_sequence_check(cov: BinaryCovering, degree_cap: int = 6,
+                          precision: int = 6) -> ExactnessReport:
+    """Certify the three exactness clauses from the covering identity.
+
+    The pieces must be the presentations `binary_covering` builds, else a
+    PresentationError names the first that differs.  With a and b the
+    certificate's coefficients of f and g, the normal forms of
+    g*(a*u + b) in B<f/g>, f*(b*v + a) in B<g/f> and u*v in B<f/g, g/f>
+    must each be 1: then g, f and fg are units in the pieces, which are the
+    localizations B_g, B_f and B_fg, and every clause is exact in every
+    degree.  Without a certificate, or where an identity fails, every
+    clause is inconclusive.
     """
     if degree_cap < 0:
         raise PresentationError(f"negative degree cap {degree_cap}")
-    one = Fraction(1)
-
-    def padded(monomials):  # B -> loc_fg, loc_gf and (x.., u) -> (x.., u, v)
-        return [m + (0,) for m in monomials]
-
-    def loc2_into_joint(monomials):  # (x.., v) -> (x.., u, v)
-        return [m[:-1] + (0, m[-1]) for m in monomials]
-
-    def blocks(degree):     # B1 (+) B2: B2's columns after B1's
-        T1 = TruncatedBlock(cov.loc_fg, degree)
-        return T1, TruncatedBlock(cov.loc_gf, degree, shift=T1.width)
-
-    def alpha(T1, T2, base_monomials):  # B -> B1 (+) B2
-        lifted = padded(base_monomials)
-        return [a | b for a, b in zip(_monomial_coords(T1, lifted),
-                                      _monomial_coords(T2, lifted))]
-
-    def beta(T12, loc1_monomials, loc2_monomials):  # B1 (+) B2 -> B12
-        return _monomial_coords(T12, padded(loc1_monomials)) + [
-            _negated(v) for v in
-            _monomial_coords(T12, loc2_into_joint(loc2_monomials))]
-
-    detail: dict = {}
-
-    # Cap-level coordinates (also the shared low block of every working degree).
-    C1, C2 = blocks(degree_cap)
-    C12 = TruncatedBlock(cov.joint, degree_cap)
-
-    # (i) injectivity of B -> B1 (+) B2 on degree <= cap.  Normal forms are
-    # exact, so a kernel vector is a genuine algebraic counterexample.
-    alpha_cap = alpha(C1, C2, cov.base_pres.staircase(degree_cap))
-    kernel = kernel_of_map(alpha_cap, C1.width + C2.width, one)
-    left = "exact" if not kernel else "failed"
-    detail["left_kernel_dim"] = len(kernel)
-
-    # (ii) kernel of the difference map on the cap-level middle term.
-    beta_cap = beta(C12, C1.monomials, C2.monomials)
-    ker_beta = kernel_of_map(beta_cap, C12.width, one)
-    detail["middle_kernel_dim"] = len(ker_beta)
-
-    def middle_attempt(work: int):
-        W1, W2 = blocks(work)
-        vectors = alpha(W1, W2, cov.base_pres.staircase(work))
-        low_cols = W1.low_columns(degree_cap) + W2.low_columns(degree_cap)
-        space = span_in_low_block(vectors, low_cols, W1.width + W2.width, one)
-        ok = all(space.contains(v) for v in ker_beta)
-        return ok, space.dim
-
-    def right_attempt(work: int):
-        W1, W2 = blocks(work)
-        W12 = TruncatedBlock(cov.joint, work)
-        images = beta(W12, W1.monomials, W2.monomials)
-        space = span_in_low_block(images, W12.low_columns(degree_cap),
-                                  W12.width, one)
-        ok = all(space.contains({k: one}) for k in range(C12.width))
-        return ok, space.dim
-
-    clause = {True: "exact", False: "failed", None: "inconclusive"}
-    middle = clause[settle(middle_attempt, degree_cap + margin)]
-    right = clause[settle(right_attempt, degree_cap + margin)]
-    return ExactnessReport(left, middle, right, degree_cap, precision, detail)
+    B, f, g = cov.base_pres, cov.f, cov.g
+    names = ("B<f/g>", "B<g/f>", "B<f/g, g/f>")
+    given = (cov.loc_fg, cov.loc_gf, cov.joint)
+    for name, piece, built in zip(names, given, _pieces(B, f, g)):
+        if piece != built:
+            raise PresentationError(
+                f"covering piece {name} is {piece.describe()}, not "
+                f"{built.describe()}")
+    cert = cov.certificate
+    certified = cert.status == "true"
+    if certified:
+        n, one = B.nvars, B.coeff_one()
+        a, b, f1, g1 = (p.extend_vars(n + 1)
+                        for p in (cert.f_coeff, cert.g_coeff, f, g))
+        t = Poly.variable(n, n + 1, one)    # u in B<f/g>, v in B<g/f>
+        u, v = Poly.variable(n, n + 2, one), Poly.variable(n + 1, n + 2, one)
+        certified = (_is_one(cov.loc_fg, g1 * (a * t + b))
+                     and _is_one(cov.loc_gf, f1 * (b * t + a))
+                     and _is_one(cov.joint, u * v))
+    clause = "exact" if certified else "inconclusive"
+    return ExactnessReport(clause, clause, clause, degree_cap, precision)
 
 
 class JointSurjectionResult:

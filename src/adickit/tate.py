@@ -318,22 +318,21 @@ class RingPresentation:
 class TruncatedBlock:
     """Forms over a presentation, truncated at a working degree, in sparse
     staircase coordinates: one copy of the standard monomials of degree <=
-    `degree` per key (a conormal component, or the one summand of a direct
-    sum), key i at columns shift + i * size onward.
+    `degree` per key (a conormal component), key i at columns i * size
+    onward.
 
     Staircases are grevlex-ascending, so the block at a lower cap is a
     prefix of each copy, and grevlex normal forms never raise the degree,
     so NF(m * c) lies in the block whenever m * c does."""
     __slots__ = ("pres", "degree", "monomials", "index", "offsets", "width")
 
-    def __init__(self, pres: RingPresentation, degree: int, keys=(0,),
-                 shift: int = 0):
+    def __init__(self, pres: RingPresentation, degree: int, keys=(0,)):
         self.pres = pres
         self.degree = max(degree, 0)    # as staircase: degree 0 below zero
         self.monomials = pres.staircase(degree)
         self.index = {m: i for i, m in enumerate(self.monomials)}
         size = len(self.monomials)
-        self.offsets = {k: shift + i * size for i, k in enumerate(keys)}
+        self.offsets = {k: i * size for i, k in enumerate(keys)}
         self.width = size * len(self.offsets)
 
     def multiples(self, form: dict, monomials: list) -> list[dict]:

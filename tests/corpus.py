@@ -100,27 +100,30 @@ def mod9_rings():
 
 
 def gluing_negative_controls(line):
-    """Mutated coverings that must never report all-exact."""
+    """Coverings of (T, 2) with one corrupted piece, as (label, the piece's
+    name in the gluing check's refusal, covering).  The covering identity
+    alone holds in the first two, so only the piece check refuses them."""
     from adickit.localization import BinaryCovering, binary_covering
     T = line.var("T")
     cov = binary_covering(line, T, line.const(2))
-    controls = []
-    controls.append(("free first piece", BinaryCovering(
-        cov.base_pres, cov.f, cov.g, line.extend(("u",), []), cov.loc_gf,
-        cov.joint, cov.certificate)))
+
+    def corrupted(loc_fg=cov.loc_fg, joint=cov.joint):
+        return BinaryCovering(cov.base_pres, cov.f, cov.g, loc_fg,
+                              cov.loc_gf, joint, cov.certificate)
+    u = Poly.variable(1, 2, Fraction(1))
     n = cov.joint.nvars
-    u = Poly.variable(1, n, Fraction(1))
     bad_joint = line.extend(("u", "v"),
-                            [line.const(2).extend_vars(n) * u,
+                            [line.const(2).extend_vars(n) * u.extend_vars(n),
                              cov.joint.gens[1]])
-    controls.append(("corrupted joint relation", BinaryCovering(
-        cov.base_pres, cov.f, cov.g, cov.loc_fg, cov.loc_gf, bad_joint,
-        cov.certificate)))
-    thin_joint = line.extend(("u", "v"), [cov.joint.gens[0]])
-    controls.append(("joint missing a relation", BinaryCovering(
-        cov.base_pres, cov.f, cov.g, cov.loc_fg, cov.loc_gf, thin_joint,
-        cov.certificate)))
-    return controls
+    return [
+        ("free first piece", "B<f/g>", corrupted(loc_fg=line.extend(
+            ("u",), []))),
+        ("first piece with the extra relation u", "B<f/g>", corrupted(
+            loc_fg=line.extend(("u",), [cov.loc_fg.gens[-1], u]))),
+        ("corrupted joint relation", "B<f/g, g/f>", corrupted(
+            joint=bad_joint)),
+        ("joint missing a relation", "B<f/g, g/f>", corrupted(
+            joint=line.extend(("u", "v"), [cov.joint.gens[0]])))]
 
 
 def shared_oracle_corpus():

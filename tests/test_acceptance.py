@@ -16,8 +16,8 @@ from adickit.infinitesimal import classify_lifting
 from adickit.localization import binary_covering, gluing_sequence_check
 from adickit.poly import Poly, monomials_upto
 from adickit.tate import (IntegerBase, MorphismPresentation,
-                          base_change, compose_presentations,
-                          free_presentation)
+                          PresentationError, base_change,
+                          compose_presentations, free_presentation)
 from adickit.wittrobba import (CharPNormedRing, RobbaElement, WittVector,
                                frobenius_witt, interval_norm, phi_action,
                                robba_norm, verschiebung, witt_add)
@@ -95,12 +95,17 @@ def test_criterion_3_gluing_exactness():
         if not rep.all_exact():
             failures.append(f"genuine covering reported {rep.to_json()}")
     controls = fx.gluing_negative_controls(line)
-    assert len(controls) >= 3
-    for label, cov in controls:
-        rep = gluing_sequence_check(cov, 6, 6)
-        if rep.all_exact():
-            failures.append(f"false exact on control: {label}")
-    _report(3, "gluing sequence exact on coverings, failed on controls",
+    assert len(controls) >= 4
+    for label, piece, cov in controls:
+        try:
+            rep = gluing_sequence_check(cov, 6, 6)
+        except PresentationError as exc:
+            if f"covering piece {piece} is " not in str(exc):
+                failures.append(f"control {label} refused for: {exc}")
+        else:
+            failures.append(f"control not refused: {label}, "
+                            f"reported {rep.to_json()}")
+    _report(3, "gluing sequence exact on coverings, refused on controls",
             not failures,
             f"{len(genuine)} coverings, {len(controls)} controls"
             + ("; " + "; ".join(failures) if failures else ""))

@@ -11,6 +11,7 @@ from adickit.differentials import (classify_morphism, de_rham_complex,
 from adickit.finiterings import (CARDINALITY_CAP, gf, product_ring,
                                  quotient_structure, zmod)
 from adickit.groebner import DegreeOverflowError, normal_form
+from adickit.linalg import RowSpace
 from adickit.localization import rational_localization
 from adickit.poly import Poly, exp_div, exp_lcm, grevlex_key
 from adickit.tate import (MorphismPresentation, PresentationError, QpBase,
@@ -657,8 +658,27 @@ def _reference_relation_vectors(relations, subsets, work, pres):
     return vectors, monomials, index
 
 
+def span_in_low_block(vectors: list, low_cols, width: int, one) -> RowSpace:
+    """Basis (as a RowSpace over the low columns) of span(vectors) intersected
+    with the coordinate subspace supported on low_cols: the margin
+    reference's truncated span.  Columns outside low_cols come first in the
+    elimination order, so the echelon rows with a pivot in the low block
+    span the intersection."""
+    nhigh = width - len(low_cols)
+    low_at = {col: nhigh + j for j, col in enumerate(low_cols)}
+    high = iter(range(nhigh))
+    at = [low_at[col] if col in low_at else next(high) for col in range(width)]
+    space = RowSpace(width, one)
+    for v in vectors:
+        items = v.items() if isinstance(v, dict) else enumerate(v)
+        space.insert({at[k]: c for k, c in items if c})
+    low = RowSpace(len(low_cols), one)
+    low.rows = {piv - nhigh: {k - nhigh: c for k, c in tail.items()}
+                for piv, tail in space.rows.items() if piv >= nhigh}
+    return low
+
+
 def _reference_truncated_rank(cx, k, margin=4):
-    from adickit.linalg import span_in_low_block
     pres = cx.data.pres
     cap = pres.degree_cap
     subsets = cx.generators[k]
@@ -672,7 +692,6 @@ def _reference_truncated_rank(cx, k, margin=4):
 
 
 def _reference_is_zero_form(cx, form):
-    from adickit.linalg import RowSpace
     pres = cx.data.pres
     reduced = {s: pres.normal_form(c) for s, c in form.items()}
     reduced = {s: c for s, c in reduced.items() if not c.is_zero}

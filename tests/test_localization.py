@@ -1,15 +1,21 @@
+import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from adickit.finiterings import gf, zmod
-from adickit.localization import (BinaryCovering, binary_covering,
-                                  covering_check, gluing_sequence_check,
+from adickit.linalg import kernel_of_map
+from adickit.localization import (binary_covering, covering_check,
+                                  gluing_sequence_check,
                                   joint_surjection_lift,
                                   rational_localization)
-from adickit.poly import Poly
+from adickit.poly import Poly, monomials_upto
 from adickit.tate import (IntegerBase, PresentationError, TruncatedBlock,
                           free_presentation)
+
+import corpus as fx
+from test_differentials import span_in_low_block
 
 
 def test_localization_shape(line):
@@ -89,9 +95,21 @@ def test_gluing_requires_covering(line):
     assert binary_covering(line, T, T * T).certificate.status == "false"
 
 
+def test_gluing_check_is_inconclusive_without_a_valid_certificate(line):
+    # (T, T^2) has no certificate; for (T, 2) the coefficients a = 0, b = 1
+    # are no certificate either: g*(a*u + b) = 2 in B<f/g>
+    T = line.var("T")
+    cov = binary_covering(line, T, T * T)
+    forged = binary_covering(line, T, line.const(2))
+    forged.certificate.g_coeff = line.const(1)
+    for c in (cov, forged):
+        report = gluing_sequence_check(c, 4, 4)
+        assert (report.left, report.middle, report.right) == \
+            ("inconclusive",) * 3
+
+
 def test_gluing_check_rejects_a_negative_cap(line):
-    # at D = -1 the kernel clause was read on the degree-0 staircase and the
-    # image clauses on empty low blocks: left exact, middle and right failed
+    # a negative cap is an error, not the degree-0 staircase
     cov = binary_covering(line, line.var("T") + line.const(3), line.const(2))
     with pytest.raises(PresentationError, match="negative degree cap -1"):
         gluing_sequence_check(cov, -1, 6)
@@ -105,7 +123,8 @@ def test_gluing_check_rejects_a_negative_cap(line):
     ("Zmod(4)", "(T) (1)", "PresentationError: finite-base presentation"
      " needs one pure-power leading monomial per variable at 2:1"),
     ("GF(3)", "(T) (1 - T)",
-     "PresentationError: joint lifting needs a p-adic base at 2:1")])
+     "PresentationError: joint lifting needs a p-adic base at 2:1")],
+    ids=["ZZ", "Zmod(4)", "GF(3)"])
 def test_glue_check_error_reports_off_the_p_adic_base(base, pieces, error):
     from adickit.cli import Options, parse_script, run_script
     script = f"A = Tate({base}, [T]);\nglue-check A {pieces};\n"
@@ -121,37 +140,15 @@ def test_joint_lift_rejects_a_negative_cap(line):
                                  degree_cap=0).status == "certified"
 
 
-def _negative_controls(line):
-    T = line.var("T")
-    cov = binary_covering(line, T, line.const(2))
-    controls = []
-    # drop the defining relation of the first piece
-    controls.append(BinaryCovering(
-        cov.base_pres, cov.f, cov.g, line.extend(("u",), []), cov.loc_gf,
-        cov.joint, cov.certificate))
-    # corrupt the joint relation g*u - f into g*u
-    n = cov.joint.nvars
-    u = Poly.variable(1, n, Fraction(1))
-    bad_joint = line.extend(("u", "v"),
-                            [line.const(2).extend_vars(n) * u,
-                             cov.joint.gens[1]])
-    controls.append(BinaryCovering(
-        cov.base_pres, cov.f, cov.g, cov.loc_fg, cov.loc_gf, bad_joint,
-        cov.certificate))
-    # drop one relation from the joint localization
-    thin_joint = line.extend(("u", "v"), [cov.joint.gens[0]])
-    controls.append(BinaryCovering(
-        cov.base_pres, cov.f, cov.g, cov.loc_fg, cov.loc_gf, thin_joint,
-        cov.certificate))
-    return controls
-
-
 def test_gluing_negative_controls(line):
-    for cov in _negative_controls(line):
-        report = gluing_sequence_check(cov, 5, 5)
-        assert not report.all_exact()
-        # never a false "exact": at least one clause fails outright
-        assert "failed" in (report.left, report.middle, report.right)
+    # the covering identity holds in the first two controls: only the check
+    # that each piece is the presentation binary_covering builds refuses them
+    controls = fx.gluing_negative_controls(line)
+    assert len(controls) == 4
+    for _, piece, cov in controls:
+        with pytest.raises(PresentationError,
+                           match=re.escape(f"covering piece {piece} is ")):
+            gluing_sequence_check(cov, 5, 5)
 
 
 def test_joint_lift_trivial(line):
@@ -237,23 +234,108 @@ def _scratch_multiples(block, form, monomials):
 def test_monomial_coords_match_from_scratch(line):
     T = line.var("T")
     covs = [binary_covering(line, T, line.const(c)) for c in (1, 2)]
-    covs += _negative_controls(line)
+    covs += [cov for _, _, cov in fx.gluing_negative_controls(line)]
     for cov in covs:
         for pres in (cov.loc_fg, cov.joint):
-            block = TruncatedBlock(pres, 7, shift=3)
+            block = TruncatedBlock(pres, 7, keys=(0, 1))
             monos = [m + (0,) * (pres.nvars - cov.base_pres.nvars)
                      for m in cov.base_pres.staircase(7)]
             monos += list(reversed(block.monomials))
-            one = {0: Poly.constant(Fraction(1), pres.nvars)}
+            one = {1: Poly.constant(Fraction(1), pres.nvars)}
             assert block.multiples(one, monos) == \
                 _scratch_multiples(block, one, monos)
 
 
 def test_gluing_check_matches_from_scratch_loop(line, monkeypatch):
-    T = line.var("T")
-    covs = [binary_covering(line, T, line.const(c)) for c in (1, 2)]
-    covs += _negative_controls(line)
-    reports = [gluing_sequence_check(cov, 5, 5) for cov in covs]
+    # the joint lift is what `glue-check` still computes on truncated
+    # blocks: its generators, status and span dimension are unchanged
+    B, _ = rational_localization(line, line.var("T"), line.const(2), "w")
+    w = B.var("w")
+    cases = [(binary_covering(line, line.var("T"), line.const(c)), [], [],
+              line) for c in (1, 2)]
+    for f in (B.var("T"), B.var("T") + B.const(1)):
+        cov = binary_covering(B, f, B.const(2))
+        cases.append((cov, [w.extend_vars(cov.loc_fg.nvars)],
+                      [w.extend_vars(cov.loc_gf.nvars)], line))
+
+    def lifts():
+        return [(r.generators, r.status, r.perturbed, r.detail) for r in (
+            joint_surjection_lift(cov, s1, s2, over=over, degree_cap=4)
+            for cov, s1, s2, over in cases)]
+    fast = lifts()
     monkeypatch.setattr(TruncatedBlock, "multiples", _scratch_multiples)
-    # the reports compare their kernel and span dimensions too
-    assert reports == [gluing_sequence_check(cov, 5, 5) for cov in covs]
+    assert fast == lifts()
+
+
+def _truncated_gluing_reference(cov, cap, work):
+    """The truncated-span check that the covering identity replaced, at one
+    working degree and without a second one: whether (left, middle, right)
+    hold on the degree <= cap coefficient spaces."""
+    one = Fraction(1)
+
+    def coords(block, monomials, shift=0, sign=1):  # NF(m) of each m
+        unit = {0: Poly.constant(one, block.pres.nvars)}
+        return [{shift + k: sign * c for k, c in vec.items()}
+                for vec in block.multiples(unit, monomials)]
+
+    def blocks(degree):
+        return (TruncatedBlock(cov.loc_fg, degree),
+                TruncatedBlock(cov.loc_gf, degree),
+                TruncatedBlock(cov.joint, degree))
+
+    def alpha(T1, T2, degree):              # B -> B1 (+) B2
+        lifted = [m + (0,) for m in cov.base_pres.staircase(degree)]
+        return [a | b for a, b in zip(coords(T1, lifted),
+                                      coords(T2, lifted, T1.width))]
+
+    def beta(T1, T2, T12):                  # B1 (+) B2 -> B12
+        return (coords(T12, [m + (0,) for m in T1.monomials])
+                + coords(T12, [m[:-1] + (0, m[-1]) for m in T2.monomials],
+                         sign=-1))
+
+    C1, C2, C12 = blocks(cap)
+    left = not kernel_of_map(alpha(C1, C2, cap), C1.width + C2.width, one)
+    W1, W2, W12 = blocks(work)
+    low = W1.low_columns(cap) + [W1.width + k for k in W2.low_columns(cap)]
+    image = span_in_low_block(alpha(W1, W2, work), low,
+                              W1.width + W2.width, one)
+    middle = all(image.contains(v) for v in
+                 kernel_of_map(beta(C1, C2, C12), C12.width, one))
+    image = span_in_low_block(beta(W1, W2, W12), W12.low_columns(cap),
+                              W12.width, one)
+    right = all(image.contains({k: one}) for k in range(C12.width))
+    return left, middle, right
+
+
+def _drawn_coverings(q2, count):
+    """Seeded (B, f, g, cap): B free in X or X, Y over Q_2, or the tower
+    B[w]/(w^2 - X - 1); f of 1-3 terms of degree <= 3, g = 1 - a*f."""
+    rng = random.Random(0)
+
+    def draw(B, terms, degree):
+        exps = rng.sample(monomials_upto(B.nvars, degree), terms)
+        return Poly(B.nvars, {e: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)),
+                                          rng.choice((1, 1, 2)))
+                              for e in exps})
+    for _ in range(count):
+        B = free_presentation(q2, ("X", "Y")[:rng.randint(1, 2)])
+        if rng.random() < 0.3:
+            n = B.nvars + 1
+            w = Poly.variable(B.nvars, n, Fraction(1))
+            B = B.extend(("w",), [w * w - B.var("X").extend_vars(n)
+                                  - B.const(1).extend_vars(n)])
+        f = draw(B, rng.randint(1, 3), 3)
+        g = B.const(1) - draw(B, rng.randint(1, 2), 2) * f
+        yield B, f, g, rng.randint(2, 4)
+
+
+def test_gluing_check_agrees_with_the_truncated_spans_on_drawn_coverings(q2):
+    for B, f, g, cap in _drawn_coverings(q2, 60):
+        cov = binary_covering(B, f, g)
+        assert cov.certificate.status == "true"
+        assert gluing_sequence_check(cov, cap, 6).all_exact()
+        assert _truncated_gluing_reference(cov, cap, cap + 3) == \
+            (True, True, True)
+        # the right clause read off the staircase: u*v = 1, so no standard
+        # monomial of B<f/g, g/f> holds both u and v
+        assert not any(m[-2] and m[-1] for m in cov.joint.staircase(cap))

@@ -260,11 +260,10 @@ def test_truncated_block_lays_out_normal_forms_by_key(q2, names, gens):
         Poly(n, {e: Fraction(c) for e, c in g.items()}) for g in gens])
     one = pres.coeff_one()
     keys, work = ("a", (0, 1), 2), 6
-    block = TruncatedBlock(pres, work, keys, shift=5)
+    block = TruncatedBlock(pres, work, keys)
     stairs = pres.staircase(work)
     assert block.monomials == stairs
-    assert block.offsets == {k: 5 + i * len(stairs)
-                             for i, k in enumerate(keys)}
+    assert block.offsets == {k: i * len(stairs) for i, k in enumerate(keys)}
     assert block.width == len(keys) * len(stairs)
     # each vector is NF(m * c) of each coefficient at its key's offset,
     # for standard and non-standard m alike
