@@ -9,9 +9,11 @@ verdict that `test_classify_kd_is_etale` pins as a strict xfail);
 `finiterings.TABLE_CAP` (`Zmod(256)` and `Zmod(512)`), so that the report
 bytes of the point search are pinned on its Cayley-table path and on its
 element path; `witt`, Witt arithmetic and Frobenius over prime fields,
-`GF(p,k)` for k = 2, 3, 4 and products, nested ones among them; and
+`GF(p,k)` for k = 2, 3, 4 and products, nested ones among them;
 `gluing`, `glue-check` on one- and two-variable covers over `Qp(2,8)`, a
-tower `Quot(A, [w], [w^2 - T])` and one joint lift `over=` its base.  A change
+tower `Quot(A, [w], [w^2 - T])` and one joint lift `over=` its base; and
+`hminus1`, `classify` where an H^-1 class has degree above a small `D=`
+or comes from a zero relation or a zero Jacobian row.  A change
 that alters a report on purpose regenerates the fixture with
 `adic-kit run SCRIPT > tests/golden/NAME.json` and says why.
 """
@@ -25,6 +27,7 @@ from adickit.cli import Options, parse_script, render_reports, run_script
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SCRIPTS = {"demo": GOLDEN.parent.parent / "docs" / "demo.adk",
            "gluing": GOLDEN / "gluing.adk",
+           "hminus1": GOLDEN / "hminus1.adk",
            "jacobian-1": GOLDEN / "jacobian-1.adk",
            "lifting-1": GOLDEN / "lifting-1.adk",
            "points-1": GOLDEN / "points-1.adk",
