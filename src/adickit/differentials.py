@@ -17,12 +17,15 @@ images, and differentials are taken only in B's variables.
 
 One skeleton serves every base: one Jacobian, one loop over the Fitting
 ideals, one H^0 rule.  Only two things differ per base.  Over a field,
-"is this ideal (1)?" is Buchberger, and H^-1 is the kernel at a degree cap
-against one Groebner basis of the syzygy image (`tate.Submodule`).  Over a
-finite non-field base with a separated monic presentation, both are decided
-exactly in B = R[X]/(f), a `FiniteRing` whose additive rank RANK_CAP
-bounds, by diagonal forms of integer lattices.  De Rham ranks and
-membership are one `Submodule` per degree, exact at the cap.
+"is this ideal (1)?" is Buchberger, and H^-1 is exact in every degree: the
+kernel of the conormal differential is one syzygy computation on the
+tagged Jacobian rows (`tate.tagged_free_module`), and a kernel generator
+is zero in H^-1 iff its image lies in I^2 + (source relations), one more
+Groebner basis.  Over a finite non-field base with a separated monic
+presentation, both are decided exactly in B = R[X]/(f), a `FiniteRing`
+whose additive rank RANK_CAP bounds, by diagonal forms of integer lattices.
+De Rham ranks and membership are one `Submodule` per degree, exact at the
+cap.
 """
 
 from __future__ import annotations
@@ -33,11 +36,11 @@ from itertools import combinations
 from .finiterings import (FiniteRing, hom_kernel, quotient_structure,
                           spans_group)
 from .groebner import (DegreeOverflowError, buchberger, finite_staircase,
-                       is_unit_ideal, is_zero_dimensional, syzygy_basis)
-from .linalg import kernel_of_map
+                       is_unit_ideal, is_zero_dimensional, normal_form,
+                       syzygy_basis)
 from .poly import Poly
 from .tate import (MorphismPresentation, PresentationError, QpBase,
-                   RingPresentation, Submodule, TruncatedBlock)
+                   RingPresentation, Submodule, tag_form, tagged_free_module)
 
 # building B's structure constants and checking its ring axioms grow with
 # the cube of B's additive rank: ~0.25 s at rank 32 on one core of a 2-vCPU
@@ -247,43 +250,45 @@ def _h0(fitting: dict, n: int) -> tuple[str, int | None]:
     return "nonzero", None
 
 
-def _h_minus1_field(data: RelativeData, jac: list[list[Poly]],
-                    degree_cap: int) -> tuple[str, list[Poly] | None]:
-    """The kernel of the conormal differential at the cap, on exact truncated
-    coordinates, against the submodule the syzygy images (the normal forms
-    of the syzygies' relation components) span: the first kernel vector
-    outside it is the witness of a nonzero H^-1."""
-    pres = data.pres
-    p = len(jac)
+def _h_minus1_field(data: RelativeData,
+                    jac: list[list[Poly]]) -> tuple[str, list[Poly] | None]:
+    """H^-1 = K / (syzygy image + I.F), exact in every degree, where
+    K = {v : v.J in I.F} in P^p, for P the polynomial ring and F = P^r, r
+    the number of relative variables.
+
+    K is one syzygy computation on the tagged Jacobian rows sum_j J_ij E_j,
+    the g.E_j and every E_a.E_b (`tagged_free_module`): E = 0 is a ring map,
+    so the E-free parts of the syzygies' first p components generate K
+    (with no E there, K is all of P^p).  A v in K lies in the syzygy image
+    plus I.F iff sum v_i f_i lies in (f)^2 + (source relations), the kernel
+    of P^p -> I/I^2 of the naive cotangent complex; one Groebner basis of
+    the pairwise products and the source relations decides that, and the
+    first generator of K outside is the witness of a nonzero H^-1."""
+    pres, gens = data.pres, data.rel_gens
+    n, p = pres.nvars, len(jac)
     if p == 0:
         return "zero", None
-    # read only when the kernel is nonzero, but computed first: the
-    # benchmark's traced test counts a syzygy_basis call on an etale classify
-    syz = syzygy_basis(list(data.rel_gens) + list(data.source_gens))
-    maxdeg = max((e.total_degree() for row in jac for e in row if not e.is_zero),
-                 default=0)
-
-    # kernel of v -> v.J on components of degree <= cap; normal forms are
-    # exact, so kernel vectors are genuine relations in the quotient
-    source = TruncatedBlock(pres, degree_cap, range(p))
-    target = TruncatedBlock(pres, source.degree + maxdeg,
-                            range(len(data.rel_vars)))
-    images = []
-    for row in jac:
-        images.extend(target.multiples(dict(enumerate(row)),
-                                       source.monomials))
-    kernel = kernel_of_map(images, target.width, pres.coeff_one())
+    if data.rel_vars:
+        tags, free = tagged_free_module(pres, range(len(data.rel_vars)))
+        syz = syzygy_basis([tag_form(n, tags, dict(enumerate(row)))
+                            for row in jac] + free)
+        kernel = [[Poly(n, {e[:n]: c for e, c in v[i].terms.items()
+                            if not any(e[n:])}) for i in range(p)]
+                  for v in syz]
+    else:
+        one = pres.coeff_one()
+        kernel = [[Poly.constant(one, n) if i == j else Poly.zero(n)
+                   for j in range(p)] for i in range(p)]
+    kernel = [w for w in ([pres.normal_form(c) for c in v] for v in kernel)
+              if any(not c.is_zero for c in w)]
     if not kernel:
         return "zero", None
-    image = Submodule(pres, range(p), [
-        {i: pres.normal_form(c) for i, c in enumerate(v[:p])} for v in syz])
-    size = len(source.monomials)
-    for vec in kernel:
-        form = {i: Poly(pres.nvars, {m: c for m, c in zip(
-                    source.monomials, vec[off:off + size]) if c})
-                for i, off in source.offsets.items()}
-        if not image.contains(form):
-            return "nonzero", list(form.values())
+    square = buchberger([f * g for i, f in enumerate(gens) for g in gens[i:]]
+                        + list(data.source_gens))
+    for v in kernel:
+        image = sum((c * f for c, f in zip(v, gens)), Poly.zero(n))
+        if not normal_form(image, square).is_zero:
+            return "nonzero", v
     return "zero", None
 
 
@@ -338,7 +343,7 @@ def naive_cotangent_complex(arg, degree_cap: int | None = None,
 
     flags: list[str] = []
     try:
-        h_minus1, witness = _h_minus1_field(data, km.jacobian, cap)
+        h_minus1, witness = _h_minus1_field(data, km.jacobian)
     except DegreeOverflowError:
         h_minus1, witness = "inconclusive", None
         flags.append("h_minus1_overflow")

@@ -254,7 +254,8 @@ def syzygy_basis(gens: list[Poly]) -> list[list[Poly]]:
 
     Uses Schreyer syzygies of the reduced Groebner basis pulled back through
     the tracked transformation, plus the rows of (Id - N.M) where N expresses
-    the generators in the basis.
+    the generators in the basis; a zero generator's row is its unit vector.
+    An all-zero list has no coefficient to build those from: it returns [].
     """
     gens = list(gens)
     if all(f.is_zero for f in gens):
@@ -281,8 +282,6 @@ def syzygy_basis(gens: list[Poly]) -> list[list[Poly]]:
                 syzygies.append(pulled)
     # Rows of Id - N.M.
     for i in range(len(gens)):
-        if gens[i].is_zero:
-            continue
         row = _vec_zero(len(gens), nvars)
         row[i] = Poly.constant(one, nvars)
         row = _vec_less(row, n_rows[i], m_rows)

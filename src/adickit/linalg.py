@@ -1,17 +1,17 @@
 """Exact sparse linear algebra over any field-like coefficient type.
 
-Used for the truncated-coefficient-space checks: the H^-1 kernel and the
-joint-lift check.  Ranks, kernels and span containment are computed with
-exact arithmetic (Fractions or finite-field elements), so a verdict of
-"exact at this cap" is a certificate, never a float artifact.
+Used by the one truncated check left, the joint-lift certificate of
+`localization`: span containment and solutions are computed with exact
+arithmetic (Fractions or finite-field elements), so a verdict of "exact at
+this cap" is a certificate, never a float artifact.  The Jacobian route
+eliminates by Groebner bases alone and imports nothing from here.
 
 A vector is a dense list or a sparse dict {column: coefficient}.  One echelon
-core, `RowSpace`, serves every routine: its rows are sparse dicts keyed by
+core, `RowSpace`, serves both routines: its rows are sparse dicts keyed by
 their pivot (the first nonzero column, scaled to one), and a vector is
-reduced against them in ascending pivot order.  Only `nullspace` and `solve`
-back-substitute to the reduced row echelon form; its pivot columns and
-entries are unique, so kernel bases are the standard "free column = 1"
-basis whatever order the rows came in.
+reduced against them in ascending pivot order.  Only `solve`
+back-substitutes to the reduced row echelon form, whose pivot columns and
+entries are unique.
 """
 
 from __future__ import annotations
@@ -81,41 +81,6 @@ class RowSpace:
         largest pivot first meets only rows already cleared."""
         for piv in sorted(self.rows, reverse=True):
             self._reduce(self.rows[piv])
-
-
-def _echelon(rows, width: int, one) -> RowSpace:
-    space = RowSpace(width, one)
-    for r in rows:
-        space.insert(r)
-    return space
-
-
-def nullspace(rows: list, ncols: int, one) -> list[list]:
-    """Basis of {x : A x = 0} for the matrix with the given (dense or sparse)
-    rows: one dense vector per free column, with a one there."""
-    space = _echelon(rows, ncols, one)
-    space._back_substitute()
-    zero = one - one
-    basis: dict = {}
-    for fc in range(ncols):
-        if fc not in space.rows:
-            basis[fc] = vec = [zero] * ncols
-            vec[fc] = one
-    for pc, tail in space.rows.items():
-        for fc, c in tail.items():
-            basis[fc][pc] = -c
-    return list(basis.values())
-
-
-def kernel_of_map(images: list, codomain_dim: int, one) -> list[list]:
-    """Kernel of the linear map sending basis vector i to images[i]."""
-    if not images:
-        return []
-    rows: list[dict] = [{} for _ in range(codomain_dim)]
-    for i, image in enumerate(images):
-        for w, c in _sparse(image).items():
-            rows[w][i] = c
-    return nullspace(rows, len(images), one)
 
 
 def solve(rows: list[list], rhs: list, one):

@@ -17,7 +17,7 @@ from .groebner import DegreeOverflowError, unit_certificate
 from .linalg import RowSpace, solve
 from .poly import Poly, monomials_upto
 from .tate import (IntegerBase, MorphismPresentation, PresentationError,
-                   QpBase, RingPresentation, TruncatedBlock)
+                   QpBase, RingPresentation)
 
 
 def rational_localization(B: RingPresentation, f: Poly, g: Poly,
@@ -146,10 +146,10 @@ class ExactnessReport:
                 "degree_cap": self.degree_cap, "precision": self.precision}
 
 
-def _monomial_coords(block: TruncatedBlock, monomials: list) -> list[dict]:
-    """Coordinates of NF(m) for each exponent m: the multiples of 1."""
-    return block.multiples({0: Poly.constant(Fraction(1), block.pres.nvars)},
-                           monomials)
+def _coords(pres: RingPresentation, index: dict, poly: Poly) -> dict:
+    """Sparse coordinates of NF(poly) on a staircase, given as monomial ->
+    column; a term outside it raises KeyError."""
+    return {index[m]: c for m, c in pres.normal_form(poly).terms.items()}
 
 
 def _is_one(pres: RingPresentation, poly: Poly) -> bool:
@@ -238,22 +238,22 @@ def joint_surjection_lift(cov: BinaryCovering, s1: list[Poly], s2: list[Poly],
     sub_nvars = over.nvars if over is not None else 0
 
     work = degree_cap + 2
-    Bt = TruncatedBlock(B, work)
+    stairs = B.staircase(work)
 
     def solve_preimage(target_pres, element: Poly):
         """b in B (poly model) with the same normal form in the localization."""
-        tr = TruncatedBlock(target_pres, work)
-        images = _monomial_coords(tr, [m + (0,) for m in Bt.monomials])
-        rhs, = tr.multiples({0: element}, [(0,) * tr.pres.nvars])
-        rows = [[Fraction(0)] * len(images) for _ in range(tr.width)]
-        for i, image in enumerate(images):
-            for w, c in image.items():
+        index = {m: i for i, m in enumerate(target_pres.staircase(work))}
+        rows = [[Fraction(0)] * len(stairs) for _ in index]
+        for i, m in enumerate(stairs):
+            image = Poly(target_pres.nvars, {m + (0,): one}, normalize=False)
+            for w, c in _coords(target_pres, index, image).items():
                 rows[w][i] = c
-        sol = solve(rows, [rhs.get(w, Fraction(0)) for w in range(tr.width)],
+        rhs = _coords(target_pres, index, element)
+        sol = solve(rows, [rhs.get(w, Fraction(0)) for w in range(len(index))],
                     one)
         if sol is None:
             return None
-        return Poly(B.nvars, {m: c for m, c in zip(Bt.monomials, sol) if c})
+        return Poly(B.nvars, {m: c for m, c in zip(stairs, sol) if c})
 
     generators: list[Poly] = []
     perturbed = False
@@ -272,8 +272,8 @@ def joint_surjection_lift(cov: BinaryCovering, s1: list[Poly], s2: list[Poly],
                 generators.append(b)
 
     # certify: sub-algebra monomials times generator products span B at cap
-    span = RowSpace(Bt.width, one)
-    low = Bt.low_columns(degree_cap)
+    index = {m: i for i, m in enumerate(stairs)}
+    span = RowSpace(len(stairs), one)
 
     sub_monos = [m + (0,) * (B.nvars - sub_nvars)
                  for m in monomials_upto(sub_nvars, work)]
@@ -290,10 +290,11 @@ def joint_surjection_lift(cov: BinaryCovering, s1: list[Poly], s2: list[Poly],
         frontier = new
     for gp in products:
         d = gp.total_degree()
-        shifts = [m for m in sub_monos if sum(m) + d <= work]
-        for vec in Bt.multiples({0: gp}, shifts):
-            span.insert(vec)
-    ok = all(span.contains({k: one}) for k in low)
+        for m in sub_monos:
+            if sum(m) + d <= work:
+                span.insert(_coords(B, index, gp.mul_term(m, one)))
+    ok = all(span.contains({k: one})
+             for k in range(len(B.staircase(degree_cap))))
     return JointSurjectionResult(generators,
                                  "certified" if ok else "failed", perturbed,
                                  {"span_dim": span.dim})

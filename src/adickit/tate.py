@@ -8,6 +8,12 @@ and base-changing presentations is substitution on the flat data.
 Over a p-adic base the coefficients are exact rationals: Groebner bases are
 computed over Q, and a Gauss norm is read off the p-adic valuations of all
 of a polynomial's coefficients, whatever their degree.
+
+A free module (K[X]/I)^r over a presentation is encoded in K[X, E] with a
+tag variable per summand: `Submodule` is one Groebner basis there, which
+gives exact ranks at a cap and membership, and the same encoding feeds the
+one syzygy computation of the H^-1 kernel in `differentials`.  No
+coordinate space is truncated at a working degree here.
 """
 
 from __future__ import annotations
@@ -15,12 +21,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .finiterings import FiniteRing, FiniteRingElement
-from .groebner import (DEGREE_GUARD, DegreeOverflowError, buchberger,
-                       normal_form, staircase_shell)
+from .groebner import buchberger, normal_form, staircase_shell
 from .norms import ExactNorm
 from .padics import DEFAULT_PRECISION, rational_valuation
-from .poly import (Poly, exp_coprime, exp_divides, exp_mul, exp_total,
-                   grevlex_key, render_poly)
+from .poly import Poly, exp_coprime, exp_mul, grevlex_key, render_poly
 
 DEFAULT_DEGREE_CAP = 8
 
@@ -102,7 +106,6 @@ class RingPresentation:
             raise PresentationError(f"negative degree cap {degree_cap}")
         self.degree_cap = degree_cap
         self._basis = None
-        self._border: dict = {}     # monomial -> NF terms, None if standard
         self._stairs: list = []     # standard monomials, grevlex-ascending
         self._stair_ends = [0]      # [d + 1]: how many have degree <= d
 
@@ -184,63 +187,6 @@ class RingPresentation:
     def normal_form(self, f: Poly) -> Poly:
         return normal_form(f, self.groebner_basis())
 
-    def multiples_nf(self, c: Poly, monomials: list) -> list[Poly]:
-        """NF(m * c) for each m in monomials, built incrementally.
-
-        NF(x_i * m' * c) = NF(x_i * NF(m' * c)) is exact, since f - NF(f) lies
-        in the ideal and the remainder modulo the basis is unique, and x_i
-        times a normal form only needs NF(x_i * s) for its staircase terms s:
-        these come from a per-presentation table, so after warm-up nothing is
-        divided.  Predecessors missing from the list are built on the way.
-        Grevlex reduction never raises the degree, so this raises exactly
-        when reducing m * c from scratch would.
-        """
-        if c.is_zero:
-            return [c] * len(monomials)
-        cdeg = c.total_degree()
-        if any(exp_total(m) + cdeg > DEGREE_GUARD for m in monomials):
-            raise DegreeOverflowError(
-                f"reduction exceeded degree guard {DEGREE_GUARD}")
-        basis = self.groebner_basis()
-        done: dict = {}
-        for m in monomials:
-            chain = []      # walk down to a multiple already built
-            while m not in done and any(m):
-                i = next(k for k, e in enumerate(m) if e)
-                chain.append((m, i))
-                m = m[:i] + (m[i] - 1,) + m[i + 1:]
-            if m not in done:
-                done[m] = normal_form(c, basis).terms
-            for up, i in reversed(chain):
-                done[up] = self._times_var_nf(i, done[m], basis)
-                m = up
-        return [Poly(self.nvars, done[m], normalize=False) for m in monomials]
-
-    def _times_var_nf(self, i: int, terms: dict, basis: list[Poly]) -> dict:
-        """The terms of NF(x_i * f) for f in normal form."""
-        border = self._border
-        out: dict = {}
-        for s, a in terms.items():
-            t = s[:i] + (s[i] + 1,) + s[i + 1:]
-            if t not in border:
-                mono = Poly(self.nvars, {t: self.coeff_one()}, normalize=False)
-                border[t] = (normal_form(mono, basis).terms
-                             if any(exp_divides(g.leading()[0], t)
-                                    for g in basis) else None)
-            red = border[t]
-            pieces = ([(t, a)] if red is None else
-                      [(e, a * b) for e, b in red.items()])
-            for e, b in pieces:
-                if e in out:
-                    v = out[e] + b
-                    if v:
-                        out[e] = v
-                    else:
-                        del out[e]
-                elif b:
-                    out[e] = b
-        return out
-
     def nf_zero(self, f: Poly) -> bool:
         return self.normal_form(f).is_zero
 
@@ -315,79 +261,52 @@ class RingPresentation:
         return f"RingPresentation({self.describe()})"
 
 
-class TruncatedBlock:
-    """Forms over a presentation, truncated at a working degree, in sparse
-    staircase coordinates: one copy of the standard monomials of degree <=
-    `degree` per key (a conormal component), key i at columns i * size
-    onward.
+def tagged_free_module(pres: RingPresentation, keys) -> tuple[dict, list]:
+    """F = (K[X]/I)^keys inside K[X, E], a tag E_j per key after the X
+    variables (Eisenbud, Commutative Algebra, ch. 15): the exponent of each
+    key's tag, and the generators of I.F with every E_i E_j (so S-pairs
+    across tags reduce to zero), g.E_j for g in the presentation's basis."""
+    n, keys = pres.nvars, list(keys)
+    units = [tuple(int(i == j) for i in range(len(keys)))
+             for j in range(len(keys))]
+    tags = dict(zip(keys, units))
+    one = pres.coeff_one()
+    gens = [Poly(n + len(keys), {(0,) * n + exp_mul(a, b): one})
+            for i, a in enumerate(units) for b in units[i:]]
+    gens += [tag_form(n, tags, {k: g}) for g in pres.groebner_basis()
+             for k in keys]
+    return tags, gens
 
-    Staircases are grevlex-ascending, so the block at a lower cap is a
-    prefix of each copy, and grevlex normal forms never raise the degree,
-    so NF(m * c) lies in the block whenever m * c does."""
-    __slots__ = ("pres", "degree", "monomials", "index", "offsets", "width")
 
-    def __init__(self, pres: RingPresentation, degree: int, keys=(0,)):
-        self.pres = pres
-        self.degree = max(degree, 0)    # as staircase: degree 0 below zero
-        self.monomials = pres.staircase(degree)
-        self.index = {m: i for i, m in enumerate(self.monomials)}
-        size = len(self.monomials)
-        self.offsets = {k: i * size for i, k in enumerate(keys)}
-        self.width = size * len(self.offsets)
-
-    def multiples(self, form: dict, monomials: list) -> list[dict]:
-        """Sparse coordinates of NF(m * form) for each exponent m: the
-        coefficient on key k sits at offsets[k] plus its monomial's index.
-        A term outside the block raises KeyError."""
-        index = self.index
-        vectors = [{} for _ in monomials]
-        for k, c in form.items():
-            off = self.offsets[k]
-            for vec, nf in zip(vectors, self.pres.multiples_nf(c, monomials)):
-                vec.update((off + index[m], a) for m, a in nf.terms.items())
-        return vectors
-
-    def low_columns(self, cap: int) -> list[int]:
-        """The columns of the monomials of degree <= cap (at most the
-        block's degree), key by key: a prefix of each copy."""
-        size = len(self.pres.staircase(cap)) if cap >= 0 else 0
-        return [off + i for off in self.offsets.values() for i in range(size)]
+def tag_form(nvars: int, tags: dict, form: dict) -> Poly:
+    """A form (dict key -> Poly in nvars variables) as sum c_j E_j."""
+    return Poly(nvars + len(tags),
+                {e + tags[k]: c for k, f in form.items()
+                 for e, c in f.terms.items()}, normalize=False)
 
 
 class Submodule:
     """The submodule N + I.F of F = (K[X]/I)^keys spanned by forms (dicts
-    key -> Poly), as one Groebner basis in K[X, E], a tag E_j per key after
-    the X variables (Eisenbud, Commutative Algebra, ch. 15), of g.E_j for g
-    in the presentation's basis, each form as sum c_j E_j, and every E_i E_j
-    (so S-pairs across tags reduce to zero).  Its E-linear part is N + I.F;
-    grevlex orders the X^a E_j by X-degree first, so its E-linear standard
-    monomials of X-degree <= d are a basis of F / (N + I.F) in degree <= d."""
+    key -> Poly), as one Groebner basis in K[X, E] of the generators of
+    `tagged_free_module` and each form as sum c_j E_j.  Its E-linear part is
+    N + I.F; grevlex orders the X^a E_j by X-degree first, so its E-linear
+    standard monomials of X-degree <= d are a basis of F / (N + I.F) in
+    degree <= d."""
     __slots__ = ("pres", "tags", "basis", "leading")
 
     def __init__(self, pres: RingPresentation, keys, forms):
-        n, keys = pres.nvars, list(keys)
-        units = [tuple(int(i == j) for i in range(len(keys)))
-                 for j in range(len(keys))]
-        self.pres, self.tags = pres, dict(zip(keys, units))
-        one = pres.coeff_one()
-        gens = [Poly(n + len(keys), {(0,) * n + exp_mul(a, b): one})
-                for i, a in enumerate(units) for b in units[i:]]
-        gens += [self._tagged({k: g}) for g in pres.groebner_basis()
-                 for k in keys]
-        gens += [f for f in map(self._tagged, forms) if not f.is_zero]
+        self.pres = pres
+        self.tags, gens = tagged_free_module(pres, keys)
+        gens += [f for f in (tag_form(pres.nvars, self.tags, form)
+                             for form in forms) if not f.is_zero]
         self.basis = buchberger(gens)
         # X-parts of the E-linear leading monomials, tag by tag
-        self.leading = {t: [] for t in units}
+        n = pres.nvars
+        self.leading = {t: [] for t in self.tags.values()}
         for g in self.basis:
             exp = g.leading()[0]
             if exp[n:] in self.leading:
                 self.leading[exp[n:]].append(exp[:n])
-
-    def _tagged(self, form: dict) -> Poly:
-        tags = self.tags
-        return Poly(self.pres.nvars + len(tags),
-                    {e + tags[k]: c for k, f in form.items()
-                     for e, c in f.terms.items()}, normalize=False)
 
     def rank(self, cap: int) -> int:
         """Dimension of the degree <= cap part of F / (N + I.F)."""
@@ -400,7 +319,8 @@ class Submodule:
         return total
 
     def contains(self, form: dict) -> bool:
-        return normal_form(self._tagged(form), self.basis).is_zero
+        return normal_form(tag_form(self.pres.nvars, self.tags, form),
+                           self.basis).is_zero
 
 
 def _integral_membership(poly: Poly, gens: list[Poly]) -> bool:

@@ -342,6 +342,10 @@ COVERAGE = {
                  ("differentials", "naive_cotangent_complex"),
                  ("differentials", "kahler_differentials"),
                  ("tate", "gauss_norm"), ("padics", "rational_valuation"),
+                 # over a field, H^-1 is one syzygy computation on the
+                 # tagged Jacobian rows
+                 ("tate", "tagged_free_module"),
+                 ("groebner", "syzygy_basis"),
                  # a finite non-field base decides Fitting ideals and H^-1
                  # by lattices
                  ("finiterings", "spans_group"),
@@ -561,6 +565,17 @@ def test_command_libraries_load_on_first_use(tmp_path):
     assert not loaded & COMMAND_LIBRARIES
     assert [r["verdict"] for r in json.loads(out.read_text())] == \
         ["etale", "etale"]
+
+    # the Jacobian route eliminates by Groebner bases alone
+    script = tmp_path / "jacobian.adk"
+    script.write_text("A = Tate(Qp(2, 8), [T]); B = Quot(A, [u], [u - T^2]); "
+                      "classify B; drham B top=2;", encoding="utf-8")
+    out = tmp_path / "jacobian.json"
+    loaded = _run_in_fresh_process(script, out)
+    assert "adickit.differentials" in loaded
+    assert not loaded & {"adickit.linalg", "adickit.localization"}
+    assert [r["verdict"] for r in json.loads(out.read_text())] == \
+        ["etale", "d^2=0"]
 
     # a script using every command loads every library on the way and
     # reports what an in-process run of the same script reports

@@ -10,12 +10,13 @@ from adickit.differentials import (classify_morphism, de_rham_complex,
                                    naive_cotangent_complex)
 from adickit.finiterings import (CARDINALITY_CAP, gf, product_ring,
                                  quotient_structure, zmod)
-from adickit.groebner import DegreeOverflowError, normal_form
+from adickit.groebner import (DegreeOverflowError, buchberger, normal_form,
+                              syzygy_basis)
 from adickit.linalg import RowSpace
 from adickit.localization import rational_localization
 from adickit.poly import Poly, exp_div, exp_lcm, grevlex_key
 from adickit.tate import (MorphismPresentation, PresentationError, QpBase,
-                          RingPresentation, compose_presentations,
+                          RingPresentation, Submodule, compose_presentations,
                           free_presentation)
 
 ONE = Fraction(1)
@@ -86,14 +87,32 @@ def test_cotangent_h_minus1_overflow_is_flagged(q2, monkeypatch):
 
 def test_cotangent_syzygy_above_working_degree_is_flagged(q2):
     # the syzygy (Y^6, -X) of (X^5, X^4 Y^6) has degree 6, far above cap 1,
-    # and its submodule still decides H^-1 there: X.e_1 is in the kernel
+    # and H^-1 is decided whatever the cap: X.e_1 is in the kernel
     # (X.5X^4 = 5X^5 = 0) and outside the image, as X^6 is not in I^2
     B = pres_over(q2, ("X", "Y"), [{(5, 0): 1}, {(4, 6): 1}])
-    X = B.var("X")
-    for cap in (1, 4):
+    square = buchberger([f * g for f in B.gens for g in B.gens])
+    for cap in (0, 1, 4):
         cx = naive_cotangent_complex(B, degree_cap=cap)
         assert (cx.h_minus1, cx.flags) == ("nonzero", [])
-        assert cx.h_minus1_witness == [X, Poly.zero(2)]
+        witness = cx.h_minus1_witness
+        assert all(c.is_zero for c in _times_jacobian(B, witness, B.gens))
+        image = sum((w * g for w, g in zip(witness, B.gens)), Poly.zero(2))
+        assert not normal_form(image, square).is_zero
+
+
+def test_cotangent_without_relative_variables(line):
+    # A -> A/(f) has no relative variables: every vector of A^p is in the
+    # kernel of v -> v.J, and e_1 is zero in H^-1 iff f lies in (f)^2
+    T = line.var("T")
+    for gens, h_minus1, verdict in (([T * T - T], "nonzero", "non_ramifie"),
+                                    ([Poly.zero(1)], "zero", "etale")):
+        S = line.extend((), gens)
+        cx = naive_cotangent_complex(S)
+        assert (cx.h_minus1, classify_morphism(S).verdict) == \
+            (h_minus1, verdict)
+    assert cx.h_minus1_witness is None
+    assert naive_cotangent_complex(line.extend((), [T * T])) \
+        .h_minus1_witness == [line.const(1)]
 
 
 def test_cotangent_nilpotent_both_nonzero(q2):
@@ -225,12 +244,14 @@ def finite_pres(ring, names, gen_dicts):
                      coeff=lambda c: ring.from_int(int(c)))
 
 
-def _times_jacobian(pres, v):
-    """NF(v.J) for v in B^p, J the Jacobian of the monic relations in the
-    order the backend presents them (its Groebner basis)."""
+def _times_jacobian(pres, v, gens=None):
+    """NF(v.J) for v in B^p, J the Jacobian of `gens`; by default of the
+    monic relations in the order the finite backend presents them (its
+    Groebner basis)."""
     n = pres.nvars
+    gens = pres.groebner_basis() if gens is None else gens
     return [pres.normal_form(sum((vi * g.derivative(j)
-                                  for vi, g in zip(v, pres.groebner_basis())),
+                                  for vi, g in zip(v, gens)),
                                  Poly.zero(n))) for j in range(n)]
 
 
@@ -280,7 +301,7 @@ def _brute_h_minus1(pres, syzygy_images, stairs):
     elements of B are the polynomials on the staircase, the kernel of
     v -> v.J is swept over B^p, and the B-span of the syzygy images is every
     B-combination of them.  Returns the verdict and the span."""
-    ring, n, p = pres.base, pres.nvars, len(pres.gens)
+    ring, n, p = pres.base, pres.nvars, len(pres.groebner_basis())
     elements = [Poly(n, dict(zip(stairs, cs)))
                 for cs in product(list(ring.elements()), repeat=len(stairs))]
     span = {_key([pres.normal_form(sum((b * s[i] for b, s
@@ -321,6 +342,31 @@ def test_finite_backend_pinned_grid_and_brute_force(base):
             assert witness is None or _key(witness) not in span
             brute_checked += 1
     assert brute_checked >= 5
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_field_h_minus1_by_brute_force(p):
+    # over GF(p) H^-1 is the field backend's syzygy computation; the sweep
+    # of the finite backend's oracle reads it off B^p for the Groebner basis
+    # presentation, whose Schreyer syzygies generate all of its syzygies
+    ring = gf(p)
+    verdicts = []
+    for names, rels in [(("T",), rels) for rels in ONE_VAR.values()] + \
+            [(("x", "y"), rels) for rels in TWO_VAR.values()]:
+        pres = finite_pres(ring, names, rels)
+        stairs = pres.staircase(16)     # all of it, for every grid case
+        if p ** (len(stairs) * len(pres.groebner_basis())) > 4096:
+            continue
+        cx = naive_cotangent_complex(pres)
+        h_minus1, span = _brute_h_minus1(
+            pres, _schreyer_syzygy_images(pres), stairs)
+        assert cx.h_minus1 == h_minus1, rels
+        if cx.h_minus1_witness is not None:
+            assert all(c.is_zero for c in
+                       _times_jacobian(pres, cx.h_minus1_witness, pres.gens))
+        verdicts.append(h_minus1)
+    assert len(verdicts) == {2: 14, 3: 9}[p]
+    assert set(verdicts) == {"zero", "nonzero"}
 
 
 def _invariant_factors(rows):
@@ -678,6 +724,39 @@ def span_in_low_block(vectors: list, low_cols, width: int, one) -> RowSpace:
     return low
 
 
+def nullspace(rows: list, ncols: int, one) -> list[list]:
+    """Basis of {x : A x = 0} for the matrix with the given (dense or sparse)
+    rows: one dense vector per free column of the reduced row echelon form,
+    with a one there.  The truncated references' kernel."""
+    space = RowSpace(ncols, one)
+    for r in rows:
+        space.insert(r)
+    space._back_substitute()
+    zero = one - one
+    basis: dict = {}
+    for fc in range(ncols):
+        if fc not in space.rows:
+            basis[fc] = vec = [zero] * ncols
+            vec[fc] = one
+    for pc, tail in space.rows.items():
+        for fc, c in tail.items():
+            basis[fc][pc] = -c
+    return list(basis.values())
+
+
+def kernel_of_map(images: list, codomain_dim: int, one) -> list[list]:
+    """Kernel of the linear map sending basis vector i to images[i]."""
+    if not images:
+        return []
+    rows: list[dict] = [{} for _ in range(codomain_dim)]
+    for i, image in enumerate(images):
+        items = image.items() if isinstance(image, dict) else enumerate(image)
+        for w, c in items:
+            if c:
+                rows[w][i] = c
+    return nullspace(rows, len(images), one)
+
+
 def _reference_truncated_rank(cx, k, margin=4):
     pres = cx.data.pres
     cap = pres.degree_cap
@@ -752,31 +831,6 @@ def test_de_rham_matches_from_scratch_loop(label):
     assert True in answers and False in answers
 
 
-def test_cotangent_complex_matches_from_scratch_multiples(monkeypatch):
-    # H^-1 (verdict and witness) through the incremental normal forms equals
-    # H^-1 with every multiple m * c reduced from scratch
-    from corpus import classifier_fixtures, jacobian_presentations
-    from adickit.tate import RingPresentation
-    named = jacobian_presentations()
-    cases = [pres for _, pres, _ in classifier_fixtures()]
-    cases += [named[k] for k in ("B1", "C1", "D2", "L1", "KD")]
-    cases.append(_drham_case("X^2,XY"))
-    cases.append(_drham_case("GF(3)"))
-
-    def summary(cx):
-        return cx.h_minus1, cx.h_minus1_witness, cx.h0, cx.flags
-
-    fast = [summary(naive_cotangent_complex(pres)) for pres in cases]
-
-    def from_scratch(self, c, monomials):
-        one = self.coeff_one()
-        return [self.normal_form(c.mul_term(m, one)) for m in monomials]
-
-    monkeypatch.setattr(RingPresentation, "multiples_nf", from_scratch)
-    assert fast == [summary(naive_cotangent_complex(pres)) for pres in cases]
-    assert {h for h, *_ in fast} >= {"zero", "nonzero"}
-
-
 @pytest.mark.parametrize("names, gens, ranks", [
     # staircase {1, u}: it ends far below the degree guard
     (("u",), [{(2,): 1, (1,): -1, (0,): -1}],
@@ -812,19 +866,20 @@ def test_de_rham_relation_beyond_the_working_degree_raises(q2):
 
 
 def test_h_minus1_degree_guard_boundary(q2):
-    # (f, 2f) with the finite staircase {1, u} has the syzygy (2, -1): its
-    # submodule holds the kernel at every cap, also past the guard
+    # (f, 2f) with the finite staircase {1, u} has the syzygy (2, -1), so
+    # H^-1 is zero, and no cap near the guard changes that
     f = {(2,): 1, (1,): -1, (0,): -1}
     B = pres_over(q2, ("u",), [f, {e: 2 * c for e, c in f.items()}])
     for cap in (62, 63, 64):
         cx = naive_cotangent_complex(B, degree_cap=cap)
         assert (cx.h_minus1, cx.flags) == ("zero", [])
-    # along the Tate variable T the kernel's multiples of the degree-1
-    # Jacobian reach degree cap + 1, past the guard at cap 64
+    # along the Tate variable T the truncated kernel's multiples of the
+    # Jacobian reached degree cap + 1, past the guard at cap 64; the exact
+    # kernel forms no multiples
     B = pres_over(q2, ("T", "u"), [{(0, 1): 1, (2, 0): -1}])
-    assert naive_cotangent_complex(B, degree_cap=63).h_minus1 == "zero"
-    cx = naive_cotangent_complex(B, degree_cap=64)
-    assert (cx.h_minus1, cx.flags) == ("inconclusive", ["h_minus1_overflow"])
+    for cap in (63, 64):
+        cx = naive_cotangent_complex(B, degree_cap=cap)
+        assert (cx.h_minus1, cx.flags) == ("zero", [])
 
 
 def test_de_rham_ranks_are_exact_where_a_margin_plateaus(q2):
@@ -857,31 +912,123 @@ def test_de_rham_ranks_match_the_margin_reference_on_random_presentations():
 
 
 def test_h_minus1_witness_lies_outside_the_syzygy_image(q2):
-    # I = (X^3, X^3 + 8X, 8Y^2 - 3X^3 Y) = (X, Y^2): the kernel of v -> v.J at
-    # cap 2 is spanned by e_1, Y.e_1 and Y.e_3; v is in the syzygy image plus
-    # I.F iff sum v_i g_i lies in I^2, which holds for e_1 (X^3) and Y.e_1
-    # but not for Y.e_3 (8Y^3 mod I^2)
-    from adickit.groebner import buchberger
+    # I = (X^3, X^3 + 8X, 8Y^2 - 3X^3 Y) = (X, Y^2): the kernel of v -> v.J
+    # holds e_1, Y.e_1 and Y.e_3; v is in the syzygy image plus I.F iff
+    # sum v_i g_i lies in I^2, which holds for e_1 (X^3) and Y.e_1 but not
+    # for Y.e_3 (8Y^3 mod I^2)
     B = RingPresentation(q2, ("X", "Y"), pres_over(q2, ("X", "Y"), [
         {(3, 0): 1}, {(3, 0): 1, (1, 0): 8}, {(0, 2): 8, (3, 1): -3}]).gens, 2)
     cx = naive_cotangent_complex(B)
     assert cx.h_minus1 == "nonzero"
     witness = cx.h_minus1_witness
-    assert witness == [Poly.zero(2), Poly.zero(2), B.var("Y")]
-    for j in range(2):
-        assert B.normal_form(sum((w * g.derivative(j) for w, g in
-                                  zip(witness, B.gens)), Poly.zero(2))).is_zero
+    assert all(c.is_zero for c in _times_jacobian(B, witness, B.gens))
     square = buchberger([f * g for f in B.gens for g in B.gens])
     image = sum((w * g for w, g in zip(witness, B.gens)), Poly.zero(2))
     assert not normal_form(image, square).is_zero
+
+
+def _truncated_h_minus1(cx, cap):
+    """The truncated check H^-1 had before one syzygy computation decided it
+    exactly: the kernel of v -> v.J on components of degree <= cap, from
+    the normal forms of the standard-monomial multiples of J, each kernel
+    vector checked against the submodule the normal forms of the syzygies'
+    relation components span.  `zero` only says zero up to cap."""
+    data, jac = cx.data, cx.jacobian
+    pres, p, one = data.pres, len(jac), data.pres.coeff_one()
+    source = pres.staircase(cap)
+    maxdeg = max((c.total_degree() for row in jac for c in row), default=0)
+    target = pres.staircase(max(cap, 0) + max(maxdeg, 0))
+    index = {m: i for i, m in enumerate(target)}
+    images = [{j * len(target) + index[e]: a for j, c in enumerate(row)
+               for e, a in pres.normal_form(c.mul_term(m, one)).terms.items()}
+              for row in jac for m in source]
+    kernel = kernel_of_map(images, len(target) * len(data.rel_vars), one)
+    if not kernel:
+        return "zero"
+    size = len(source)
+    outside = _outside_syzygy_image(cx)
+    return "nonzero" if any(outside([
+        Poly(pres.nvars, dict(zip(source, vec[i * size:(i + 1) * size])))
+        for i in range(p)]) for vec in kernel) else "zero"
+
+
+def _outside_syzygy_image(cx):
+    """Is a vector of B^p outside the submodule that the normal forms of the
+    syzygies' relation components span, plus I.F?"""
+    data, p = cx.data, len(cx.jacobian)
+    pres = data.pres
+    syz = syzygy_basis(list(data.rel_gens) + list(data.source_gens))
+    image = Submodule(pres, range(p), [
+        {i: pres.normal_form(c) for i, c in enumerate(v[:p])} for v in syz])
+    return lambda v: not image.contains(dict(enumerate(v)))
+
+
+def _relative_draws(count):
+    """Seeded presentations over Q_2<T>, or over Q_2<T>/(T^2 - 2T) with its
+    source relation: new variables u, or u and v, and one or two relations
+    of two or three terms with exponents 0..2 and coefficients from
+    RANDOM_COEFFS; a third of the second relations are a term times the
+    square of the first, so that H^-1 is often nonzero."""
+    import random
+
+    from corpus import Q2, RANDOM_COEFFS
+    rng = random.Random(23)
+    A = free_presentation(Q2, ("T",))
+    T = A.var("T")
+    S = A.extend((), [T * T - T.scale(Fraction(2))])
+    for _ in range(count):
+        base = A if rng.random() < 0.7 else S
+        names = ("u", "v") if rng.random() < 0.25 else ("u",)
+        n = 1 + len(names)
+
+        def draw(terms):
+            return Poly(n, {tuple(rng.randint(0, 2) for _ in range(n)):
+                            Fraction(rng.choice(RANDOM_COEFFS))
+                            for _ in range(terms)})
+        gens = [draw(rng.randint(2, 3))]
+        if rng.random() < 0.5:
+            gens.append(draw(1) * gens[0] * gens[0] if rng.random() < 0.3
+                        else draw(rng.randint(2, 3)))
+        yield base.extend(names, gens)
+
+
+def test_h_minus1_agrees_with_the_truncated_reference():
+    # exact against truncated: a class the reference finds at a cap <= 6
+    # is found, and an exact zero is zero at every such cap.  A nonzero
+    # verdict at a cap stays nonzero above it, since the kernel only grows,
+    # so the reference runs at cap 6 alone; on every tenth draw the verdict
+    # is the same at D = 0, 2 and 8
+    from corpus import random_plane_presentations
+    cases = random_plane_presentations(10) + list(_relative_draws(100))
+    found = []
+    for i, pres in enumerate(cases):
+        cx = naive_cotangent_complex(pres, degree_cap=0)
+        reference = _truncated_h_minus1(cx, 6)
+        assert cx.h_minus1 in ("zero", "nonzero"), pres
+        if reference == "nonzero":
+            assert cx.h_minus1 == "nonzero", pres
+        if cx.h_minus1 == "zero":
+            assert reference == "zero", pres
+        else:
+            witness, B = cx.h_minus1_witness, cx.data.pres
+            for j in range(len(cx.data.rel_vars)):
+                assert B.nf_zero(sum((w * row[j] for w, row in
+                                      zip(witness, cx.jacobian)),
+                                     Poly.zero(B.nvars))), pres
+            assert _outside_syzygy_image(cx)(witness), pres
+        if i % 10 == 0:
+            assert len({classify_morphism(pres, degree_cap=cap).verdict
+                        for cap in (0, 2, 8)}) == 1, pres
+        found.append((cx.h_minus1, reference))
+    assert set(found) >= {("zero", "zero"), ("nonzero", "nonzero")}
 
 
 def test_cotangent_complex_rejects_a_negative_cap(q2):
     B = pres_over(q2, ("T",), [{(2,): 1}])
     with pytest.raises(PresentationError, match="negative degree cap -2"):
         naive_cotangent_complex(B, degree_cap=-2)
-    # the witness T.e_1 of H^-1 has degree 1
-    assert naive_cotangent_complex(B, degree_cap=0).h_minus1 == "zero"
+    # the witness T.e_1 of H^-1 has degree 1, and the cap does not bound it
+    assert naive_cotangent_complex(B, degree_cap=0).h_minus1 == "nonzero"
     assert naive_cotangent_complex(B, degree_cap=1).h_minus1 == "nonzero"
 
 

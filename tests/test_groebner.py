@@ -132,6 +132,28 @@ def test_syzygies_are_relations():
             assert total.is_zero
 
 
+def test_syzygies_of_zero_generators_include_their_unit_vectors():
+    # a zero generator's unit vector e_i is a syzygy that the others do not
+    # give; it is built from the coefficient ring's one, over Q and GF(3)
+    X, Y = V(0, 2), V(1, 2)
+    F3 = gf(3)
+    x, y = (Poly.variable(i, 2, F3.one) for i in range(2))
+    zero = Poly.zero(2)
+    cases = [([X * X - Y, zero, X * Y], ONE),
+             ([zero, X.scale(Fraction(3))], ONE),
+             ([x * x - y, zero, x * y + y, zero], F3.one)]
+    for gens, one in cases:
+        syz = syzygy_basis(gens)
+        for vec in syz:
+            assert sum((c * f for c, f in zip(vec, gens)), zero).is_zero
+        for i, f in enumerate(gens):
+            if f.is_zero:
+                assert [Poly.constant(one, 2) if k == i else zero
+                        for k in range(len(gens))] in syz
+    # an all-zero list has no coefficient to build e_i from
+    assert syzygy_basis([zero, zero]) == []
+
+
 def test_degree_guard_raises():
     import pytest
     from adickit.groebner import DegreeOverflowError

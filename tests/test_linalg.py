@@ -8,10 +8,11 @@ from itertools import product
 import pytest
 
 from adickit.finiterings import gf
-from adickit.linalg import RowSpace, kernel_of_map, nullspace, solve
+from adickit.linalg import RowSpace, solve
 
-# the de Rham margin tests' reference; its oracles stay beside RowSpace's
-from test_differentials import span_in_low_block
+# the truncated references of the de Rham, H^-1 and gluing tests, built on
+# RowSpace; their oracles stay beside RowSpace's
+from test_differentials import kernel_of_map, nullspace, span_in_low_block
 
 sympy = pytest.importorskip("sympy")
 

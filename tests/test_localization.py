@@ -5,17 +5,15 @@ from fractions import Fraction
 import pytest
 
 from adickit.finiterings import gf, zmod
-from adickit.linalg import kernel_of_map
 from adickit.localization import (binary_covering, covering_check,
                                   gluing_sequence_check,
                                   joint_surjection_lift,
                                   rational_localization)
 from adickit.poly import Poly, monomials_upto
-from adickit.tate import (IntegerBase, PresentationError, TruncatedBlock,
-                          free_presentation)
+from adickit.tate import IntegerBase, PresentationError, free_presentation
 
 import corpus as fx
-from test_differentials import span_in_low_block
+from test_differentials import kernel_of_map, span_in_low_block
 
 
 def test_localization_shape(line):
@@ -216,94 +214,53 @@ def test_localized_pieces_classify_etale(line):
         assert classify_morphism(cov.loc_gf).verdict == "etale"
 
 
-def _scratch_multiples(block, form, monomials):
-    """The from-scratch loop that the incremental block coordinates
-    replaced: one normal form per monomial and coefficient."""
-    one = block.pres.coeff_one()
-    vectors = []
-    for m in monomials:
-        vec = {}
-        for k, c in form.items():
-            nf = block.pres.normal_form(c.mul_term(m, one))
-            vec.update((block.offsets[k] + block.index[e], a)
-                       for e, a in nf.terms.items())
-        vectors.append(vec)
-    return vectors
-
-
-def test_monomial_coords_match_from_scratch(line):
-    T = line.var("T")
-    covs = [binary_covering(line, T, line.const(c)) for c in (1, 2)]
-    covs += [cov for _, _, cov in fx.gluing_negative_controls(line)]
-    for cov in covs:
-        for pres in (cov.loc_fg, cov.joint):
-            block = TruncatedBlock(pres, 7, keys=(0, 1))
-            monos = [m + (0,) * (pres.nvars - cov.base_pres.nvars)
-                     for m in cov.base_pres.staircase(7)]
-            monos += list(reversed(block.monomials))
-            one = {1: Poly.constant(Fraction(1), pres.nvars)}
-            assert block.multiples(one, monos) == \
-                _scratch_multiples(block, one, monos)
-
-
-def test_gluing_check_matches_from_scratch_loop(line, monkeypatch):
-    # the joint lift is what `glue-check` still computes on truncated
-    # blocks: its generators, status and span dimension are unchanged
-    B, _ = rational_localization(line, line.var("T"), line.const(2), "w")
-    w = B.var("w")
-    cases = [(binary_covering(line, line.var("T"), line.const(c)), [], [],
-              line) for c in (1, 2)]
-    for f in (B.var("T"), B.var("T") + B.const(1)):
-        cov = binary_covering(B, f, B.const(2))
-        cases.append((cov, [w.extend_vars(cov.loc_fg.nvars)],
-                      [w.extend_vars(cov.loc_gf.nvars)], line))
-
-    def lifts():
-        return [(r.generators, r.status, r.perturbed, r.detail) for r in (
-            joint_surjection_lift(cov, s1, s2, over=over, degree_cap=4)
-            for cov, s1, s2, over in cases)]
-    fast = lifts()
-    monkeypatch.setattr(TruncatedBlock, "multiples", _scratch_multiples)
-    assert fast == lifts()
-
-
 def _truncated_gluing_reference(cov, cap, work):
     """The truncated-span check that the covering identity replaced, at one
     working degree and without a second one: whether (left, middle, right)
     hold on the degree <= cap coefficient spaces."""
     one = Fraction(1)
 
-    def coords(block, monomials, shift=0, sign=1):  # NF(m) of each m
-        unit = {0: Poly.constant(one, block.pres.nvars)}
-        return [{shift + k: sign * c for k, c in vec.items()}
-                for vec in block.multiples(unit, monomials)]
+    def block(pres, degree):
+        """The standard monomials of degree <= degree, and the coordinates
+        on them of NF(m) for each exponent m in a list."""
+        stairs = pres.staircase(degree)
+        index = {m: i for i, m in enumerate(stairs)}
+
+        def coords(monomials, shift=0, sign=1):
+            return [{shift + index[e]: sign * c for e, c in pres.normal_form(
+                Poly(pres.nvars, {m: one})).terms.items()}
+                for m in monomials]
+        return stairs, coords
 
     def blocks(degree):
-        return (TruncatedBlock(cov.loc_fg, degree),
-                TruncatedBlock(cov.loc_gf, degree),
-                TruncatedBlock(cov.joint, degree))
+        return [block(piece, degree)
+                for piece in (cov.loc_fg, cov.loc_gf, cov.joint)]
 
     def alpha(T1, T2, degree):              # B -> B1 (+) B2
+        (stairs1, coords1), (_, coords2) = T1, T2
         lifted = [m + (0,) for m in cov.base_pres.staircase(degree)]
-        return [a | b for a, b in zip(coords(T1, lifted),
-                                      coords(T2, lifted, T1.width))]
+        return [a | b for a, b in zip(coords1(lifted),
+                                      coords2(lifted, len(stairs1)))]
 
     def beta(T1, T2, T12):                  # B1 (+) B2 -> B12
-        return (coords(T12, [m + (0,) for m in T1.monomials])
-                + coords(T12, [m[:-1] + (0, m[-1]) for m in T2.monomials],
-                         sign=-1))
+        (stairs1, _), (stairs2, _), (_, coords12) = T1, T2, T12
+        return (coords12([m + (0,) for m in stairs1])
+                + coords12([m[:-1] + (0, m[-1]) for m in stairs2], sign=-1))
 
     C1, C2, C12 = blocks(cap)
-    left = not kernel_of_map(alpha(C1, C2, cap), C1.width + C2.width, one)
+    widths = [len(C[0]) for C in (C1, C2, C12)]
+    left = not kernel_of_map(alpha(C1, C2, cap), widths[0] + widths[1], one)
+    # staircases are grevlex-ascending: the degree <= cap monomials are a
+    # prefix of those of degree <= work
     W1, W2, W12 = blocks(work)
-    low = W1.low_columns(cap) + [W1.width + k for k in W2.low_columns(cap)]
+    low = list(range(widths[0])) + [len(W1[0]) + k for k in range(widths[1])]
     image = span_in_low_block(alpha(W1, W2, work), low,
-                              W1.width + W2.width, one)
+                              len(W1[0]) + len(W2[0]), one)
     middle = all(image.contains(v) for v in
-                 kernel_of_map(beta(C1, C2, C12), C12.width, one))
-    image = span_in_low_block(beta(W1, W2, W12), W12.low_columns(cap),
-                              W12.width, one)
-    right = all(image.contains({k: one}) for k in range(C12.width))
+                 kernel_of_map(beta(C1, C2, C12), widths[2], one))
+    image = span_in_low_block(beta(W1, W2, W12), list(range(widths[2])),
+                              len(W12[0]), one)
+    right = all(image.contains({k: one}) for k in range(widths[2]))
     return left, middle, right
 
 

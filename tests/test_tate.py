@@ -165,131 +165,22 @@ def test_compose_associative_on_point_sets():
             point_set(rhs.target, ring).points
 
 
-# -- incremental normal forms of monomial multiples ----------------------------
+# -- staircases ----------------------------------------------------------------
 
-def _random_poly(rng, pres, degree, coeff):
-    from adickit.poly import monomials_upto
-    monos = monomials_upto(pres.nvars, degree)
-    return Poly(pres.nvars, {m: coeff(rng.randint(-4, 4))
-                             for m in rng.sample(monos, min(5, len(monos)))})
-
-
-def _multiples_case(label):
-    """(presentation, coefficient constructor): positive-dimensional,
-    zero-dimensional, free, localized and tower presentations over Qp(2,8)
-    and a non-trivial Groebner basis over GF(3)."""
+def _staircase_case(label):
+    """Positive-dimensional, zero-dimensional, free, localized and tower
+    presentations over Qp(2,8) and a non-trivial Groebner basis over
+    GF(3)."""
     from corpus import jacobian_presentations, qp_pres, ring_pres
     named = jacobian_presentations()
-    F3 = gf(3)
     zero_dim = qp_pres(QpBase(2, 8), ("u", "v"),
                        [{(2, 0): 1, (1, 0): 1, (0, 0): 1},
                         {(0, 2): 1, (1, 1): -1, (0, 0): -1}])
-    gf3 = ring_pres(F3, ("x", "y"), [{(2, 0): 1, (0, 1): 1},
-                                     {(0, 2): 1, (1, 0): 1, (0, 0): 1}])
-    return {"B2": (named["B2"], Fraction), "zero-dim": (zero_dim, Fraction),
-            "free": (named["A2"], Fraction), "L1": (named["L1"], Fraction),
-            "C1": (named["C1"], Fraction), "GF(3)": (gf3, F3.from_int)}[label]
+    gf3 = ring_pres(gf(3), ("x", "y"), [{(2, 0): 1, (0, 1): 1},
+                                        {(0, 2): 1, (1, 0): 1, (0, 0): 1}])
+    return {"B2": named["B2"], "zero-dim": zero_dim, "free": named["A2"],
+            "L1": named["L1"], "C1": named["C1"], "GF(3)": gf3}[label]
 
-
-@pytest.mark.parametrize("label", ["B2", "zero-dim", "free", "L1", "C1",
-                                   "GF(3)"])
-def test_multiples_nf_matches_from_scratch(label):
-    # the oracle is the from-scratch reduction of every multiple
-    import random
-
-    from adickit.poly import monomials_upto
-    pres, coeff = _multiples_case(label)
-    rng = random.Random(f"multiples:{label}")
-    one = pres.coeff_one()
-    monos = monomials_upto(pres.nvars, 4 if pres.nvars < 4 else 3)
-    samples = [_random_poly(rng, pres, 4, coeff) for _ in range(4)]
-    samples.append(Poly.zero(pres.nvars))
-    for c in samples:                     # unreduced: leading terms included
-        got = pres.multiples_nf(c, monos)
-        assert got == [pres.normal_form(c.mul_term(m, one)) for m in monos]
-    # a request that is not downward closed, out of order, with a repeat
-    c = samples[0]
-    scattered = [monos[-1], monos[len(monos) // 2], (0,) * pres.nvars,
-                 monos[-1]]
-    assert pres.multiples_nf(c, scattered) == \
-        [pres.normal_form(c.mul_term(m, one)) for m in scattered]
-
-
-def test_multiples_nf_degree_guard():
-    # a from-scratch reduction of m * c overflows exactly when
-    # deg(m) + deg(c) exceeds the guard, and so must the helper
-    from corpus import jacobian_presentations
-
-    from adickit.groebner import DEGREE_GUARD, DegreeOverflowError, normal_form
-    B2 = jacobian_presentations()["B2"]
-    one = B2.coeff_one()
-    c = B2.var("u") * B2.var("u") * B2.var("X") + B2.var("Y")   # degree 3
-    for top in (DEGREE_GUARD - 3, DEGREE_GUARD - 2):
-        for m in [(top, 0, 0, 0), (0, 0, 0, top),
-                  (0, top // 3, top // 3, top - 2 * (top // 3))]:
-            try:
-                old = normal_form(c.mul_term(m, one), B2.groebner_basis())
-            except DegreeOverflowError as exc:
-                old = str(exc)
-            try:
-                new = B2.multiples_nf(c, [m])[0]
-            except DegreeOverflowError as exc:
-                new = str(exc)
-            assert new == old
-            assert isinstance(new, str) == (sum(m) + 3 > DEGREE_GUARD)
-    with pytest.raises(DegreeOverflowError,
-                       match=f"degree guard {DEGREE_GUARD}"):
-        B2.multiples_nf(c, [(0, 0, 0, 0), (DEGREE_GUARD - 2, 0, 0, 0)])
-    # the zero polynomial never overflows, as its multiples reduce to nothing
-    assert B2.multiples_nf(Poly.zero(B2.nvars), [(DEGREE_GUARD, 0, 0, 0)]) \
-        == [Poly.zero(B2.nvars)]
-
-
-
-@pytest.mark.parametrize("names, gens", [
-    # staircase {1, u}: it ends far below the working degree
-    (("u",), [{(2,): 1, (1,): -1, (0,): -1}]),
-    # u^2 - T with the Tate variable T: the staircase runs up T
-    (("T", "u"), [{(0, 2): 1, (1, 0): -1}]),
-], ids=["finite", "tate"])
-def test_truncated_block_lays_out_normal_forms_by_key(q2, names, gens):
-    from adickit.poly import monomials_upto
-    from adickit.tate import RingPresentation, TruncatedBlock
-    n = len(names)
-    pres = RingPresentation(q2, names, [
-        Poly(n, {e: Fraction(c) for e, c in g.items()}) for g in gens])
-    one = pres.coeff_one()
-    keys, work = ("a", (0, 1), 2), 6
-    block = TruncatedBlock(pres, work, keys)
-    stairs = pres.staircase(work)
-    assert block.monomials == stairs
-    assert block.offsets == {k: i * len(stairs) for i, k in enumerate(keys)}
-    assert block.width == len(keys) * len(stairs)
-    # each vector is NF(m * c) of each coefficient at its key's offset,
-    # for standard and non-standard m alike
-    x = pres.var(names[-1])
-    form = {"a": x * x + pres.const(3), 2: pres.var(names[0]) - x}
-    monomials = monomials_upto(n, work - 2)
-    expected = []
-    for m in monomials:
-        vec = {}
-        for k, c in form.items():
-            nf = pres.normal_form(c.mul_term(m, one))
-            vec.update((block.offsets[k] + stairs.index(e), a)
-                       for e, a in nf.terms.items())
-        expected.append(vec)
-    assert block.multiples(form, monomials) == expected
-    # the low columns at a cap are the positions of its monomials of degree
-    # <= cap, key by key
-    for cap in range(-1, work + 1):
-        assert block.low_columns(cap) == [
-            block.offsets[k] + i for k in keys
-            for i, e in enumerate(stairs) if sum(e) <= cap]
-    # a form beyond the working degree has terms outside the block
-    wide = x ** (work + 1) + pres.var(names[0]) ** (work + 1)
-    if pres.normal_form(wide).total_degree() > work:
-        with pytest.raises(KeyError):
-            block.multiples({"a": wide}, [(0,) * n])
 
 def test_staircase_is_enumerated_once_per_degree(monkeypatch):
     import adickit.tate as tate
@@ -301,7 +192,7 @@ def test_staircase_is_enumerated_once_per_degree(monkeypatch):
         return staircase_shell(*args)
 
     monkeypatch.setattr(tate, "staircase_shell", counted)
-    pres, _ = _multiples_case("B2")
+    pres = _staircase_case("B2")
     first = pres.staircase(3)
     assert first == full_staircase(pres.nvars, pres.groebner_basis(), 3)
     first.clear()                       # the caller owns its list
@@ -319,7 +210,7 @@ def test_staircase_matches_full_enumeration(label):
     # the oracle filters every monomial up to the degree against the
     # leading monomials; degrees ascend, descend and repeat, and a negative
     # degree (a user's D=-3) gets the degree-0 staircase, as the oracle does
-    pres, _ = _multiples_case(label)
+    pres = _staircase_case(label)
     basis = pres.groebner_basis()
     for degree in (0, 2, 1, 4, 4, 3, 6, 0, -1, 5, -3, 7):
         assert pres.staircase(degree) == \
