@@ -117,7 +117,9 @@ class KahlerModule:
         return len(self.data.rel_vars)
 
     def fitting_status(self) -> dict:
-        """For each k: is Fitt_k the unit ideal, zero, or something else?"""
+        """For each k: is Fitt_k the unit ideal, zero, or something else?
+        Fitt_k lies in Fitt_(k+1) (Laplace expansion), so every Fitting
+        ideal after the first unit one is the unit ideal too."""
         n = self.rank_free
         status = {}
         for k in range(n):
@@ -126,7 +128,10 @@ class KahlerModule:
                                              self.data.pres) if not m.is_zero]
             status[k] = ("zero" if not minors else
                          "unit" if self._generates_unit(minors) else "other")
-        status[n] = "unit"      # Fitt_n holds the empty minor 1
+            if status[k] == "unit":
+                break
+        # Fitt_n holds the empty minor 1
+        status.update((k, "unit") for k in range(len(status), n + 1))
         return status
 
     def _generates_unit(self, minors: list[Poly]) -> bool:
@@ -271,9 +276,9 @@ def _h_minus1_field(data: RelativeData,
     if data.rel_vars:
         tags, free = tagged_free_module(pres, range(len(data.rel_vars)))
         syz = syzygy_basis([tag_form(n, tags, dict(enumerate(row)))
-                            for row in jac] + free)
-        kernel = [[Poly(n, {e[:n]: c for e, c in v[i].terms.items()
-                            if not any(e[n:])}) for i in range(p)]
+                            for row in jac] + free, p)
+        kernel = [[Poly(n, {e[:n]: c for e, c in x.terms.items()
+                            if not any(e[n:])}) for x in v]
                   for v in syz]
     else:
         one = pres.coeff_one()

@@ -6,6 +6,14 @@ forms also reduce over a finite ring against a basis with unit leading
 coefficients.  The tracked variants maintain the expression of each basis
 element as a combination of the input generators, which is what
 ideal-membership certificates and syzygy generators are built from.
+
+A reduction step cancels the current leading term exactly (the divisor's
+leading coefficient is a unit), so `normal_form` deletes that term instead
+of subtracting its known multiple, moves an irreducible term to the
+remainder by deletion, and skips the inverse multiply for a divisor with
+leading coefficient 1, as every basis element Buchberger returns over Q
+has.  Polys are immutable, so each one's leading term is computed once and
+cached (see `poly`).
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ def _vec_less(a: list[Poly], quotients: list[Poly], rows) -> list[Poly]:
     """a - sum(q * rows[k]) over the nonzero quotients q = quotients[k]."""
     for q, row in zip(quotients, rows):
         if not q.is_zero:
-            a = _vec_sub(a, [x * q for x in row])
+            a = [x if y.is_zero else x - y * q for x, y in zip(a, row)]
     return a
 
 
@@ -67,52 +75,46 @@ def normal_form(f: Poly, basis: list[Poly], *, track: bool = False):
         if -key[0] > DEGREE_GUARD:
             raise DegreeOverflowError(
                 f"reduction exceeded degree guard {DEGREE_GUARD}")
-        coeff = work[exp]
+        # exp is the largest monomial of work, and every term a step adds
+        # is smaller, so each monomial is settled once: moved to the
+        # remainder, or cancelled exactly by a divisor's leading term
+        coeff = work.pop(exp)
         div = next((lead for lead in leads if exp_divides(lead[1], exp)), None)
         if div is None:
-            _add_term(remainder, exp, coeff)
-            terms = [(exp, -coeff)]
+            remainder[exp] = coeff
+            continue
+        i, gexp, gcoeff, gterms = div
+        if gcoeff == 1:     # False for finite-ring elements
+            factor = coeff
         else:
-            i, gexp, gcoeff, gterms = div
             if i not in inverses:
                 inverses[i] = gcoeff ** -1
             factor = coeff * inverses[i]
-            shift = exp_div(exp, gexp)
-            # a zero factor (from a zero term a zero divisor left behind)
-            # only drops that term
-            terms = ([(exp_mul(e, shift), -(factor * c))
-                      for e, c in gterms.items()] if factor else
-                     [(exp, -coeff)])
-        for e, c in terms:
+        if not factor:      # a zero term of f only drops
+            continue
+        shift = exp_div(exp, gexp)
+        for e, c in gterms.items():
+            if e == gexp:
+                continue
+            e = exp_mul(e, shift)
             if e in work:
-                s = work[e] + c
+                s = work[e] - factor * c
                 if s:
                     work[e] = s
                 else:
                     del work[e]
-            elif c:     # factor * c vanishes when factor is a zero divisor
-                work[e] = c
-                heappush(pending, (-sum(e),) + e[::-1])
-        if div is not None and track and factor:
-            _add_term(quotients[div[0]], shift, factor)
-        if exp in work:
-            heappush(pending, key)
+            else:
+                c = factor * c
+                if c:       # vanishes when factor is a zero divisor
+                    work[e] = -c
+                    heappush(pending, (-sum(e),) + e[::-1])
+        if track:
+            quotients[i][shift] = factor
     remainder = Poly(f.nvars, remainder, normalize=False)
     if track:
         return remainder, [Poly(f.nvars, q, normalize=False)
                            for q in quotients]
     return remainder
-
-
-def _add_term(terms: dict, exp: tuple, coeff) -> None:
-    if exp in terms:
-        s = terms[exp] + coeff
-        if s:
-            terms[exp] = s
-        else:
-            del terms[exp]
-    else:
-        terms[exp] = coeff
 
 
 def _s_pair(f: Poly, g: Poly) -> tuple[Poly, tuple, tuple]:
@@ -130,20 +132,24 @@ def buchberger_tracked(gens: list[Poly]):
 
     Zero input generators are tolerated (they contribute nothing).
     """
-    return _buchberger(gens, track=True)
+    return _buchberger(gens, len(gens))
 
 
 def buchberger(gens: list[Poly]) -> list[Poly]:
-    return _buchberger(gens, track=False)[0]
+    return _buchberger(gens, None)[0]
 
 
-def _buchberger(gens: list[Poly], track: bool):
+def _buchberger(gens: list[Poly], columns: int | None):
     """Buchberger's algorithm with the sugar strategy: pairs wait in a heap
     keyed once by (sugar, grevlex lcm), and a pair is skipped by the
     product criterion, or by the chain criterion when a third leading
     monomial divides its lcm and neither pair with that element waits
     (Gebauer and Moeller, On an installation of Buchberger's algorithm,
-    1988).  The transformation rows are kept only when `track`."""
+    1988).  The transformation rows are kept on their first `columns`
+    columns, none when it is None; each column of a row is computed from
+    the same column of earlier rows alone, so dropping the others is
+    exact."""
+    track = columns is not None
     if not gens:
         return [], []
     nvars = gens[0].nvars
@@ -174,7 +180,7 @@ def _buchberger(gens: list[Poly], track: bool):
         if not f.is_zero:
             lc = f.leading()[1]
             add(f, [Poly.constant(lc * lc ** -1, nvars) if k == i else
-                    Poly.zero(nvars) for k in range(len(gens))]
+                    Poly.zero(nvars) for k in range(columns)]
                 if track else None, f.total_degree())
     while queue:
         sugar, _, i, j, lcm = heappop(queue)
@@ -249,19 +255,22 @@ def unit_certificate(gens: list[Poly]) -> list[Poly] | None:
     return None
 
 
-def syzygy_basis(gens: list[Poly]) -> list[list[Poly]]:
-    """Generators of the module of relations among gens.
+def syzygy_basis(gens: list[Poly], columns: int) -> list[list[Poly]]:
+    """The first `columns` components of generators of the module of
+    relations among gens, those that are not all zero.
 
     Uses Schreyer syzygies of the reduced Groebner basis pulled back through
     the tracked transformation, plus the rows of (Id - N.M) where N expresses
     the generators in the basis; a zero generator's row is its unit vector.
-    An all-zero list has no coefficient to build those from: it returns [].
+    Every row is column-wise linear in the transformation rows, so only
+    their first `columns` columns are computed.  An all-zero list has no
+    coefficient to build those from: it returns [].
     """
     gens = list(gens)
     if all(f.is_zero for f in gens):
         return []
     nvars = gens[0].nvars
-    basis, m_rows = buchberger_tracked(gens)
+    basis, m_rows = _buchberger(gens, columns)
     n_rows = [representation(f, basis) for f in gens]
     one = basis[0].leading()[1] if basis else None
 
@@ -277,13 +286,14 @@ def syzygy_basis(gens: list[Poly]) -> list[list[Poly]]:
             neg = list(quot)
             neg[i] = neg[i] - Poly(nvars, {mi: one})
             neg[j] = neg[j] + Poly(nvars, {mj: one})
-            pulled = _vec_less(_vec_zero(len(gens), nvars), neg, m_rows)
+            pulled = _vec_less(_vec_zero(columns, nvars), neg, m_rows)
             if any(not x.is_zero for x in pulled):
                 syzygies.append(pulled)
     # Rows of Id - N.M.
     for i in range(len(gens)):
-        row = _vec_zero(len(gens), nvars)
-        row[i] = Poly.constant(one, nvars)
+        row = _vec_zero(columns, nvars)
+        if i < columns:
+            row[i] = Poly.constant(one, nvars)
         row = _vec_less(row, n_rows[i], m_rows)
         if any(not x.is_zero for x in row):
             syzygies.append(row)

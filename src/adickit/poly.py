@@ -4,12 +4,19 @@ Coefficients may be Fractions (the exact layer used for Groebner bases) or
 finite-ring elements; they only need +, -, *, truthiness for zero-testing,
 and ** -1 where division is required.  The monomial order everywhere is
 graded reverse lexicographic.
+
+A `Poly` is immutable once constructed: every operation returns a new one,
+and nothing writes to the `terms` mapping of an existing one (a test over
+the package enforces this).  That is what lets a Poly cache its leading
+term on the first `leading()` call.  A product by the unit coefficient 1
+copies the terms without multiplying them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from operator import add, le, neg, sub
 
 
 def times_int(coeff, k: int):
@@ -22,17 +29,17 @@ def times_int(coeff, k: int):
 # -- exponent tuples --------------------------------------------------------
 
 def exp_mul(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 def exp_divides(a: tuple, b: tuple) -> bool:
     """Does monomial a divide monomial b?"""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 def exp_div(a: tuple, b: tuple) -> tuple:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 def exp_lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 def exp_total(a: tuple) -> int:
     return sum(a)
@@ -41,7 +48,7 @@ def exp_coprime(a: tuple, b: tuple) -> bool:
     return all(x == 0 or y == 0 for x, y in zip(a, b))
 
 def grevlex_key(exp: tuple):
-    return (sum(exp), tuple(-e for e in reversed(exp)))
+    return (sum(exp), tuple(map(neg, exp[::-1])))
 
 def monomials_upto(nvars: int, max_degree: int) -> list[tuple]:
     """All exponent tuples of total degree <= max_degree, grevlex-sorted
@@ -60,10 +67,14 @@ def monomials_upto(nvars: int, max_degree: int) -> list[tuple]:
 # -- polynomials ------------------------------------------------------------
 
 class Poly:
-    __slots__ = ("nvars", "terms")
+    """A polynomial in `nvars` variables: `terms` maps exponent tuples to
+    coefficients.  Never mutated after construction, so the leading term
+    is cached in `_lead` on the first `leading()` call."""
+    __slots__ = ("nvars", "terms", "_lead")
 
     def __init__(self, nvars: int, terms=None, normalize: bool = True):
         self.nvars = nvars
+        self._lead = None
         if terms is None:
             self.terms = {}
         elif normalize:
@@ -98,10 +109,13 @@ class Poly:
 
     def leading(self) -> tuple:
         """(exponent, coefficient) of the grevlex-leading term."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        exp = max(self.terms, key=grevlex_key)
-        return exp, self.terms[exp]
+        lead = self._lead
+        if lead is None:
+            if not self.terms:
+                raise ValueError("zero polynomial has no leading term")
+            exp = max(self.terms, key=grevlex_key)
+            lead = self._lead = (exp, self.terms[exp])
+        return lead
 
     def _check(self, other: "Poly") -> None:
         if self.nvars != other.nvars:
@@ -127,7 +141,18 @@ class Poly:
                     normalize=False)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        self._check(other)
+        res = dict(self.terms)
+        for e, c in other.terms.items():
+            if e in res:
+                s = res[e] - c
+                if s:
+                    res[e] = s
+                else:
+                    del res[e]
+            else:
+                res[e] = -c
+        return Poly(self.nvars, res, normalize=False)
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
@@ -165,11 +190,17 @@ class Poly:
     def scale(self, coeff) -> "Poly":
         if not coeff:
             return Poly(self.nvars)
+        if coeff == 1:      # False for finite-ring elements: they multiply
+            return Poly(self.nvars, dict(self.terms), normalize=False)
         return Poly(self.nvars, {e: coeff * c for e, c in self.terms.items()})
 
     def mul_term(self, exp: tuple, coeff) -> "Poly":
         if not coeff:
             return Poly(self.nvars)
+        if coeff == 1:
+            return Poly(self.nvars,
+                        {exp_mul(e, exp): c for e, c in self.terms.items()},
+                        normalize=False)
         return Poly(self.nvars,
                     {exp_mul(e, exp): coeff * c for e, c in self.terms.items()},
                     normalize=False)

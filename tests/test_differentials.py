@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import prod
+from pathlib import Path
 
 import pytest
 
@@ -451,6 +452,42 @@ def test_finite_backend_agrees_with_a_smith_form_oracle(base):
         assert (cx.h_minus1, fitting) == _oracle(pres), rels
         checked += 1
     assert checked == 14
+
+
+def _fitting_every_k(km):
+    """The reference for `fitting_status`: every Fitting ideal decided on
+    its own minors, with no early stop."""
+    n = km.rank_free
+    status = {n: "unit"}
+    for k in range(n):
+        minors = [m for m in differentials._all_minors(
+            km.jacobian, n - k, km.data.pres) if not m.is_zero]
+        status[k] = ("zero" if not minors else
+                     "unit" if km._generates_unit(minors) else "other")
+    return status
+
+
+def test_fitting_status_stops_early_without_changing_a_status():
+    # the pinned grid over every finite base, two prime fields and Q_2,
+    # and the presentations of the seed-1 jacobian script
+    from corpus import Q2, script_names
+    grid = ([(("T",), rels) for rels in ONE_VAR.values()]
+            + [(("x", "y"), rels) for rels in TWO_VAR.values()])
+    cases = [(ring, finite_pres(ring, names, rels))
+             for ring in [b() for b in BASES.values()] + [gf(3), gf(5)]
+             for names, rels in grid]
+    cases += [(Q2, pres_over(Q2, names, rels)) for names, rels in grid]
+    golden = Path(__file__).parent / "golden" / "jacobian-1.adk"
+    cases += [(label, value) for label, value in
+              script_names(golden.read_text()).items()
+              if isinstance(value, (RingPresentation, MorphismPresentation))]
+    units_early = 0
+    for label, arg in cases:
+        km = kahler_differentials(arg)
+        status = km.fitting_status()
+        assert status == _fitting_every_k(km), label
+        units_early += status[0] == "unit" and km.rank_free > 0
+    assert len(cases) == 126 and units_early >= 60
 
 
 def test_kahler_fitting_matches_the_complex_on_the_pinned_grid():
@@ -957,7 +994,8 @@ def _outside_syzygy_image(cx):
     syzygies' relation components span, plus I.F?"""
     data, p = cx.data, len(cx.jacobian)
     pres = data.pres
-    syz = syzygy_basis(list(data.rel_gens) + list(data.source_gens))
+    gens = list(data.rel_gens) + list(data.source_gens)
+    syz = syzygy_basis(gens, len(gens))
     image = Submodule(pres, range(p), [
         {i: pres.normal_form(c) for i, c in enumerate(v[:p])} for v in syz])
     return lambda v: not image.contains(dict(enumerate(v)))

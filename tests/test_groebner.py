@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
-from adickit.finiterings import gf
+from hypothesis import given, settings, strategies as st
+
+from adickit.finiterings import gf, zmod
 from adickit.groebner import (DEGREE_GUARD, buchberger, buchberger_tracked,
                               finite_staircase, is_unit_ideal,
                               is_zero_dimensional, normal_form,
@@ -114,17 +116,30 @@ def test_unit_certificate_identity():
     assert unit_certificate([T * T]) is None
 
 
-def test_syzygies_are_relations():
+def _syzygy_systems():
     X, Y = V(0, 2), V(1, 2)
-    systems = [
+    return [
         [X * X - Y, Y * Y * X],
         [X - Y * Y, Y * Y * Y],
         [X * Y, X * X, Y * Y],
         [V(0, 1) ** 2 - V(0, 1), V(0, 1) ** 3],
     ]
-    for gens in systems:
+
+
+def _zero_generator_cases():
+    X, Y = V(0, 2), V(1, 2)
+    F3 = gf(3)
+    x, y = (Poly.variable(i, 2, F3.one) for i in range(2))
+    zero = Poly.zero(2)
+    return [([X * X - Y, zero, X * Y], ONE),
+            ([zero, X.scale(Fraction(3))], ONE),
+            ([x * x - y, zero, x * y + y, zero], F3.one)]
+
+
+def test_syzygies_are_relations():
+    for gens in _syzygy_systems():
         n = gens[0].nvars
-        syz = syzygy_basis(gens)
+        syz = syzygy_basis(gens, len(gens))
         for vec in syz:
             total = Poly.zero(n)
             for coeff, f in zip(vec, gens):
@@ -135,15 +150,9 @@ def test_syzygies_are_relations():
 def test_syzygies_of_zero_generators_include_their_unit_vectors():
     # a zero generator's unit vector e_i is a syzygy that the others do not
     # give; it is built from the coefficient ring's one, over Q and GF(3)
-    X, Y = V(0, 2), V(1, 2)
-    F3 = gf(3)
-    x, y = (Poly.variable(i, 2, F3.one) for i in range(2))
     zero = Poly.zero(2)
-    cases = [([X * X - Y, zero, X * Y], ONE),
-             ([zero, X.scale(Fraction(3))], ONE),
-             ([x * x - y, zero, x * y + y, zero], F3.one)]
-    for gens, one in cases:
-        syz = syzygy_basis(gens)
+    for gens, one in _zero_generator_cases():
+        syz = syzygy_basis(gens, len(gens))
         for vec in syz:
             assert sum((c * f for c, f in zip(vec, gens)), zero).is_zero
         for i, f in enumerate(gens):
@@ -151,7 +160,49 @@ def test_syzygies_of_zero_generators_include_their_unit_vectors():
                 assert [Poly.constant(one, 2) if k == i else zero
                         for k in range(len(gens))] in syz
     # an all-zero list has no coefficient to build e_i from
-    assert syzygy_basis([zero, zero]) == []
+    assert syzygy_basis([zero, zero], 2) == []
+
+
+def _restricted(full, columns):
+    return [s[:columns] for s in full
+            if any(not c.is_zero for c in s[:columns])]
+
+
+def _assert_restriction_is_exact(gens):
+    full = syzygy_basis(gens, len(gens))
+    for columns in range(1, len(gens) + 1):
+        assert syzygy_basis(gens, columns) == _restricted(full, columns)
+
+
+def test_syzygies_restricted_to_leading_columns():
+    # rows are column-wise linear in the transformation rows, so tracking
+    # only the first columns gives the full result's first columns
+    T = V(0, 1)
+    systems = _syzygy_systems() + [gens for gens, _ in
+                                   _zero_generator_cases()]
+    for gens in systems + [[T * T - T, T ** 3]]:
+        _assert_restriction_is_exact(gens)
+
+
+_small_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 1)),
+    st.sampled_from([Fraction(c) for c in (-2, -1, 1, 3)]),
+    min_size=1, max_size=3)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.lists(_small_polys, min_size=1, max_size=2))
+def test_syzygies_of_tagged_jacobian_rows_restrict_exactly(relations):
+    # the lists H^-1 builds: the tagged Jacobian rows of a plane
+    # presentation, then the g.E_j and every E_a.E_b
+    from adickit.tate import (QpBase, RingPresentation, tag_form,
+                              tagged_free_module)
+    pres = RingPresentation(QpBase(2, 8), ("x", "y"),
+                            [Poly(2, terms) for terms in relations])
+    tags, free = tagged_free_module(pres, range(2))
+    rows = [tag_form(2, tags, {j: pres.normal_form(g.derivative(j))
+                               for j in range(2)}) for g in pres.gens]
+    _assert_restriction_is_exact(rows + free)
 
 
 def test_degree_guard_raises():
@@ -168,7 +219,7 @@ def test_koszul_syzygy_is_generated():
     # the computed syzygies; check at low degree by exact linear algebra
     T = V(0, 1)
     f, g = T * T - T, T ** 3
-    syz = syzygy_basis([f, g])
+    syz = syzygy_basis([f, g], 2)
     koszul = [g, -f]
     from adickit.linalg import RowSpace
     from adickit.poly import monomials_upto
@@ -331,14 +382,59 @@ def test_tracked_bases_satisfy_g_equals_m_f():
             assert total == g
 
 
+def _assert_exact_division(f, basis):
+    """f = sum(q_i * g_i) + r, and no leading monomial divides a term of r."""
+    rem, quotients = normal_form(f, basis, track=True)
+    total = rem
+    for q, g in zip(quotients, basis):
+        total = total + q * g
+    assert total == f
+    leading = [g.leading()[0] for g in basis if not g.is_zero]
+    assert not any(exp_divides(lt, e) for lt in leading for e in rem.terms)
+    assert normal_form(f, basis) == rem
+
+
 def test_tracked_normal_form_is_an_exact_division():
     for f, basis in _reduction_cases(12):
-        rem, quotients = normal_form(f, basis, track=True)
-        total = rem
-        for q, g in zip(quotients, basis):
-            total = total + q * g
-        assert total == f
-        assert rem == normal_form(f, basis)
+        _assert_exact_division(f, basis)
+
+
+def test_normal_form_divides_by_non_monic_and_finite_ring_divisors():
+    # the divisors are no Groebner bases: over Q with leading coefficients
+    # other than 1, over GF(3), and over Zmod(4) with unit leading
+    # coefficients and tails that hold the zero divisor 2, whose multiples
+    # by 2 vanish; every divisor leads with a coefficient other than 1 of
+    # Q, so none takes the monic path
+    rng = random.Random(19)
+    F3, Z4 = gf(3), zmod(4)
+
+    def draw(nvars, nterms, degree, coeff, lead=None):
+        terms = {tuple(rng.randint(0, degree) for _ in range(nvars)):
+                 coeff() for _ in range(nterms)}
+        poly = Poly(nvars, terms)
+        if lead is not None and not poly.is_zero:
+            exp = poly.leading()[0]
+            poly = Poly(nvars, {**poly.terms, exp: lead()})
+        return poly
+
+    rings = [
+        (lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+         lambda: Fraction(rng.choice((-3, -2, 3, 5, 7)), rng.randint(1, 2))),
+        (lambda: F3.from_int(rng.randrange(3)),
+         lambda: F3.from_int(rng.randrange(1, 3))),
+        (lambda: Z4.from_int(rng.randrange(4)),
+         lambda: Z4.from_int(rng.choice((1, 3)))),
+    ]
+    checked = 0
+    for coeff, lead in rings:
+        for _ in range(40):
+            nvars = rng.randint(1, 3)
+            basis = [draw(nvars, rng.randint(1, 4), 2, coeff, lead)
+                     for _ in range(rng.randint(1, 3))]
+            f = draw(nvars, rng.randint(1, 8), 4, coeff)
+            _assert_exact_division(f, basis)
+            checked += 1
+    assert checked == 120
 
 
 def test_degree_guard_fires_only_above_the_guard(monkeypatch):
