@@ -36,8 +36,8 @@ def _vec_zero(length: int, nvars: int) -> list[Poly]:
 def _vec_sub(a: list[Poly], b: list[Poly]) -> list[Poly]:
     return [x - y for x, y in zip(a, b)]
 
-def _vec_mul_term(a: list[Poly], exp: tuple, coeff) -> list[Poly]:
-    return [x.mul_term(exp, coeff) for x in a]
+def _vec_mul_term(a: list[Poly], exp: tuple) -> list[Poly]:
+    return [x.mul_term(exp) for x in a]
 
 def _vec_scale(a: list[Poly], coeff) -> list[Poly]:
     return [x.scale(coeff) for x in a]
@@ -46,7 +46,7 @@ def _vec_less(a: list[Poly], quotients: list[Poly], rows) -> list[Poly]:
     """a - sum(q * rows[k]) over the nonzero quotients q = quotients[k]."""
     for q, row in zip(quotients, rows):
         if not q.is_zero:
-            a = [x if y.is_zero else x - y * q for x, y in zip(a, row)]
+            a = _vec_sub(a, [x * q for x in row])
     return a
 
 
@@ -123,8 +123,7 @@ def _s_pair(f: Poly, g: Poly) -> tuple[Poly, tuple, tuple]:
     gexp, _ = g.leading()
     lcm = exp_lcm(fexp, gexp)
     mf, mg = exp_div(lcm, fexp), exp_div(lcm, gexp)
-    one_coeff = f.leading()[1]  # both monic: this is 1 of the field
-    return f.mul_term(mf, one_coeff) - g.mul_term(mg, one_coeff), mf, mg
+    return f.mul_term(mf) - g.mul_term(mg), mf, mg
 
 
 def buchberger_tracked(gens: list[Poly]):
@@ -197,9 +196,8 @@ def _buchberger(gens: list[Poly], columns: int | None):
             continue
         rep = None
         if track:
-            one = basis[i].leading()[1]
-            rep = _vec_less(_vec_sub(_vec_mul_term(reps[i], mi, one),
-                                     _vec_mul_term(reps[j], mj, one)),
+            rep = _vec_less(_vec_sub(_vec_mul_term(reps[i], mi),
+                                     _vec_mul_term(reps[j], mj)),
                             quot, reps)
         add(rem, rep, max(sugar, rem.total_degree()))
     return _reduce(basis, reps, leads, track)

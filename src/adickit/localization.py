@@ -292,7 +292,7 @@ def joint_surjection_lift(cov: BinaryCovering, s1: list[Poly], s2: list[Poly],
         d = gp.total_degree()
         for m in sub_monos:
             if sum(m) + d <= work:
-                span.insert(_coords(B, index, gp.mul_term(m, one)))
+                span.insert(_coords(B, index, gp.mul_term(m)))
     ok = all(span.contains({k: one})
              for k in range(len(B.staircase(degree_cap))))
     return JointSurjectionResult(generators,

@@ -8,15 +8,14 @@ graded reverse lexicographic.
 A `Poly` is immutable once constructed: every operation returns a new one,
 and nothing writes to the `terms` mapping of an existing one (a test over
 the package enforces this).  That is what lets a Poly cache its leading
-term on the first `leading()` call.  A product by the unit coefficient 1
-copies the terms without multiplying them.
+term on the first `leading()` call, and `scale(1)` return the Poly itself.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from operator import add, le, neg, sub
+from operator import add, le, sub
 
 
 def times_int(coeff, k: int):
@@ -48,7 +47,7 @@ def exp_coprime(a: tuple, b: tuple) -> bool:
     return all(x == 0 or y == 0 for x, y in zip(a, b))
 
 def grevlex_key(exp: tuple):
-    return (sum(exp), tuple(map(neg, exp[::-1])))
+    return (sum(exp), tuple(-e for e in reversed(exp)))
 
 def monomials_upto(nvars: int, max_degree: int) -> list[tuple]:
     """All exponent tuples of total degree <= max_degree, grevlex-sorted
@@ -141,18 +140,7 @@ class Poly:
                     normalize=False)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        self._check(other)
-        res = dict(self.terms)
-        for e, c in other.terms.items():
-            if e in res:
-                s = res[e] - c
-                if s:
-                    res[e] = s
-                else:
-                    del res[e]
-            else:
-                res[e] = -c
-        return Poly(self.nvars, res, normalize=False)
+        return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
@@ -191,18 +179,13 @@ class Poly:
         if not coeff:
             return Poly(self.nvars)
         if coeff == 1:      # False for finite-ring elements: they multiply
-            return Poly(self.nvars, dict(self.terms), normalize=False)
+            return self
         return Poly(self.nvars, {e: coeff * c for e, c in self.terms.items()})
 
-    def mul_term(self, exp: tuple, coeff) -> "Poly":
-        if not coeff:
-            return Poly(self.nvars)
-        if coeff == 1:
-            return Poly(self.nvars,
-                        {exp_mul(e, exp): c for e, c in self.terms.items()},
-                        normalize=False)
+    def mul_term(self, exp: tuple) -> "Poly":
+        """The product by the monomial with exponent `exp`."""
         return Poly(self.nvars,
-                    {exp_mul(e, exp): coeff * c for e, c in self.terms.items()},
+                    {exp_mul(e, exp): c for e, c in self.terms.items()},
                     normalize=False)
 
     def derivative(self, index: int) -> "Poly":

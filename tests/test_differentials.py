@@ -273,7 +273,7 @@ def _schreyer_syzygy_images(pres):
             ei, ej = rel_gens[i].leading()[0], rel_gens[j].leading()[0]
             lcm = exp_lcm(ei, ej)
             mi, mj = exp_div(lcm, ei), exp_div(lcm, ej)
-            sp = rel_gens[i].mul_term(mi, one) - rel_gens[j].mul_term(mj, one)
+            sp = rel_gens[i].mul_term(mi) - rel_gens[j].mul_term(mj)
             rem, quot = normal_form(sp, rel_gens, track=True)
             assert rem.is_zero
             vec = [Poly.zero(n) for _ in range(p)]
@@ -726,7 +726,6 @@ def _reference_coords(form, subsets, monomials, index, pres):
 
 def _reference_relation_vectors(relations, subsets, work, pres):
     from adickit.poly import grevlex_key, monomials_upto
-    one = pres.coeff_one()
     monomials = sorted(pres.staircase(work), key=grevlex_key)
     index = {m: i for i, m in enumerate(monomials)}
     vectors = []
@@ -735,7 +734,7 @@ def _reference_relation_vectors(relations, subsets, work, pres):
             continue
         reldeg = max(c.total_degree() for c in rel.values())
         for m in monomials_upto(pres.nvars, max(work - reldeg, 0)):
-            shifted = {s: c.mul_term(m, one) for s, c in rel.items()}
+            shifted = {s: c.mul_term(m) for s, c in rel.items()}
             vectors.append(_reference_coords(shifted, subsets, monomials,
                                              index, pres))
     return vectors, monomials, index
@@ -977,7 +976,7 @@ def _truncated_h_minus1(cx, cap):
     target = pres.staircase(max(cap, 0) + max(maxdeg, 0))
     index = {m: i for i, m in enumerate(target)}
     images = [{j * len(target) + index[e]: a for j, c in enumerate(row)
-               for e, a in pres.normal_form(c.mul_term(m, one)).terms.items()}
+               for e, a in pres.normal_form(c.mul_term(m)).terms.items()}
               for row in jac for m in source]
     kernel = kernel_of_map(images, len(target) * len(data.rel_vars), one)
     if not kernel:

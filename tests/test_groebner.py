@@ -239,7 +239,7 @@ def test_koszul_syzygy_is_generated():
     for s in syz:
         sdeg = max((c.total_degree() for c in s if not c.is_zero), default=0)
         for m in monomials_upto(1, cap - sdeg - 1):
-            shifted = [c.mul_term(m, ONE) for c in s]
+            shifted = [c.mul_term(m) for c in s]
             space.insert(flatten(shifted))
     assert space.contains(flatten(koszul))
 

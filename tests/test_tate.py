@@ -274,9 +274,8 @@ def test_submodule_matches_a_sympy_basis_of_the_tagged_ideal(label):
     assert [module.rank(cap) for cap in (0, 3, 8)] == ranks
     xs = sympy.symbols(f"x0:{gens[0].nvars}")
     rng = random.Random(label)
-    one = pres.coeff_one()
     monos = monomials_upto(pres.nvars, 3)
-    candidates = [{k: c.mul_term(m, one) for k, c in form.items()}
+    candidates = [{k: c.mul_term(m) for k, c in form.items()}
                   for form in forms for m in rng.sample(monos, 2)]
     candidates += [{k: Poly(pres.nvars, {m: Fraction(rng.randint(1, 4))
                                         for m in rng.sample(monos, 2)})}
