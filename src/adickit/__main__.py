@@ -1,5 +1,5 @@
 import sys
 
-from .cli import main
+from .cli import run_process
 
-sys.exit(main())
+sys.exit(run_process())

@@ -12,11 +12,16 @@ presentations (Tate, Quot, Loc), morphisms (Morph, Compose, BaseChange) and
 corpora (Corpus).  Commands dispatch to the library and emit deterministic
 JSON reports; a human summary goes to stderr.  Exit codes: 0 ok, 1 command
 error, 2 parse error.
+
+Every process entry (`python -m adickit`, `python -m adickit.cli` and the
+`adic-kit` console script) goes through `run_process`; in-process callers
+use `main`.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from fractions import Fraction
@@ -28,13 +33,16 @@ from .tate import (IntegerBase, MorphismPresentation, PresentationError,
                    QpBase, RingPresentation, base_change,
                    compose_presentations, free_presentation, gauss_norm)
 
-# Parsing and declarations need only the three modules above (a `Loc`
-# declaration imports `localization`).  Each command handler imports the
-# library it drives when it first runs, so a script pays to load (and,
-# without bytecode, to compile) only the modules its commands use.
+# Parsing and declarations need only `tate`, `finiterings`, `groebner`,
+# `padics` and `poly` (a `Loc` declaration imports `localization`).  Each
+# command handler imports the library it drives when it first runs, and
+# `tate.gauss_norm` imports `norms` on its first call, so a script pays to
+# load (and, without bytecode, to compile) only the modules its commands use.
 
 COMMANDS = ("classify", "classify-lifting", "glue-check", "drham", "witt",
             "robba-norm", "tilt", "integrate")
+CONSTRUCTORS = ("Qp", "Zmod", "GF", "Prod", "Tate", "Quot", "Loc", "Morph",
+                "Compose", "BaseChange", "Corpus")
 
 class ScriptError(Exception):
     def __init__(self, message: str, line: int, col: int):
@@ -294,7 +302,8 @@ class Parser:
                 kwargs.append((key, self.expression()))
             else:
                 args.append(self.expression())
-        return CommandStmt(name, tuple(args), tuple(kwargs), tok.line, tok.col)
+        return CommandStmt(name, _unfused(args), tuple(kwargs), tok.line,
+                           tok.col)
 
     # -- expressions -----------------------------------------------------------
 
@@ -381,6 +390,24 @@ class Parser:
 
 def parse_script(text: str) -> SessionScript:
     return Parser(tokenize(text)).parse_script()
+
+
+def _unfused(args: list) -> tuple:
+    """A command argument `name (expr)` parses as a call node: `A (T)` in
+    `glue-check A (T) (2)`, `add (1,0)` in `witt add (1,0) (1,0)`.  Unless
+    the name is a constructor, split it back into the name and the
+    parenthesised argument (a tuple when it has several items), so that
+    the command and its echo see the arguments as written."""
+    out = []
+    for arg in args:
+        if isinstance(arg, Call) and arg.func not in CONSTRUCTORS \
+                and not arg.kwargs:
+            out.append(Name(arg.func))
+            out.append(arg.args[0] if len(arg.args) == 1
+                       else TupleExpr(arg.args))
+        else:
+            out.append(arg)
+    return tuple(out)
 
 
 # -- printer (command echoes) -----------------------------------------------------
@@ -731,22 +758,12 @@ class Session:
         verdict = classify_lifting(obj, corpus, mode, skip_inadmissible=True)
         return verdict.to_json(), verdict.verdict
 
-    def _unfused_args(self, cmd: CommandStmt) -> list:
-        """`name (expr) ...` parses as a call node; split it back apart."""
-        args = list(cmd.args)
-        if args and isinstance(args[0], Call) and args[0].func in self.env:
-            head = args[0]
-            first = TupleExpr(head.args) if len(head.args) > 1 else head.args[0]
-            args = [Name(head.func), first] + args[1:]
-        return args
-
     def _cmd_glue_check(self, cmd: CommandStmt):
         from .localization import (binary_covering, gluing_sequence_check,
                                    joint_surjection_lift)
-        args = self._unfused_args(cmd)
-        pres = self.eval_decl_expr(args[0], cmd.line, cmd.col)
-        f = self.eval_poly(args[1], pres, cmd.line, cmd.col)
-        g = self.eval_poly(args[2], pres, cmd.line, cmd.col)
+        pres = self.eval_decl_expr(cmd.args[0], cmd.line, cmd.col)
+        f = self.eval_poly(cmd.args[1], pres, cmd.line, cmd.col)
+        g = self.eval_poly(cmd.args[2], pres, cmd.line, cmd.col)
         cap = self._int_kw(cmd, "D", min(self.options.degree, 6))
         prec = self._int_kw(cmd, "N", min(self.options.precision, 6))
         cov = binary_covering(pres, f, g)
@@ -809,15 +826,12 @@ class Session:
     def _cmd_witt(self, cmd: CommandStmt):
         from .wittrobba import (WittVector, frobenius_witt, teichmuller,
                                 verschiebung, witt_arith)
-        # `witt add (1,0) (2,1)` parses the operation name fused with the
-        # first tuple as a call node; unfuse it here
         head = cmd.args[0]
-        if isinstance(head, Call):
-            opname = head.func
-            vector_args = [TupleExpr(head.args)] + list(cmd.args[1:])
-        else:
-            opname = head.ident
-            vector_args = list(cmd.args[1:])
+        if not isinstance(head, Name):
+            raise ScriptError("expected a witt operation name", cmd.line,
+                              cmd.col)
+        opname = head.ident
+        vector_args = cmd.args[1:]
         kw = self._kwargs(cmd)
         p = self._int_kw(cmd, "p", self.options.prime)
         ring = self.eval_decl_expr(kw["over"], cmd.line, cmd.col) \
@@ -1016,6 +1030,18 @@ def main(argv: list | None = None) -> int:
     return outcome.exit_code
 
 
+def run_process(argv: list | None = None) -> int:
+    """`main` as a process entry: once it returns, every object still alive
+    is frozen out of the garbage collector, so the interpreter's exit-time
+    collections do not walk the modules, classes and caches that the OS
+    reclaims anyway.  stdio is still flushed and `atexit` handlers still
+    run."""
+    try:
+        return main(argv)
+    finally:
+        gc.freeze()
+
+
 def build_ring(spec: str):
     """Build a finite ring from its mini-grammar spec, e.g. 'Quot(GF(2),[x],[x^4])'."""
     expr = Parser(tokenize(spec)).expression()
@@ -1047,4 +1073,4 @@ def _power_index(node, line, col) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run_process())

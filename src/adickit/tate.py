@@ -22,7 +22,6 @@ from fractions import Fraction
 
 from .finiterings import FiniteRing, FiniteRingElement
 from .groebner import buchberger, normal_form, staircase_shell
-from .norms import ExactNorm
 from .padics import DEFAULT_PRECISION, rational_valuation
 from .poly import Poly, exp_coprime, exp_mul, grevlex_key, render_poly
 
@@ -79,6 +78,8 @@ def gauss_norm(f: Poly, p: int) -> ExactNorm:
     """The Gauss norm of f in Q_p<X>: the largest |c|_p = p^-v_p(c) over
     every (rational) coefficient c of f, so p^-(min v_p(c)); exactly zero
     iff f is zero."""
+    # imported on first call, so processes that report no norm never load it
+    from .norms import ExactNorm
     if f.is_zero:
         return ExactNorm.zero()
     return ExactNorm.power(p, -min(rational_valuation(c, p)

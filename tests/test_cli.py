@@ -1,4 +1,5 @@
 import ast
+import gc
 import importlib
 import inspect
 import json
@@ -13,8 +14,8 @@ import pytest
 import adickit
 from adickit.cli import (COMMANDS, BinOp, Call, CommandStmt, Declaration,
                          ListExpr, Name, Neg, Num, Options, Pow, ScriptError,
-                         SessionScript, TupleExpr, parse_script, print_expr,
-                         render_reports, run_script)
+                         SessionScript, TupleExpr, main, parse_script,
+                         print_expr, render_reports, run_script)
 
 SMOKE = "A = Tate(Qp(2,8), [T]); B = Quot(A, [u], [u - T^2]); classify B;"
 
@@ -315,6 +316,99 @@ def test_cli_out_file(tmp_path):
     assert json.loads(target.read_text())[0]["verdict"] == "etale"
 
 
+# exit code -> a script that ends with it: a command error is 1, a parse
+# error 2
+EXIT_SCRIPTS = {0: SMOKE,
+                1: "A = Tate(Qp(2,8), [T]); glue-check A (T) (T^2); "
+                   "classify A;",
+                2: "A = Tate(Qp(2,8), [T)"}
+
+
+@pytest.mark.parametrize("code", sorted(EXIT_SCRIPTS))
+def test_module_entry_matches_in_process_main(code, tmp_path, capsys):
+    """`python -m adickit run`, the process the benchmark spawns, writes
+    the bytes and exits with the code that `main` returns in process."""
+    script = tmp_path / "s.adk"
+    script.write_text(EXIT_SCRIPTS[code], encoding="utf-8")
+    assert main(["run", str(script)]) == code
+    expected = capsys.readouterr().out.encode("utf-8")
+    assert main(["run", str(script), "--out", str(tmp_path / "in.json")]) \
+        == code
+    assert capsys.readouterr().out == ""
+
+    run = subprocess.run([sys.executable, "-m", "adickit", "run",
+                          str(script)], capture_output=True)
+    assert run.returncode == code
+    assert run.stdout == expected
+    target = tmp_path / "out.json"
+    run = subprocess.run([sys.executable, "-m", "adickit", "run",
+                          str(script), "--out", str(target)],
+                         capture_output=True)
+    assert run.returncode == code
+    assert run.stdout == b""
+    if code == 2:       # a parse error writes no report
+        assert not target.exists() and not (tmp_path / "in.json").exists()
+    else:
+        assert target.read_bytes() == expected
+        assert (tmp_path / "in.json").read_bytes() == expected
+
+
+def test_in_process_main_keeps_normal_collection(tmp_path, capsys):
+    script = tmp_path / "s.adk"
+    script.write_text(SMOKE, encoding="utf-8")
+    before = gc.get_freeze_count()
+    assert main(["run", str(script)]) == 0
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("module", ["adickit", "adickit.cli"])
+def test_process_entries_freeze_before_exit(module, tmp_path):
+    """Run as `python -m MODULE run SCRIPT` does, with an `atexit` probe:
+    the probe still runs, and by then every live object is frozen out of
+    the exit-time collections."""
+    script = tmp_path / "s.adk"
+    script.write_text(SMOKE, encoding="utf-8")
+    code = ("import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count(), "
+            "file=sys.stderr))\n"
+            f"sys.argv = ['{module}', 'run', {str(script)!r}]\n"
+            f"runpy.run_module({module!r}, run_name='__main__', "
+            f"alter_sys=True)\n")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert run.returncode == 0
+    assert json.loads(run.stdout)[0]["verdict"] == "etale"
+    frozen = [line.split() for line in run.stderr.splitlines()
+              if line.startswith("frozen ")]
+    assert len(frozen) == 1 and int(frozen[0][1]) > 0
+
+
+def test_console_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    with open(LIBRARY.parent.parent / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"adic-kit": "adickit.cli:run_process"}
+
+
+@pytest.mark.parametrize("text, echo", [
+    ("A2 = Tate(Qp(2,8), [X, Y]); glue-check A2 (X - 3*Y) (2);",
+     "glue-check A2 (X - (3 * Y)) 2"),
+    ("A = Tate(Qp(2,8), [T]); glue-check A (T) (2) D=6 N=6;",
+     "glue-check A T 2 D=6 N=6"),
+    ("witt add (0,1) (1,0) p=2;", "witt add (0, 1) (1, 0) p=2"),
+    ("witt teichmuller (1) p=2;", "witt teichmuller 1 p=2"),
+    # a constructor call stays a call
+    ("tilt GF(2,2);", "tilt GF(2, 2)"),
+])
+def test_echo_keeps_a_name_apart_from_the_argument_after_it(text, echo):
+    out = run_script(parse_script(text), Options())
+    assert out.exit_code == 0, out.reports
+    assert out.reports[-1]["command"] == echo
+    # the echo parses back to the same command
+    assert scripts_equal(parse_script(echo + ";"),
+                         SessionScript((parse_script(text).items[-1],)))
+
+
 def test_build_ring_from_spec():
     from adickit.cli import build_ring
     assert build_ring("Zmod(4)").cardinality == 4
@@ -551,7 +645,19 @@ def _run_in_fresh_process(script: Path, out: Path) -> set:
 def test_command_libraries_load_on_first_use(tmp_path):
     loaded = _modules_loaded("import adickit.cli")
     assert "adickit.tate" in loaded
-    assert not loaded & (COMMAND_LIBRARIES | {"adickit.infinitesimal"})
+    assert not loaded & (COMMAND_LIBRARIES | {"adickit.infinitesimal",
+                                              "adickit.norms"})
+
+    # declarations alone load no command library and no norms
+    script = tmp_path / "declarations.adk"
+    script.write_text("A = Tate(Qp(2, 8), [T]); B = Quot(A, [u], [u - T^2]); "
+                      "ZB = Tate(ZZ, []); R = Quot(GF(2), [x], [x^2]); "
+                      "C1 = Corpus(GF(2), Zmod(4), R);", encoding="utf-8")
+    out = tmp_path / "declarations.json"
+    loaded = _run_in_fresh_process(script, out)
+    assert not loaded & (COMMAND_LIBRARIES | {"adickit.infinitesimal",
+                                              "adickit.norms"})
+    assert out.read_text(encoding="utf-8") == "[]\n"
 
     script = tmp_path / "lifting.adk"
     script.write_text("ZB = Tate(ZZ, []); BZ = Quot(ZB, [T], [T^2 - T]); "
@@ -562,7 +668,7 @@ def test_command_libraries_load_on_first_use(tmp_path):
     out = tmp_path / "lifting.json"
     loaded = _run_in_fresh_process(script, out)
     assert "adickit.infinitesimal" in loaded
-    assert not loaded & COMMAND_LIBRARIES
+    assert not loaded & (COMMAND_LIBRARIES | {"adickit.norms"})
     assert [r["verdict"] for r in json.loads(out.read_text())] == \
         ["etale", "etale"]
 
@@ -574,6 +680,8 @@ def test_command_libraries_load_on_first_use(tmp_path):
     loaded = _run_in_fresh_process(script, out)
     assert "adickit.differentials" in loaded
     assert not loaded & {"adickit.linalg", "adickit.localization"}
+    # `classify` over Qp reports the generators' Gauss norms
+    assert "adickit.norms" in loaded
     assert [r["verdict"] for r in json.loads(out.read_text())] == \
         ["etale", "d^2=0"]
 
