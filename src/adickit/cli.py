@@ -5,13 +5,16 @@ A script is a sequence of declarations and commands separated by semicolons:
     A = Tate(Qp(2,8), [T]; D=8);
     B = Quot(A, [u], [u - T^2]);
     classify B;
-    glue-check A (T) (2) D=6 N=6;
+    glue-check A (T) (2) D=6;
 
 Declarations build bases (Qp, ZZ), finite rings (Zmod, GF, Quot, Prod),
 presentations (Tate, Quot, Loc), morphisms (Morph, Compose, BaseChange) and
 corpora (Corpus).  Commands dispatch to the library and emit deterministic
 JSON reports; a human summary goes to stderr.  Exit codes: 0 ok, 1 command
-error, 2 parse error.
+error, 2 parse error.  `Qp(p, N)`'s N, `N=` on any command, `D=` on
+`classify` and `--precision` are accepted so old scripts run, and have no
+effect: coefficients are exact rationals, and `classify` is exact in every
+degree.
 
 Every process entry (`python -m adickit`, `python -m adickit.cli` and the
 `adic-kit` console script) goes through `run_process`; in-process callers
@@ -264,7 +267,10 @@ class Parser:
             if self.at_op(";"):
                 self.next()
             elif self.peek().kind != "EOF":
-                tok = self.peek()
+                tok, last = self.peek(), self.tokens[self.pos - 1]
+                if tok.text == "(" and last.kind == "IDENT":
+                    raise ScriptError(f"unknown constructor {last.text}",
+                                      last.line, last.col)
                 raise ScriptError("expected ';'", tok.line, tok.col)
         return SessionScript(tuple(items))
 
@@ -302,7 +308,7 @@ class Parser:
                 kwargs.append((key, self.expression()))
             else:
                 args.append(self.expression())
-        return CommandStmt(name, _unfused(args), tuple(kwargs), tok.line,
+        return CommandStmt(name, tuple(args), tuple(kwargs), tok.line,
                            tok.col)
 
     # -- expressions -----------------------------------------------------------
@@ -341,7 +347,9 @@ class Parser:
             return Num(int(tok.text))
         if tok.kind == "IDENT":
             self.next()
-            if self.at_op("("):
+            # only a constructor's name binds the parenthesis after it: in
+            # `glue-check A (T) (2)` or `2*T (1)` the name ends the expression
+            if tok.text in CONSTRUCTORS and self.at_op("("):
                 return self.call(tok.text)
             return Name(tok.text, tok.line, tok.col)
         if self.at_op("("):
@@ -392,24 +400,6 @@ def parse_script(text: str) -> SessionScript:
     return Parser(tokenize(text)).parse_script()
 
 
-def _unfused(args: list) -> tuple:
-    """A command argument `name (expr)` parses as a call node: `A (T)` in
-    `glue-check A (T) (2)`, `add (1,0)` in `witt add (1,0) (1,0)`.  Unless
-    the name is a constructor, split it back into the name and the
-    parenthesised argument (a tuple when it has several items), so that
-    the command and its echo see the arguments as written."""
-    out = []
-    for arg in args:
-        if isinstance(arg, Call) and arg.func not in CONSTRUCTORS \
-                and not arg.kwargs:
-            out.append(Name(arg.func))
-            out.append(arg.args[0] if len(arg.args) == 1
-                       else TupleExpr(arg.args))
-        else:
-            out.append(arg)
-    return tuple(out)
-
-
 # -- printer (command echoes) -----------------------------------------------------
 
 def print_expr(node) -> str:
@@ -437,12 +427,11 @@ def print_expr(node) -> str:
 # -- evaluation --------------------------------------------------------------------
 
 class Options:
-    __slots__ = ("degree", "precision", "prime", "strict", "corpus")
+    __slots__ = ("degree", "prime", "strict", "corpus")
 
-    def __init__(self, degree: int = 8, precision: int = 8, prime: int = 2,
-                 strict: bool = False, corpus: list | None = None):
+    def __init__(self, degree: int = 8, prime: int = 2, strict: bool = False,
+                 corpus: list | None = None):
         self.degree = degree
-        self.precision = precision
         self.prime = prime
         self.strict = strict
         self.corpus = corpus
@@ -635,8 +624,7 @@ class Session:
                 return zmod(args[0])
             if fn == "GF":
                 return gf(*args[:2])
-            return QpBase(args[0], args[1] if len(args) > 1
-                          else self.options.precision)
+            return QpBase(args[0])      # a precision argument is inert
         if fn == "Prod":
             a = self.eval_decl_expr(node.args[0], line, col)
             b = self.eval_decl_expr(node.args[1], line, col)
@@ -706,7 +694,6 @@ class Session:
         return {
             "command": f"{cmd.command} {' '.join(echo_parts)}".strip(),
             "params": {"degree_cap": self.options.degree,
-                       "precision": self.options.precision,
                        "prime": self.options.prime},
             "result": result,
             "verdict": verdict,
@@ -725,9 +712,12 @@ class Session:
     def _cmd_classify(self, cmd: CommandStmt):
         from .differentials import classify_morphism
         obj = self.eval_decl_expr(cmd.args[0], cmd.line, cmd.col)
+        # classify is exact in every degree: `D=` bounds nothing, but a
+        # negative value is still refused, as in `Tate(...; D=)`
         cap = self._int_kw(cmd, "D", self.options.degree)
-        prec = self._int_kw(cmd, "N", self.options.precision)
-        verdict = classify_morphism(obj, cap, prec)
+        if cap < 0:
+            raise PresentationError(f"negative degree cap {cap}")
+        verdict = classify_morphism(obj)
         result = verdict.to_json()
         pres = obj.target if isinstance(obj, MorphismPresentation) else obj
         if isinstance(pres.base, QpBase):
@@ -765,14 +755,13 @@ class Session:
         f = self.eval_poly(cmd.args[1], pres, cmd.line, cmd.col)
         g = self.eval_poly(cmd.args[2], pres, cmd.line, cmd.col)
         cap = self._int_kw(cmd, "D", min(self.options.degree, 6))
-        prec = self._int_kw(cmd, "N", min(self.options.precision, 6))
         cov = binary_covering(pres, f, g)
         if cov.certificate.status != "true":
             raise ScriptError(
                 f"(f, g) is not a certified covering: {cov.certificate.status}",
                 cmd.line, cmd.col)
         result = {"covering": cov.certificate.status}
-        report = gluing_sequence_check(cov, cap, prec)
+        report = gluing_sequence_check(cov)
         result.update(report.to_json())
         kw = self._kwargs(cmd)
         over = None
@@ -897,8 +886,7 @@ class Session:
     def _cmd_integrate(self, cmd: CommandStmt):
         from .differentials import etale_integration
         p = self._int_kw(cmd, "p", self.options.prime)
-        prec = self._int_kw(cmd, "N", self.options.precision)
-        scratch = free_presentation(QpBase(p, prec), ("T",))
+        scratch = free_presentation(QpBase(p), ("T",))
         omega = self.eval_poly(cmd.args[0], scratch, cmd.line, cmd.col)
         f = self.eval_const(cmd.args[1], cmd.line, cmd.col)
         res = etale_integration(omega, f, prime=p)
@@ -989,7 +977,8 @@ def main(argv: list | None = None) -> int:
     run = sub.add_parser("run", help="run a script")
     run.add_argument("script")
     run.add_argument("--degree", type=int, default=8)
-    run.add_argument("--precision", type=int, default=8)
+    run.add_argument("--precision", type=int, default=8,
+                     help="no effect: coefficients are exact rationals")
     run.add_argument("--prime", type=int, default=2)
     run.add_argument("--corpus", default=None,
                      help="comma-separated ring specs, e.g. 'Zmod(4),GF(2)'")
@@ -1011,9 +1000,8 @@ def main(argv: list | None = None) -> int:
         except ScriptError as exc:
             print(f"parse error in --corpus: {exc}", file=sys.stderr)
             return 2
-    options = Options(degree=args.degree, precision=args.precision,
-                      prime=args.prime, strict=args.strict,
-                      corpus=corpus)
+    options = Options(degree=args.degree, prime=args.prime,
+                      strict=args.strict, corpus=corpus)
     outcome = run_script(script, options)
     payload = render_reports(outcome.reports)
     if args.out:

@@ -39,8 +39,8 @@ from .groebner import (DegreeOverflowError, buchberger, finite_staircase,
                        is_unit_ideal, is_zero_dimensional, normal_form,
                        syzygy_basis)
 from .poly import Poly
-from .tate import (MorphismPresentation, PresentationError, QpBase,
-                   RingPresentation, Submodule, tag_form, tagged_free_module)
+from .tate import (MorphismPresentation, PresentationError, RingPresentation,
+                   Submodule, tag_form, tagged_free_module)
 
 # building B's structure constants and checking its ring axioms grow with
 # the cube of B's additive rank: ~0.25 s at rank 32 on one core of a 2-vCPU
@@ -215,12 +215,11 @@ def _finite_quotient(data: RelativeData) -> tuple:
 
 class CotangentComplexData:
     __slots__ = ("data", "jacobian", "h_minus1", "h_minus1_witness", "h0",
-                 "h0_rank", "fitting", "truncation", "flags")
+                 "h0_rank", "fitting", "flags")
 
     def __init__(self, data: RelativeData, jacobian: list[list[Poly]],
                  h_minus1: str, h_minus1_witness: list[Poly] | None, h0: str,
-                 h0_rank: int | None, fitting: dict, truncation: tuple,
-                 flags: list):
+                 h0_rank: int | None, fitting: dict, flags: list):
         self.data = data
         self.jacobian = jacobian
         self.h_minus1 = h_minus1    # "zero" | "nonzero" | "inconclusive"
@@ -229,7 +228,6 @@ class CotangentComplexData:
         self.h0 = h0
         self.h0_rank = h0_rank
         self.fitting = fitting
-        self.truncation = truncation
         self.flags = flags
 
     def to_json(self) -> dict:
@@ -238,8 +236,6 @@ class CotangentComplexData:
         return {
             "h_minus1": 0 if self.h_minus1 == "zero" else self.h_minus1,
             "h0": h0,
-            "truncation": {"degree_cap": self.truncation[0],
-                           "precision": self.truncation[1]},
             "flags": sorted(self.flags),
         }
 
@@ -327,24 +323,16 @@ def _poly_of(coords: tuple, stairs: list, ring: FiniteRing, n: int) -> Poly:
                     if any(coords[i * k:(i + 1) * k])})
 
 
-def naive_cotangent_complex(arg, degree_cap: int | None = None,
-                            precision: int | None = None) -> CotangentComplexData:
-    if degree_cap is not None and degree_cap < 0:
-        raise PresentationError(f"negative degree cap {degree_cap}")
+def naive_cotangent_complex(arg) -> CotangentComplexData:
     km = kahler_differentials(arg)
     data = km.data
-    pres = data.pres
-    cap = degree_cap if degree_cap is not None else pres.degree_cap
-    prec = precision if precision is not None else (
-        pres.base.precision if isinstance(pres.base, QpBase) else 0)
     fitting = km.fitting_status()
     h0, rank = _h0(fitting, km.rank_free)
 
     if km.quotient is not None:
         h_minus1, witness = _h_minus1_finite(km)
         return CotangentComplexData(data, km.jacobian, h_minus1, witness, h0,
-                                    rank, fitting, (cap, prec),
-                                    ["exhaustive"])
+                                    rank, fitting, ["exhaustive"])
 
     flags: list[str] = []
     try:
@@ -353,26 +341,21 @@ def naive_cotangent_complex(arg, degree_cap: int | None = None,
         h_minus1, witness = "inconclusive", None
         flags.append("h_minus1_overflow")
     return CotangentComplexData(data, km.jacobian, h_minus1, witness, h0,
-                                rank, fitting, (cap, prec), flags)
+                                rank, fitting, flags)
 
 
 # -- classification ------------------------------------------------------------
 
 class ClassifierVerdict:
-    __slots__ = ("verdict", "etale", "lisse", "non_ramifie", "complex_data",
-                 "truncation", "flags")
+    __slots__ = ("verdict", "etale", "lisse", "non_ramifie", "complex_data")
 
     def __init__(self, verdict: str, etale: bool | None, lisse: bool | None,
-                 non_ramifie: bool | None,
-                 complex_data: CotangentComplexData, truncation: tuple,
-                 flags: list):
+                 non_ramifie: bool | None, complex_data: CotangentComplexData):
         self.verdict = verdict  # "etale" | "lisse" | "non_ramifie" | "none"
         self.etale = etale
         self.lisse = lisse
         self.non_ramifie = non_ramifie
         self.complex_data = complex_data
-        self.truncation = truncation
-        self.flags = flags
 
     def to_json(self) -> dict:
         body = self.complex_data.to_json()
@@ -382,16 +365,16 @@ class ClassifierVerdict:
             "h0": body["h0"],
             "truth_table": {"etale": self.etale, "lisse": self.lisse,
                             "non_ramifie": self.non_ramifie},
-            "truncation": body["truncation"],
-            "flags": sorted(set(self.flags)),
+            "flags": body["flags"],
         }
 
 
-def classify_morphism(arg, degree_cap: int | None = None,
-                      precision: int | None = None) -> ClassifierVerdict:
+def classify_morphism(arg) -> ClassifierVerdict:
     """Strongest verdict from the two-term complex, with the full truth table
-    in the evidence.  Verdicts are relative to the tracked caps."""
-    cx = naive_cotangent_complex(arg, degree_cap, precision)
+    in the evidence.  No degree cap bounds it: H^-1 and the Fitting ideals
+    are decided in every degree, and H^-1 is inconclusive only past the
+    degree guard."""
+    cx = naive_cotangent_complex(arg)
     h1_zero = {"zero": True, "nonzero": False}.get(cx.h_minus1)
     h0_zero = cx.h0 == "zero"
     h0_proj = cx.h0 in ("zero", "projective")
@@ -409,8 +392,7 @@ def classify_morphism(arg, degree_cap: int | None = None,
         verdict = "inconclusive"
     else:
         verdict = "none"
-    return ClassifierVerdict(verdict, etale, lisse, non_ram, cx,
-                             cx.truncation, cx.flags)
+    return ClassifierVerdict(verdict, etale, lisse, non_ram, cx)
 
 
 # -- de Rham complex -----------------------------------------------------------

@@ -71,10 +71,6 @@ class RowSpace:
     def contains(self, vec) -> bool:
         return not self._reduce(_sparse(vec))
 
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
     def _back_substitute(self) -> None:
         """Clear each pivot column outside its own row (reduced row echelon
         form): a row's entries all lie right of its pivot, so reducing rows

@@ -120,17 +120,12 @@ def binary_covering(B: RingPresentation, f: Poly, g: Poly) -> BinaryCovering:
 
 
 class ExactnessReport:
-    __slots__ = ("left", "middle", "right", "degree_cap", "precision",
-                 "detail")
+    __slots__ = ("left", "middle", "right")
 
-    def __init__(self, left: str, middle: str, right: str, degree_cap: int,
-                 precision: int, detail: dict | None = None):
+    def __init__(self, left: str, middle: str, right: str):
         self.left = left
         self.middle = middle
         self.right = right
-        self.degree_cap = degree_cap
-        self.precision = precision
-        self.detail = {} if detail is None else detail
 
     def __eq__(self, other):
         if other.__class__ is not ExactnessReport:
@@ -142,8 +137,7 @@ class ExactnessReport:
         return (self.left, self.middle, self.right) == ("exact",) * 3
 
     def to_json(self) -> dict:
-        return {"left": self.left, "middle": self.middle, "right": self.right,
-                "degree_cap": self.degree_cap, "precision": self.precision}
+        return {"left": self.left, "middle": self.middle, "right": self.right}
 
 
 def _coords(pres: RingPresentation, index: dict, poly: Poly) -> dict:
@@ -157,8 +151,7 @@ def _is_one(pres: RingPresentation, poly: Poly) -> bool:
         poly - Poly.constant(pres.coeff_one(), pres.nvars)).is_zero
 
 
-def gluing_sequence_check(cov: BinaryCovering, degree_cap: int = 6,
-                          precision: int = 6) -> ExactnessReport:
+def gluing_sequence_check(cov: BinaryCovering) -> ExactnessReport:
     """Certify the three exactness clauses from the covering identity.
 
     The pieces must be the presentations `binary_covering` builds, else a
@@ -170,8 +163,6 @@ def gluing_sequence_check(cov: BinaryCovering, degree_cap: int = 6,
     degree.  Without a certificate, or where an identity fails, every
     clause is inconclusive.
     """
-    if degree_cap < 0:
-        raise PresentationError(f"negative degree cap {degree_cap}")
     B, f, g = cov.base_pres, cov.f, cov.g
     names = ("B<f/g>", "B<g/f>", "B<f/g, g/f>")
     given = (cov.loc_fg, cov.loc_gf, cov.joint)
@@ -192,18 +183,15 @@ def gluing_sequence_check(cov: BinaryCovering, degree_cap: int = 6,
                      and _is_one(cov.loc_gf, f1 * (b * t + a))
                      and _is_one(cov.joint, u * v))
     clause = "exact" if certified else "inconclusive"
-    return ExactnessReport(clause, clause, clause, degree_cap, precision)
+    return ExactnessReport(clause, clause, clause)
 
 
 class JointSurjectionResult:
-    __slots__ = ("generators", "status", "perturbed", "detail")
+    __slots__ = ("generators", "status")
 
-    def __init__(self, generators: list[Poly], status: str, perturbed: bool,
-                 detail: dict | None = None):
+    def __init__(self, generators: list[Poly], status: str):
         self.generators = generators    # elements of B
         self.status = status            # "certified" | "failed"
-        self.perturbed = perturbed
-        self.detail = {} if detail is None else detail
 
     @property
     def count(self) -> int:
@@ -256,18 +244,14 @@ def joint_surjection_lift(cov: BinaryCovering, s1: list[Poly], s2: list[Poly],
         return Poly(B.nvars, {m: c for m, c in zip(stairs, sol) if c})
 
     generators: list[Poly] = []
-    perturbed = False
     for pres, gens in ((cov.loc_fg, s1), (cov.loc_gf, s2)):
         for t in gens:
             t = t if t.nvars == pres.nvars else t.extend_vars(pres.nvars)
             b = solve_preimage(pres, t)
             if b is None:
-                t2 = _truncate_small_coeffs(t, p)
-                b = solve_preimage(pres, t2)
-                perturbed = True
+                b = solve_preimage(pres, _truncate_small_coeffs(t, p))
             if b is None:
-                return JointSurjectionResult([], "failed", perturbed,
-                                             {"unliftable": str(t)})
+                return JointSurjectionResult([], "failed")
             if b not in generators:
                 generators.append(b)
 
@@ -295,6 +279,4 @@ def joint_surjection_lift(cov: BinaryCovering, s1: list[Poly], s2: list[Poly],
                 span.insert(_coords(B, index, gp.mul_term(m)))
     ok = all(span.contains({k: one})
              for k in range(len(B.staircase(degree_cap))))
-    return JointSurjectionResult(generators,
-                                 "certified" if ok else "failed", perturbed,
-                                 {"span_dim": span.dim})
+    return JointSurjectionResult(generators, "certified" if ok else "failed")

@@ -1,15 +1,15 @@
 """p-adic valuations of rationals.
 
-Coefficients over a `Qp(p, N)` base are exact rationals, so every p-adic
+Coefficients over a `Qp(p)` base are exact rationals, so every p-adic
 quantity the kit reports is read off their valuations: |c|_p = p^-v_p(c).
-Nothing is approximated modulo p^N, and no precision is tracked.
+Nothing is approximated modulo a power of p, so no precision is tracked:
+the script language still accepts `Qp(p, N)`, `N=` and `--precision`, and
+none of them has an effect.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-DEFAULT_PRECISION = 8
 
 
 def rational_valuation(r: Fraction, p: int) -> int:

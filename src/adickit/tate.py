@@ -1,9 +1,9 @@
 """Finitely presented Tate-algebra quotients and their Gauss norms.
 
-A presentation is always flattened over a scalar coefficient base: a p-adic
-field at fixed precision, the integers, or a finite ring.  Towers (B over A
-over the base) are represented by variable/generator prefixes, so composing
-and base-changing presentations is substitution on the flat data.
+A presentation is always flattened over a scalar coefficient base: the
+p-adic field Q_p, the integers, or a finite ring.  Towers (B over A over the
+base) are represented by variable/generator prefixes, so composing and
+base-changing presentations is substitution on the flat data.
 
 Over a p-adic base the coefficients are exact rationals: Groebner bases are
 computed over Q, and a Gauss norm is read off the p-adic valuations of all
@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .finiterings import FiniteRing, FiniteRingElement
 from .groebner import buchberger, normal_form, staircase_shell
-from .padics import DEFAULT_PRECISION, rational_valuation
+from .padics import rational_valuation
 from .poly import Poly, exp_coprime, exp_mul, grevlex_key, render_poly
 
 DEFAULT_DEGREE_CAP = 8
@@ -33,23 +33,22 @@ class PresentationError(ValueError):
 
 
 class QpBase:
-    """Coefficient field Q_p carried at precision N."""
-    __slots__ = ("p", "precision")
+    """Coefficient field Q_p, with exact rational coefficients."""
+    __slots__ = ("p",)
 
-    def __init__(self, p: int, precision: int = DEFAULT_PRECISION):
+    def __init__(self, p: int):
         self.p = p
-        self.precision = precision
 
     def __eq__(self, other):
         if other.__class__ is not QpBase:
             return NotImplemented
-        return (self.p, self.precision) == (other.p, other.precision)
+        return self.p == other.p
 
     def __hash__(self):
-        return hash((self.p, self.precision))
+        return hash(self.p)
 
-    def __str__(self):
-        return f"Qp({self.p},{self.precision})"
+    def __repr__(self):
+        return f"Qp({self.p})"
 
 
 class IntegerBase:

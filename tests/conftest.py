@@ -15,7 +15,7 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 
 @pytest.fixture
 def q2():
-    return QpBase(2, 8)
+    return QpBase(2)
 
 
 @pytest.fixture

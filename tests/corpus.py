@@ -9,9 +9,9 @@ from adickit.poly import Poly
 from adickit.tate import (IntegerBase, QpBase, RingPresentation,
                           free_presentation)
 
-Q2 = QpBase(2, 8)
-Q3 = QpBase(3, 8)
-Q5 = QpBase(5, 8)
+Q2 = QpBase(2)
+Q3 = QpBase(3)
+Q5 = QpBase(5)
 
 
 def qp_pres(base, names, gen_dicts):

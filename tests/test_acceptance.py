@@ -91,14 +91,14 @@ def test_criterion_3_gluing_exactness():
     failures = []
     for f, g in genuine:
         cov = binary_covering(line, f, g)
-        rep = gluing_sequence_check(cov, 6, 6)
+        rep = gluing_sequence_check(cov)
         if not rep.all_exact():
             failures.append(f"genuine covering reported {rep.to_json()}")
     controls = fx.gluing_negative_controls(line)
     assert len(controls) >= 4
     for label, piece, cov in controls:
         try:
-            rep = gluing_sequence_check(cov, 6, 6)
+            rep = gluing_sequence_check(cov)
         except PresentationError as exc:
             if f"covering piece {piece} is " not in str(exc):
                 failures.append(f"control {label} refused for: {exc}")

@@ -397,6 +397,11 @@ def test_console_script_is_the_process_entry():
      "glue-check A T 2 D=6 N=6"),
     ("witt add (0,1) (1,0) p=2;", "witt add (0, 1) (1, 0) p=2"),
     ("witt teichmuller (1) p=2;", "witt teichmuller 1 p=2"),
+    # a name that is no constructor ends the expression before a parenthesis
+    ("integrate 2*T (1) p=2;", "integrate (2 * T) 1 p=2"),
+    ("A = Tate(Qp(2,8), [T]); glue-check A 2*T (1 - 2*T);",
+     "glue-check A (2 * T) (1 - (2 * T))"),
+    ("A = Tate(Qp(2,8), [T]); glue-check A(T)(2);", "glue-check A T 2"),
     # a constructor call stays a call
     ("tilt GF(2,2);", "tilt GF(2, 2)"),
 ])
@@ -407,6 +412,64 @@ def test_echo_keeps_a_name_apart_from_the_argument_after_it(text, echo):
     # the echo parses back to the same command
     assert scripts_equal(parse_script(echo + ";"),
                          SessionScript((parse_script(text).items[-1],)))
+
+
+def test_an_unknown_constructor_is_a_parse_error_that_names_it(tmp_path):
+    with pytest.raises(ScriptError, match="^unknown constructor Foo at 1:5$"):
+        parse_script("X = Foo(1);")
+    script = tmp_path / "foo.adk"
+    script.write_text("A = Tate(Qp(2,8), [T]);\nX = A*Foo(1);\n",
+                      encoding="utf-8")
+    run = subprocess.run([sys.executable, "-m", "adickit", "run", str(script)],
+                         capture_output=True, text=True)
+    assert run.returncode == 2 and run.stdout == ""
+    assert run.stderr == "parse error: unknown constructor Foo at 2:7\n"
+
+
+CLASSIFY_B = "A = Tate(Qp(2,8), [T]); B = Quot(A, [u], [u^2 - T]);"
+
+
+def test_classify_ignores_cap_and_precision_keywords():
+    # D= and N= bind nothing: the reports differ only in their echo
+    plain, keyed = (run_script(parse_script(CLASSIFY_B + cmd), Options())
+                    for cmd in ("classify B;", "classify B D=0 N=1;"))
+    assert plain.exit_code == keyed.exit_code == 0
+    assert keyed.reports[-1].pop("command") == "classify B D=0 N=1"
+    assert plain.reports[-1].pop("command") == "classify B"
+    assert plain.reports == keyed.reports
+    assert set(plain.reports[-1]["params"]) == {"degree_cap", "prime"}
+    assert "truncation" not in plain.reports[-1]["result"]
+
+
+def test_classify_still_refuses_a_negative_cap():
+    out = run_script(parse_script(CLASSIFY_B + "\nclassify B D=-1;"),
+                     Options())
+    assert out.exit_code == 1
+    assert [r.get("error") for r in out.reports] == \
+        ["PresentationError: negative degree cap -1 at 2:1"]
+
+
+def test_qp_precision_argument_does_not_split_the_base():
+    # Qp(2,6) and Qp(2,8) are one field Q_2, so a morphism may join them
+    script = ("B = Quot(Tate(Qp(2,8), [T]), [u], [u - T^2]);"
+              "M = Morph(Tate(Qp(2,6), [T]), B, [T]); classify M;")
+    same = script.replace("Qp(2,6)", "Qp(2,8)")
+    runs = [run_script(parse_script(t), Options()) for t in (script, same)]
+    assert [r.exit_code for r in runs] == [0, 0]
+    assert runs[0].reports == runs[1].reports
+    assert runs[0].reports[-1]["verdict"] == "etale"
+
+
+def test_classify_and_gluing_take_no_cap_or_precision():
+    from adickit.differentials import (classify_morphism,
+                                       naive_cotangent_complex)
+    from adickit.localization import gluing_sequence_check
+    for fn in (classify_morphism, naive_cotangent_complex):
+        assert list(inspect.signature(fn).parameters) == ["arg"]
+    assert list(inspect.signature(gluing_sequence_check).parameters) == \
+        ["cov"]
+    assert list(inspect.signature(Options).parameters) == \
+        ["degree", "prime", "strict", "corpus"]
 
 
 def test_build_ring_from_spec():

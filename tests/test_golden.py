@@ -11,7 +11,8 @@ bytes of the point search are pinned on its Cayley-table path and on its
 element path; `witt`, Witt arithmetic and Frobenius over prime fields,
 `GF(p,k)` for k = 2, 3, 4 and products, nested ones among them;
 `gluing`, `glue-check` on one- and two-variable covers over `Qp(2,8)`, a
-tower `Quot(A, [w], [w^2 - T])` and one joint lift `over=` its base; and
+tower `Quot(A, [w], [w^2 - T])` and one joint lift `over=` its base, and
+a name before a parenthesis inside an argument (`2*T (1)`); and
 `hminus1`, `classify` where an H^-1 class has degree above a small `D=`
 or comes from a zero relation or a zero Jacobian row.  A change
 that alters a report on purpose regenerates the fixture with

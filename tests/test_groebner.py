@@ -197,7 +197,7 @@ def test_syzygies_of_tagged_jacobian_rows_restrict_exactly(relations):
     # presentation, then the g.E_j and every E_a.E_b
     from adickit.tate import (QpBase, RingPresentation, tag_form,
                               tagged_free_module)
-    pres = RingPresentation(QpBase(2, 8), ("x", "y"),
+    pres = RingPresentation(QpBase(2), ("x", "y"),
                             [Poly(2, terms) for terms in relations])
     tags, free = tagged_free_module(pres, range(2))
     rows = [tag_form(2, tags, {j: pres.normal_form(g.derivative(j))

@@ -60,7 +60,7 @@ def rank(rows, one) -> int:
     space = RowSpace(len(rows[0]) if rows else 0, one)
     for r in rows:
         space.insert(r)
-    return space.dim
+    return len(space.rows)
 
 
 def test_rank_matches_sympy():
@@ -134,7 +134,7 @@ def test_span_in_low_block_is_the_intersection():
                       Fraction(0)) for col in low_cols] for combo in combos]
         expected_dim = to_sympy(inter, len(low_cols)).rank() if inter else 0
         space = span_in_low_block(vectors, low_cols, width, ONE)
-        assert space.dim == expected_dim
+        assert len(space.rows) == expected_dim
         assert all(space.contains(w) for w in inter)
         # equal dimension plus containment: the spans are equal
         outside = [Fraction(rng.randint(-2, 2)) for _ in low_cols]
@@ -204,13 +204,13 @@ def test_row_space_and_low_block_by_brute_force(p):
         space = RowSpace(width, field.one)
         for v in vectors:
             space.insert(v)
-        assert len(whole) == p ** space.dim
+        assert len(whole) == p ** len(space.rows)
         assert all(space.contains(list(w)) == (w in whole)
                    for w in map(tuple, all_vectors(field, width)))
         low_cols = sorted(rng.sample(range(width), rng.randint(1, width)))
         inter = {tuple(w[c] for c in low_cols) for w in whole
                  if not any(w[c] for c in range(width) if c not in low_cols)}
         low = span_in_low_block(vectors, low_cols, width, field.one)
-        assert len(inter) == p ** low.dim
+        assert len(inter) == p ** len(low.rows)
         assert all(low.contains(list(w)) == (w in inter)
                    for w in map(tuple, all_vectors(field, len(low_cols))))

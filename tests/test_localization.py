@@ -72,18 +72,17 @@ def test_covering_over_integer_base():
 def test_gluing_exact_degenerate(line):
     T = line.var("T")
     cov = binary_covering(line, T, line.const(1))
-    report = gluing_sequence_check(cov, 4, 4)
+    report = gluing_sequence_check(cov)
     assert report.all_exact()
 
 
 def test_gluing_exact_f_T_g_2(line):
     T = line.var("T")
     cov = binary_covering(line, T, line.const(2))
-    report = gluing_sequence_check(cov, 6, 6)
+    report = gluing_sequence_check(cov)
     assert (report.left, report.middle, report.right) == ("exact",) * 3
     assert report.to_json() == {"left": "exact", "middle": "exact",
-                                "right": "exact", "degree_cap": 6,
-                                "precision": 6}
+                                "right": "exact"}
 
 
 def test_gluing_requires_covering(line):
@@ -101,17 +100,22 @@ def test_gluing_check_is_inconclusive_without_a_valid_certificate(line):
     forged = binary_covering(line, T, line.const(2))
     forged.certificate.g_coeff = line.const(1)
     for c in (cov, forged):
-        report = gluing_sequence_check(c, 4, 4)
+        report = gluing_sequence_check(c)
         assert (report.left, report.middle, report.right) == \
             ("inconclusive",) * 3
 
 
-def test_gluing_check_rejects_a_negative_cap(line):
-    # a negative cap is an error, not the degree-0 staircase
-    cov = binary_covering(line, line.var("T") + line.const(3), line.const(2))
-    with pytest.raises(PresentationError, match="negative degree cap -1"):
-        gluing_sequence_check(cov, -1, 6)
-    assert gluing_sequence_check(cov, 0, 6).all_exact()
+def test_gluing_check_rejects_a_negative_cap():
+    # a negative `D=` is an error, not the degree-0 staircase; the check
+    # itself takes no cap, and the joint lift, which reads `D=`, refuses it
+    from adickit.cli import Options, parse_script, run_script
+    script = "A = Tate(Qp(2,8), [T]);\nglue-check A (T + 3) (2) D={};\n"
+    out = run_script(parse_script(script.format(-1)), Options())
+    assert out.exit_code == 1
+    assert [r.get("error") for r in out.reports] == \
+        ["PresentationError: negative degree cap -1 at 2:1"]
+    out = run_script(parse_script(script.format(0)), Options())
+    assert out.exit_code == 0 and out.reports[0]["verdict"] == "exact"
 
 
 
@@ -146,7 +150,7 @@ def test_gluing_negative_controls(line):
     for _, piece, cov in controls:
         with pytest.raises(PresentationError,
                            match=re.escape(f"covering piece {piece} is ")):
-            gluing_sequence_check(cov, 5, 5)
+            gluing_sequence_check(cov)
 
 
 def test_joint_lift_trivial(line):
@@ -290,7 +294,7 @@ def test_gluing_check_agrees_with_the_truncated_spans_on_drawn_coverings(q2):
     for B, f, g, cap in _drawn_coverings(q2, 60):
         cov = binary_covering(B, f, g)
         assert cov.certificate.status == "true"
-        assert gluing_sequence_check(cov, cap, 6).all_exact()
+        assert gluing_sequence_check(cov).all_exact()
         assert _truncated_gluing_reference(cov, cap, cap + 3) == \
             (True, True, True)
         # the right clause read off the staircase: u*v = 1, so no standard

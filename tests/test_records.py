@@ -6,8 +6,7 @@ import pytest
 from adickit.cli import (BinOp, ListExpr, Name, Num, Token, TupleExpr,
                          parse_script)
 from adickit.finiterings import gf
-from adickit.localization import ExactnessReport, JointSurjectionResult
-from adickit.padics import DEFAULT_PRECISION
+from adickit.localization import ExactnessReport
 from adickit.tate import IntegerBase, QpBase
 from adickit.wittrobba import (WITT_LENGTH_CAP, CharPNormedRing,
                                RobbaElement, WittError, WittVector)
@@ -15,19 +14,14 @@ from adickit.wittrobba import (WITT_LENGTH_CAP, CharPNormedRing,
 from test_cli import _strip_positions, scripts_equal
 
 
-def test_detail_dicts_are_per_instance():
-    a = ExactnessReport("exact", "exact", "exact", 5, 5)
-    b = ExactnessReport("exact", "exact", "exact", 5, 5)
-    a.detail["kernel_dim"] = 1
-    assert b.detail == {} and a != b
-    b.detail["kernel_dim"] = 1
-    assert a == b
-    assert a != ExactnessReport("exact", "exact", "exact", 5, 6,
-                               {"kernel_dim": 1})
-    s = JointSurjectionResult([], "failed", False)
-    t = JointSurjectionResult([], "failed", False)
-    s.detail["reason"] = "no lift"
-    assert t.detail == {}
+def test_exactness_reports_compare_by_value():
+    a = ExactnessReport("exact", "exact", "exact")
+    assert a == ExactnessReport("exact", "exact", "exact")
+    for clauses in (("inconclusive", "exact", "exact"),
+                    ("exact", "inconclusive", "exact"),
+                    ("exact", "exact", "inconclusive")):
+        assert a != ExactnessReport(*clauses)
+    assert a != ("exact",) * 3
 
 
 def test_ast_nodes_compare_hash_and_print_by_value():
@@ -54,15 +48,15 @@ def test_ast_nodes_compare_hash_and_print_by_value():
 
 
 def test_bases_compare_and_hash_by_value():
-    assert QpBase(2, 8) == QpBase(2, 8)
-    assert hash(QpBase(2, 8)) == hash(QpBase(2, 8))
-    assert QpBase(2) == QpBase(2, DEFAULT_PRECISION)
-    assert QpBase(2, 8) != QpBase(2, 9) and QpBase(2, 8) != QpBase(3, 8)
+    # Q_p is its prime alone: no precision is carried
+    assert QpBase.__slots__ == ("p",)
+    assert QpBase(2) == QpBase(2) and hash(QpBase(2)) == hash(QpBase(2))
+    assert QpBase(2) != QpBase(3)
+    assert repr(QpBase(2)) == str(QpBase(2)) == "Qp(2)"
     assert IntegerBase() == IntegerBase()
     assert hash(IntegerBase()) == hash(IntegerBase())
-    assert IntegerBase() != QpBase(2, 8) and QpBase(2, 8) != "Qp(2,8)"
-    assert len({QpBase(2, 8), QpBase(2, 8), IntegerBase(), IntegerBase()}) \
-        == 2
+    assert IntegerBase() != QpBase(2) and QpBase(2) != "Qp(2)"
+    assert len({QpBase(2), QpBase(2), IntegerBase(), IntegerBase()}) == 2
 
 
 def test_witt_vectors_compare_and_hash_by_value():

@@ -112,7 +112,7 @@ def test_compose_identity(line):
 
 
 def test_compose_mismatch(line):
-    other = free_presentation(QpBase(2, 8), ("S",))
+    other = free_presentation(QpBase(2), ("S",))
     f = identity(line)
     g = identity(other)
     with pytest.raises(PresentationError):
@@ -173,7 +173,7 @@ def _staircase_case(label):
     GF(3)."""
     from corpus import jacobian_presentations, qp_pres, ring_pres
     named = jacobian_presentations()
-    zero_dim = qp_pres(QpBase(2, 8), ("u", "v"),
+    zero_dim = qp_pres(QpBase(2), ("u", "v"),
                        [{(2, 0): 1, (1, 0): 1, (0, 0): 1},
                         {(0, 2): 1, (1, 1): -1, (0, 0): -1}])
     gf3 = ring_pres(gf(3), ("x", "y"), [{(2, 0): 1, (0, 1): 1},
