@@ -23,29 +23,34 @@ use `main`.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import sys
 from fractions import Fraction
 
 from . import VERSION
-from .finiterings import FiniteRing, fp_quotient, gf, product_ring, zmod
 from .poly import Poly, monomials_upto, render_poly
 from .tate import (IntegerBase, MorphismPresentation, PresentationError,
                    QpBase, RingPresentation, base_change,
-                   compose_presentations, free_presentation, gauss_norm)
+                   compose_presentations, free_presentation, gauss_norm,
+                   is_finite_base)
 
-# Parsing and declarations need only `tate`, `finiterings`, `groebner`,
-# `padics` and `poly` (a `Loc` declaration imports `localization`).  Each
-# command handler imports the library it drives when it first runs, and
+# Parsing and declarations of Q_p and Z presentations need only `tate`,
+# `padics` and `poly`.  A `Zmod`, `GF`, `Prod` or ring-spec `Quot`
+# declaration imports `finiterings`, a `Loc` declaration `localization`, and
+# `tate` imports `groebner` for its first Groebner basis.  Each command
+# handler imports the library it drives when it first runs, and
 # `tate.gauss_norm` imports `norms` on its first call, so a script pays to
-# load (and, without bytecode, to compile) only the modules its commands use.
+# load (and, without bytecode, to compile) only the modules it uses.
 
 COMMANDS = ("classify", "classify-lifting", "glue-check", "drham", "witt",
             "robba-norm", "tilt", "integrate")
-CONSTRUCTORS = ("Qp", "Zmod", "GF", "Prod", "Tate", "Quot", "Loc", "Morph",
-                "Compose", "BaseChange", "Corpus")
+# constructor -> (fewest, most) positional arguments, None for no limit;
+# `Qp(p, N)`'s N and `GF(p, k)`'s k may be left out
+CONSTRUCTORS = {"Qp": (1, 2), "Zmod": (1, 1), "GF": (1, 2), "Prod": (2, 2),
+                "Tate": (2, 2), "Quot": (3, 3), "Loc": (3, 3),
+                "Morph": (3, 3), "Compose": (2, 2), "BaseChange": (2, 2),
+                "Corpus": (0, None)}
 
 class ScriptError(Exception):
     def __init__(self, message: str, line: int, col: int):
@@ -350,7 +355,7 @@ class Parser:
             # only a constructor's name binds the parenthesis after it: in
             # `glue-check A (T) (2)` or `2*T (1)` the name ends the expression
             if tok.text in CONSTRUCTORS and self.at_op("("):
-                return self.call(tok.text)
+                return self.call(tok)
             return Name(tok.text, tok.line, tok.col)
         if self.at_op("("):
             self.next()
@@ -374,7 +379,7 @@ class Parser:
             return ListExpr(tuple(items))
         raise ScriptError(f"unexpected token {tok.text!r}", tok.line, tok.col)
 
-    def call(self, func: str) -> Call:
+    def call(self, name: Token) -> Call:
         self.expect("OP", "(")
         args = []
         kwargs = []
@@ -393,7 +398,13 @@ class Parser:
             if self.at_op(",") or self.at_op(";"):
                 self.next()
         self.expect("OP", ")")
-        return Call(func, tuple(args), tuple(kwargs))
+        fewest, most = CONSTRUCTORS[name.text]
+        if len(args) < fewest or (most is not None and len(args) > most):
+            takes = f"{fewest}" if fewest == most else f"{fewest} or {most}"
+            plural = "" if most == 1 else "s"
+            raise ScriptError(f"{name.text} takes {takes} argument{plural}, "
+                              f"got {len(args)}", name.line, name.col)
+        return Call(name.text, tuple(args), tuple(kwargs))
 
 
 def parse_script(text: str) -> SessionScript:
@@ -492,7 +503,7 @@ class Session:
                 den = self.eval_const(node.right, line, col)
                 if den == 0:
                     raise ScriptError("division by zero", line, col)
-                if isinstance(pres.base, FiniteRing):
+                if is_finite_base(pres.base):
                     if den.denominator != 1:
                         raise ScriptError("fractional constant over a finite "
                                           "base", line, col)
@@ -621,13 +632,16 @@ class Session:
             args = [self._integer(a, line, col, f"{fn} argument")
                     for a in node.args]
             if fn == "Zmod":
+                from .finiterings import zmod
                 return zmod(args[0])
             if fn == "GF":
-                return gf(*args[:2])
+                from .finiterings import gf
+                return gf(*args)
             return QpBase(args[0])      # a precision argument is inert
         if fn == "Prod":
             a = self.eval_decl_expr(node.args[0], line, col)
             b = self.eval_decl_expr(node.args[1], line, col)
+            from .finiterings import product_ring
             return product_ring(a, b)
         if fn == "Tate":
             base = self.eval_decl_expr(node.args[0], line, col)
@@ -640,7 +654,12 @@ class Session:
         if fn == "Quot":
             head = self.eval_decl_expr(node.args[0], line, col)
             varnames = _name_list(node.args[1], line, col)
-            if isinstance(head, FiniteRing):
+            if isinstance(head, RingPresentation):
+                extended = head.extend(tuple(varnames), [])
+                rels = [self.eval_poly(e, extended, line, col)
+                        for e in node.args[2].items]
+                return head.extend(tuple(varnames), rels)
+            if is_finite_base(head):
                 # ring-spec quotient: F_p[x..]/(relations)
                 if len(head.moduli) != 1 or not head.is_field:
                     raise ScriptError(
@@ -649,12 +668,8 @@ class Session:
                 scratch = free_presentation(head, tuple(varnames))
                 rels = [self.eval_poly(e, scratch, line, col)
                         for e in node.args[2].items]
+                from .finiterings import fp_quotient
                 return fp_quotient(p, tuple(varnames), rels)
-            if isinstance(head, RingPresentation):
-                extended = head.extend(tuple(varnames), [])
-                rels = [self.eval_poly(e, extended, line, col)
-                        for e in node.args[2].items]
-                return head.extend(tuple(varnames), rels)
             raise ScriptError("Quot expects a ring or presentation", line, col)
         if fn == "Loc":
             pres = self.eval_decl_expr(node.args[0], line, col)
@@ -813,6 +828,7 @@ class Session:
         return result, "d^2=0" if square_zero else "d^2 != 0"
 
     def _cmd_witt(self, cmd: CommandStmt):
+        from .finiterings import gf
         from .wittrobba import (WittVector, frobenius_witt, teichmuller,
                                 verschiebung, witt_arith)
         head = cmd.args[0]
@@ -971,22 +987,180 @@ def render_reports(reports: list) -> str:
     return json.dumps(reports, indent=2, sort_keys=False) + "\n"
 
 
-def main(argv: list | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="adic-kit")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    run = sub.add_parser("run", help="run a script")
-    run.add_argument("script")
-    run.add_argument("--degree", type=int, default=8)
-    run.add_argument("--precision", type=int, default=8,
-                     help="no effect: coefficients are exact rationals")
-    run.add_argument("--prime", type=int, default=2)
-    run.add_argument("--corpus", default=None,
-                     help="comma-separated ring specs, e.g. 'Zmod(4),GF(2)'")
-    run.add_argument("--strict", action="store_true")
-    run.add_argument("--out", default=None)
-    args = parser.parse_args(argv)
+# -- the command line ----------------------------------------------------------------
+# `adic-kit run SCRIPT [options]`, read as argparse read it: the same help
+# and usage texts (laid out for 80 columns), `--opt value`, `--opt=value`,
+# unique prefixes of long options, `--` before positional arguments, and the
+# same error messages, with exit code 2 after an error and 0 after help.
 
-    with open(args.script, encoding="utf-8") as fh:
+_USAGE = "usage: adic-kit [-h] {run} ...\n"
+_RUN_USAGE = """\
+usage: adic-kit run [-h] [--degree DEGREE] [--precision PRECISION]
+                    [--prime PRIME] [--corpus CORPUS] [--strict] [--out OUT]
+                    script
+"""
+# (prog, usage, help) of the top-level parser and of `run`
+_TOP = ("adic-kit", _USAGE, _USAGE + """
+positional arguments:
+  {run}
+    run       run a script
+
+options:
+  -h, --help  show this help message and exit
+""")
+_RUN = ("adic-kit run", _RUN_USAGE, _RUN_USAGE + """
+positional arguments:
+  script
+
+options:
+  -h, --help            show this help message and exit
+  --degree DEGREE
+  --precision PRECISION
+                        no effect: coefficients are exact rationals
+  --prime PRIME
+  --corpus CORPUS       comma-separated ring specs, e.g. 'Zmod(4),GF(2)'
+  --strict
+  --out OUT
+""")
+# run's options and their defaults: `--strict` is a flag, `--corpus` and
+# `--out` take a string, the others an int
+_RUN_DEFAULTS = {"--degree": 8, "--precision": 8, "--prime": 2,
+                 "--corpus": None, "--strict": False, "--out": None}
+
+
+class _Exit(Exception):
+    """The command line ends the run: `text` goes to stdout after help
+    (code 0), to stderr after an error (code 2)."""
+
+    def __init__(self, code: int, text: str):
+        super().__init__(text)
+        self.code = code
+        self.text = text
+
+
+def _refuse(parser: tuple, message: str) -> _Exit:
+    prog, usage, _ = parser
+    return _Exit(2, f"{usage}{prog}: error: {message}\n")
+
+
+def _help(parser: tuple, option: str, value) -> _Exit:
+    if option == "-h" and value:
+        value = value.lstrip("h") or None   # `-hh` is the flag twice
+    if value is not None:
+        return _refuse(parser, "argument -h/--help: ignored explicit "
+                               f"argument {value!r}")
+    return _Exit(0, parser[2])
+
+
+def _is_negative_number(arg: str) -> bool:
+    whole, dot, frac = arg[1:].partition(".")
+    return (whole.isdecimal() and not dot) or \
+        (frac.isdecimal() and (whole == "" or whole.isdecimal()))
+
+
+def _read_option(parser: tuple, longs: tuple, arg: str):
+    """None when `arg` is a positional argument, else (option, its explicit
+    `=` value or None), where option is None when `arg` names none of
+    `-h` and the long options `longs`."""
+    if len(arg) < 2 or arg[0] != "-" or _is_negative_number(arg):
+        return None
+    if arg == "-h" or arg in longs:
+        return arg, None
+    head, eq, value = arg.partition("=")
+    if eq and (head == "-h" or head in longs):
+        return head, value
+    if arg[1] == "-":
+        matches = [name for name in longs if name.startswith(head)]
+        if len(matches) > 1:
+            raise _refuse(parser, f"ambiguous option: {arg} could match "
+                                  f"{', '.join(matches)}")
+        if matches:
+            return matches[0], value if eq else None
+    elif arg[1] == "h":
+        return "-h", arg[2:]
+    return None if " " in arg else (None, None)
+
+
+def _parse_command_line(argv: list) -> dict:
+    """`run`'s option values by option name, and its `script`; raises
+    _Exit for help and for a command line argparse refused."""
+    unknown = []                # refused once the rest has been read
+    for i, arg in enumerate(argv):
+        read = None if arg == "--" else _read_option(_TOP, ("--help",), arg)
+        if read is None:
+            break
+        if read[0] is None:
+            unknown.append(arg)
+        else:
+            raise _help(_TOP, *read)
+    if not argv or read is not None or argv[i:] == ["--"]:
+        raise _refuse(_TOP, "the following arguments are required: "
+                            "subcommand")
+    if argv[i] != "run":
+        raise _refuse(_TOP, f"argument subcommand: invalid choice: "
+                            f"{argv[i]!r} (choose from 'run')")
+    args = argv[i + 1:]
+    # every argument is read before any is used, so an ambiguous prefix is
+    # refused first; after `--` every argument is positional
+    longs = ("--help",) + tuple(_RUN_DEFAULTS)
+    reads = []
+    for arg in args:
+        if "--" in reads:
+            reads.append(None)
+        else:
+            reads.append("--" if arg == "--" else
+                         _read_option(_RUN, longs, arg))
+    values = dict(_RUN_DEFAULTS, script=None)
+    k = 0
+    while k < len(args):
+        read, k = reads[k], k + 1
+        if read == "--" and values["script"] is None and k < len(args):
+            read, k = None, k + 1           # `-- SCRIPT`
+        if read is None or read == "--":
+            if read == "--" or values["script"] is not None:
+                unknown.append(args[k - 1])
+            else:
+                values["script"] = args[k - 1]
+                if k < len(args) and reads[k] == "--":
+                    k += 1                  # `SCRIPT --`
+            continue
+        option, value = read
+        if option is None:
+            unknown.append(args[k - 1])
+        elif option in ("-h", "--help"):
+            raise _help(_RUN, option, value)
+        elif option == "--strict":
+            if value is not None:
+                raise _refuse(_RUN, "argument --strict: ignored explicit "
+                                    f"argument {value!r}")
+            values[option] = True
+        else:
+            if value is None:
+                if k == len(args) or reads[k] is not None:
+                    raise _refuse(_RUN, f"argument {option}: expected one "
+                                        "argument")
+                value, k = args[k], k + 1
+            if option not in ("--corpus", "--out"):
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise _refuse(_RUN, f"argument {option}: invalid int "
+                                        f"value: {value!r}") from None
+            values[option] = value
+    if values["script"] is None:
+        raise _refuse(_RUN, "the following arguments are required: script")
+    if unknown:
+        raise _refuse(_TOP, f"unrecognized arguments: {' '.join(unknown)}")
+    return values
+
+
+def main(argv: list | None = None) -> int:
+    try:
+        args = _parse_command_line(sys.argv[1:] if argv is None else argv)
+    except _Exit as stop:
+        (sys.stderr if stop.code else sys.stdout).write(stop.text)
+        return stop.code
+    with open(args["script"], encoding="utf-8") as fh:
         text = fh.read()
     try:
         script = parse_script(text)
@@ -994,18 +1168,18 @@ def main(argv: list | None = None) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     corpus = None
-    if args.corpus:
+    if args["--corpus"]:
         try:
-            corpus = [build_ring(spec) for spec in args.corpus.split(",")]
+            corpus = [build_ring(spec) for spec in args["--corpus"].split(",")]
         except ScriptError as exc:
             print(f"parse error in --corpus: {exc}", file=sys.stderr)
             return 2
-    options = Options(degree=args.degree, prime=args.prime,
-                      strict=args.strict, corpus=corpus)
+    options = Options(degree=args["--degree"], prime=args["--prime"],
+                      strict=args["--strict"], corpus=corpus)
     outcome = run_script(script, options)
     payload = render_reports(outcome.reports)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+    if args["--out"]:
+        with open(args["--out"], "w", encoding="utf-8") as fh:
             fh.write(payload)
     else:
         sys.stdout.write(payload)
@@ -1032,10 +1206,15 @@ def run_process(argv: list | None = None) -> int:
 
 def build_ring(spec: str):
     """Build a finite ring from its mini-grammar spec, e.g. 'Quot(GF(2),[x],[x^4])'."""
-    expr = Parser(tokenize(spec)).expression()
+    parser = Parser(tokenize(spec))
+    expr = parser.expression()
+    tok = parser.peek()
+    if tok.kind != "EOF":
+        raise ScriptError(f"expected end of ring spec, found {tok.text!r}",
+                          tok.line, tok.col)
     session = Session(Options())
     ring = session.eval_decl_expr(expr, 1, 1)
-    if not isinstance(ring, FiniteRing):
+    if not is_finite_base(ring):
         raise ScriptError(f"{spec!r} is not a finite ring spec", 1, 1)
     return ring
 

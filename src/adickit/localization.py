@@ -14,7 +14,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .groebner import DegreeOverflowError, unit_certificate
-from .linalg import RowSpace, solve
 from .poly import Poly, monomials_upto
 from .tate import (IntegerBase, MorphismPresentation, PresentationError,
                    QpBase, RingPresentation)
@@ -219,12 +218,24 @@ def joint_surjection_lift(cov: BinaryCovering, s1: list[Poly], s2: list[Poly],
     B = cov.base_pres
     if not isinstance(B.base, QpBase):
         raise PresentationError("joint lifting needs a p-adic base")
-    p = B.base.p
-    one = Fraction(1)
     if over is not None and not B.is_tower_extension_of(over):
         raise PresentationError("'over' must be a tower prefix of B")
     sub_nvars = over.nvars if over is not None else 0
+    if sub_nvars == B.nvars and not s1 and not s2:
+        # over B's own variables each standard monomial is its own
+        # preimage: the empty set generates, with nothing to eliminate
+        return JointSurjectionResult([], "certified")
+    return _eliminating_lift(cov, s1, s2, sub_nvars, degree_cap)
 
+
+def _eliminating_lift(cov: BinaryCovering, s1: list[Poly], s2: list[Poly],
+                      sub_nvars: int, degree_cap: int) -> JointSurjectionResult:
+    """`joint_surjection_lift` by exact elimination on staircase
+    coordinates up to the working degree cap + 2."""
+    from .linalg import RowSpace, solve
+    B = cov.base_pres
+    p = B.base.p
+    one = Fraction(1)
     work = degree_cap + 2
     stairs = B.staircase(work)
 

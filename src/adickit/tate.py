@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .finiterings import FiniteRing, FiniteRingElement
-from .groebner import buchberger, normal_form, staircase_shell
 from .padics import rational_valuation
 from .poly import Poly, exp_coprime, exp_mul, grevlex_key, render_poly
 
@@ -67,8 +65,23 @@ class IntegerBase:
         return "ZZ"
 
 
+_finiterings = None         # the finite-ring layer, once a base needs it
+
+
+def is_finite_base(base) -> bool:
+    """Is `base` a `finiterings.FiniteRing`?  Q_p and Z answer without
+    importing the finite-ring layer, so a process whose bases are all Q_p or
+    Z never loads it; any other object imports it once."""
+    global _finiterings
+    if isinstance(base, (QpBase, IntegerBase)):
+        return False
+    if _finiterings is None:
+        from . import finiterings as _finiterings
+    return isinstance(base, _finiterings.FiniteRing)
+
+
 def base_name(base) -> str:
-    if isinstance(base, FiniteRing):
+    if is_finite_base(base):
         return base.name
     return str(base)
 
@@ -116,7 +129,7 @@ class RingPresentation:
         return len(self.varnames)
 
     def coeff_one(self):
-        if isinstance(self.base, FiniteRing):
+        if is_finite_base(self.base):
             return self.base.one
         return Fraction(1)
 
@@ -125,16 +138,16 @@ class RingPresentation:
                              self.coeff_one())
 
     def const(self, c) -> Poly:
-        if isinstance(self.base, FiniteRing) and not isinstance(c, FiniteRingElement):
-            c = self.base.from_int(int(c))
-        elif not isinstance(self.base, FiniteRing):
+        if not is_finite_base(self.base):
             c = Fraction(c)
+        elif not isinstance(c, _finiterings.FiniteRingElement):
+            c = self.base.from_int(int(c))
         return Poly.constant(c, self.nvars)
 
     def has_field_coefficients(self) -> bool:
         if isinstance(self.base, QpBase):
             return True
-        if isinstance(self.base, FiniteRing):
+        if is_finite_base(self.base):
             return self.base.is_field
         return False
 
@@ -152,8 +165,9 @@ class RingPresentation:
         if self._basis is not None:
             return self._basis
         if self.has_field_coefficients():
+            from .groebner import buchberger
             self._basis = buchberger(self.gens)
-        elif isinstance(self.base, FiniteRing):
+        elif is_finite_base(self.base):
             self._basis = self._validated_rewrite_system()
         else:
             raise PresentationError(
@@ -185,6 +199,7 @@ class RingPresentation:
         return sorted(basis, key=lambda g: grevlex_key(g.leading()[0]))
 
     def normal_form(self, f: Poly) -> Poly:
+        from .groebner import normal_form
         return normal_form(f, self.groebner_basis())
 
     def nf_zero(self, f: Poly) -> bool:
@@ -199,6 +214,7 @@ class RingPresentation:
         cap = max(cap, 0)       # as monomials_upto: degree 0 below zero
         stairs, ends = self._stairs, self._stair_ends
         if len(ends) <= cap + 1:
+            from .groebner import staircase_shell
             leading = [g.leading()[0] for g in self.groebner_basis()
                        if not g.is_zero]
             shell = stairs[ends[-2]:] if len(ends) > 1 else None
@@ -299,6 +315,7 @@ class Submodule:
         self.tags, gens = tagged_free_module(pres, keys)
         gens += [f for f in (tag_form(pres.nvars, self.tags, form)
                              for form in forms) if not f.is_zero]
+        from .groebner import buchberger
         self.basis = buchberger(gens)
         # X-parts of the E-linear leading monomials, tag by tag
         n = pres.nvars
@@ -310,6 +327,7 @@ class Submodule:
 
     def rank(self, cap: int) -> int:
         """Dimension of the degree <= cap part of F / (N + I.F)."""
+        from .groebner import staircase_shell
         total = 0
         for leading in self.leading.values():
             shell = None
@@ -319,6 +337,7 @@ class Submodule:
         return total
 
     def contains(self, form: dict) -> bool:
+        from .groebner import normal_form
         return normal_form(tag_form(self.pres.nvars, self.tags, form),
                            self.basis).is_zero
 
@@ -331,7 +350,7 @@ def _integral_membership(poly: Poly, gens: list[Poly]) -> bool:
         return True
     if not gens:
         return False
-    from .groebner import buchberger_tracked
+    from .groebner import buchberger_tracked, normal_form
     basis, rows = buchberger_tracked(gens)
     rem, quot = normal_form(poly, basis, track=True)
     if not rem.is_zero:
@@ -346,7 +365,7 @@ def _integral_membership(poly: Poly, gens: list[Poly]) -> bool:
 
 
 def base_key(base):
-    if isinstance(base, FiniteRing):
+    if is_finite_base(base):
         return ("finite", id(base))
     return base
 

@@ -4,6 +4,7 @@ import importlib
 import inspect
 import json
 import pkgutil
+import re
 import subprocess
 import sys
 from functools import lru_cache
@@ -482,6 +483,137 @@ def test_build_ring_from_spec():
         build_ring("Qp(2,8)")
 
 
+def test_corpus_option_refuses_text_after_a_ring_spec(tmp_path):
+    from adickit.cli import build_ring
+    with pytest.raises(ScriptError, match="^expected end of ring spec, "
+                                          "found 'GF' at 1:9$"):
+        build_ring("Zmod(4) GF(3)")
+    script = tmp_path / "s.adk"
+    script.write_text("ZB = Tate(ZZ, []); B = Quot(ZB, [T], [T^2 - T]); "
+                      "classify-lifting B;", encoding="utf-8")
+    run = subprocess.run([sys.executable, "-m", "adickit", "run", str(script),
+                          "--corpus", "Zmod(4) GF(3)"],
+                         capture_output=True, text=True)
+    assert run.returncode == 2 and run.stdout == ""
+    assert run.stderr == ("parse error in --corpus: expected end of ring "
+                          "spec, found 'GF' at 1:9\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("A = Tate(Qp(), [T]);", "Qp takes 1 or 2 arguments, got 0 at 1:10"),
+    ("Q = Qp(2, 8, 1);", "Qp takes 1 or 2 arguments, got 3 at 1:5"),
+    ("R = Zmod();", "Zmod takes 1 argument, got 0 at 1:5"),
+    ("R = Zmod(4, 2);", "Zmod takes 1 argument, got 2 at 1:5"),
+    ("R = GF();", "GF takes 1 or 2 arguments, got 0 at 1:5"),
+    ("R = GF(2, 2, 1);", "GF takes 1 or 2 arguments, got 3 at 1:5"),
+    ("R = Prod(GF(2));", "Prod takes 2 arguments, got 1 at 1:5"),
+    ("R = Prod(GF(2), GF(3), GF(5));", "Prod takes 2 arguments, got 3 at 1:5"),
+    ("A = Tate(Qp(2));", "Tate takes 2 arguments, got 1 at 1:5"),
+    ("A = Tate(ZZ, [T], [S]; D=3);", "Tate takes 2 arguments, got 3 at 1:5"),
+    ("B = Quot(A, [u]);", "Quot takes 3 arguments, got 2 at 1:5"),
+    ("B = Quot(A, [u], [u], [v]);", "Quot takes 3 arguments, got 4 at 1:5"),
+    ("L = Loc(A, T);", "Loc takes 3 arguments, got 2 at 1:5"),
+    ("L = Loc(A, T, 2, 3);", "Loc takes 3 arguments, got 4 at 1:5"),
+    ("M = Morph(A, B);", "Morph takes 3 arguments, got 2 at 1:5"),
+    ("M = Morph(A, B, [T], [u]);", "Morph takes 3 arguments, got 4 at 1:5"),
+    ("K = Compose(M);", "Compose takes 2 arguments, got 1 at 1:5"),
+    ("K = Compose(M, M, M);", "Compose takes 2 arguments, got 3 at 1:5"),
+    ("C = BaseChange(B);", "BaseChange takes 2 arguments, got 1 at 1:5"),
+    ("C = BaseChange(B, M, M);",
+     "BaseChange takes 2 arguments, got 3 at 1:5"),
+    ("classify-lifting B corpus=Corpus(Zmod());",
+     "Zmod takes 1 argument, got 0 at 1:34")])
+def test_a_constructor_call_with_a_wrong_argument_count_is_a_parse_error(
+        text, message):
+    with pytest.raises(ScriptError, match=f"^{re.escape(message)}$"):
+        parse_script(text)
+
+
+def test_optional_constructor_arguments_still_parse(tmp_path):
+    out = run_script(parse_script(
+        "Q = Qp(2, 8); P = Qp(2); F = GF(2); F4 = GF(2, 2); E = Corpus(); "
+        "C = Corpus(F, F4);"), Options())
+    assert out.exit_code == 0 and out.reports == []
+    script = tmp_path / "short.adk"
+    script.write_text("A = Tate(Qp(), [T]);", encoding="utf-8")
+    run = subprocess.run([sys.executable, "-m", "adickit", "run", str(script)],
+                         capture_output=True, text=True)
+    assert run.returncode == 2 and run.stdout == ""
+    assert run.stderr == \
+        "parse error: Qp takes 1 or 2 arguments, got 0 at 1:10\n"
+
+
+def _argparse_reference(argv: list) -> int:
+    """The command line as `main` read it with argparse before it read it
+    by hand: parse `argv`, then run `main` on the options it found."""
+    import argparse
+    parser = argparse.ArgumentParser(prog="adic-kit")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    run = sub.add_parser("run", help="run a script")
+    run.add_argument("script")
+    run.add_argument("--degree", type=int, default=8)
+    run.add_argument("--precision", type=int, default=8,
+                     help="no effect: coefficients are exact rationals")
+    run.add_argument("--prime", type=int, default=2)
+    run.add_argument("--corpus", default=None,
+                     help="comma-separated ring specs, e.g. 'Zmod(4),GF(2)'")
+    run.add_argument("--strict", action="store_true")
+    run.add_argument("--out", default=None)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as stop:
+        return stop.code
+    canonical = ["run", "--degree", str(args.degree), "--prime",
+                 str(args.prime)]
+    if args.corpus is not None:
+        canonical += ["--corpus", args.corpus]
+    if args.strict:
+        canonical.append("--strict")
+    if args.out is not None:
+        canonical += ["--out", args.out]
+    return main(canonical + ["--", args.script])
+
+
+PARITY_SCRIPT = ("ZB = Tate(ZZ, []); B = Quot(ZB, [T], [T^2 - T]); "
+                 "classify-lifting B; X = Tate(ZZ, [S]);")
+
+
+@pytest.mark.parametrize("argv", [
+    "-h", "--he", "run -h", "run s.adk --help", "", "run", "foo",
+    "run s.adk --bogus", "--bogus run s.adk", "run s.adk --pr 3",
+    "run s.adk --pr=3", "run s.adk --degree x", "run s.adk --degree",
+    "run --degree", "run s.adk --degree=3", "run s.adk --deg 3",
+    "run --deg 3 --prime 3 s.adk", "run s.adk --deg 3 --prime=3",
+    "run --prime 3 s.adk --deg=-1", "run s.adk --deg 3 --deg 2",
+    "run s.adk --strict", "run s.adk --strict=1", "run s.adk --out F",
+    "run --out=F s.adk --strict", "run s.adk --corpus Zmod(4),GF(2)",
+    "run s.adk --corpus Zmod(4)_GF(2)", "run s.adk --corpus Foo(2)",
+    "run s.adk other.adk", "run -- s.adk", "run s.adk -- --strict",
+    "run --strict -- s.adk", "run --out -- s.adk", "run s.adk -hh",
+    "run s.adk -hx", "--help=x", "run --=3 s.adk", "run s.adk --precision 1",
+    "-- run s.adk"])
+def test_command_line_reads_as_argparse_did(argv, tmp_path, monkeypatch,
+                                             capsys):
+    argv = [arg.replace("_", " ") for arg in argv.split()]
+    (tmp_path / "s.adk").write_text(PARITY_SCRIPT, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def written():
+        target = tmp_path / "F"
+        if not target.exists():
+            return None
+        text = target.read_text(encoding="utf-8")
+        target.unlink()
+        return text
+
+    code = _argparse_reference(argv)
+    expected = (code, *capsys.readouterr(), written())
+    run = subprocess.run([sys.executable, "-m", "adickit", *argv],
+                         capture_output=True, text=True)
+    assert (run.returncode, run.stdout, run.stderr, written()) == expected
+
+
 # command (or the declarations) -> library functions, as (module, name), it
 # must reach on COVERAGE_SCRIPT
 COVERAGE = {
@@ -544,6 +676,7 @@ classify-lifting BZ mode=dR p=3;
 V = Quot(A, [u, v], [u - v]);
 drham V top=3;
 robba-norm ([0]) p=2;
+glue-check C (v) (1 - v) D=2 over=B;
 """
 
 
@@ -685,15 +818,16 @@ def test_every_public_function_is_reached():
 
 
 # imported by none of the library: `dataclasses` would load `inspect` (with
-# `ast`, `dis` and `tokenize`) into every process and generate code per class
-STDLIB_KEPT_OUT = {"dataclasses", "inspect"}
+# `ast`, `dis` and `tokenize`) into every process and generate code per
+# class, and `argparse` would load `gettext` to read one subcommand's options
+STDLIB_KEPT_OUT = {"dataclasses", "inspect", "argparse", "gettext"}
 
 
 def _modules_loaded(body: str) -> set:
-    """The adickit modules, and those of STDLIB_KEPT_OUT, that a fresh
-    interpreter holds after running `body`."""
+    """The adickit package and modules, and those of STDLIB_KEPT_OUT, that a
+    fresh interpreter holds after running `body`."""
     code = (f"import sys\n{body}\nprint(' '.join(m for m in sys.modules "
-            f"if m.startswith('adickit.') or m in {STDLIB_KEPT_OUT!r}))")
+            f"if m.split('.')[0] == 'adickit' or m in {STDLIB_KEPT_OUT!r}))")
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     return set(run.stdout.split())
@@ -705,11 +839,38 @@ def _run_in_fresh_process(script: Path, out: Path) -> set:
                            f"{str(out)!r}])")
 
 
+def _script_loads(tmp_path, text: str) -> set:
+    script = tmp_path / "loads.adk"
+    script.write_text(text, encoding="utf-8")
+    return _run_in_fresh_process(script, tmp_path / "loads.json")
+
+
 def test_command_libraries_load_on_first_use(tmp_path):
     loaded = _modules_loaded("import adickit.cli")
     assert "adickit.tate" in loaded
-    assert not loaded & (COMMAND_LIBRARIES | {"adickit.infinitesimal",
-                                              "adickit.norms"})
+    assert not loaded & (COMMAND_LIBRARIES | STDLIB_KEPT_OUT | {
+        "adickit.infinitesimal", "adickit.norms", "adickit.finiterings",
+        "adickit.groebner"})
+
+    # the lifting set-up declares Z presentations only: no finite-ring or
+    # Groebner layer, and no command-line library
+    assert _script_loads(
+        tmp_path, "ZB = Tate(ZZ, []); I = Quot(ZB, [S], [S^2 + 9*S + 20]); "
+        "F = Tate(ZZ, [S]); U2 = Quot(ZB, [S], [S^2 + 3*S + 2, 2]);") == \
+        {"adickit", "adickit.cli", "adickit.tate", "adickit.poly",
+         "adickit.padics"}
+    for text in ("R = Zmod(4);", "R = GF(2);"):
+        assert "adickit.finiterings" in _script_loads(tmp_path, text)
+    # a tautological joint lift (no `over=`) and a localization eliminate
+    # nothing; a lift over a tower prefix does
+    for text in ("A = Tate(Qp(2), [T]); L = Loc(A, T, 2);",
+                 "A = Tate(Qp(2), [T]); glue-check A (T) (2);"):
+        loaded = _script_loads(tmp_path, text)
+        assert "adickit.localization" in loaded
+        assert "adickit.linalg" not in loaded
+    assert "adickit.linalg" in _script_loads(
+        tmp_path, "A = Tate(Qp(2), [T]); B = Quot(A, [w], [w^2 - T]); "
+        "glue-check B (w) (1 - w) D=3 over=A;")
 
     # declarations alone load no command library and no norms
     script = tmp_path / "declarations.adk"
@@ -748,11 +909,14 @@ def test_command_libraries_load_on_first_use(tmp_path):
     assert [r["verdict"] for r in json.loads(out.read_text())] == \
         ["etale", "d^2=0"]
 
-    # a script using every command loads every library on the way and
-    # reports what an in-process run of the same script reports
+    # a script using every command loads every library on the way but
+    # `linalg` (its `glue-check` has no `over=`), and reports what an
+    # in-process run of the same script reports
     out = tmp_path / "demo.json"
     loaded = _run_in_fresh_process(DEMO, out)
-    assert loaded >= COMMAND_LIBRARIES | {"adickit.infinitesimal"}
+    assert loaded >= COMMAND_LIBRARIES - {"adickit.linalg"} | {
+        "adickit.infinitesimal"}
+    assert "adickit.linalg" not in loaded
     assert not loaded & STDLIB_KEPT_OUT
     in_process = run_script(parse_script(DEMO.read_text(encoding="utf-8")),
                             Options())

@@ -651,15 +651,15 @@ def test_zero_relation_forms_feed_no_rows(q2, monkeypatch):
     # the degree-0 relations NF(g) = 0 are kept on the complex, but the
     # submodule of the 0-forms gets no generator from them: only E^2 and
     # (T^2 - T).E in K[T, E]
-    from adickit import tate
+    from adickit import groebner
     fed = []
-    real = tate.buchberger
+    real = groebner.buchberger
 
     def recording(gens):
         fed.append(gens)
         return real(gens)
 
-    monkeypatch.setattr(tate, "buchberger", recording)
+    monkeypatch.setattr(groebner, "buchberger", recording)
     B = pres_over(q2, ("T",), [{(2,): 1, (1,): -1}])
     cx = de_rham_complex(B, 1)
     assert cx.relations[0] and all(c.is_zero for rel in cx.relations[0]
@@ -1092,7 +1092,7 @@ def test_de_rham_normal_form_count_bound(monkeypatch):
     # groebner.normal_form calls here; incremental normal forms make 24
     from corpus import jacobian_presentations
 
-    from adickit import groebner, tate
+    from adickit import groebner
     calls = []
     real = groebner.normal_form
 
@@ -1100,8 +1100,8 @@ def test_de_rham_normal_form_count_bound(monkeypatch):
         calls.append(None)
         return real(*args, **kwargs)
 
-    for module in (groebner, tate):     # differentials reduces through tate
-        monkeypatch.setattr(module, "normal_form", counting)
+    # differentials reduces through tate, which imports it when it calls it
+    monkeypatch.setattr(groebner, "normal_form", counting)
     de_rham_complex(jacobian_presentations()["B2"], 3)
     assert 0 < len(calls) < 2700
 

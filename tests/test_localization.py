@@ -300,3 +300,16 @@ def test_gluing_check_agrees_with_the_truncated_spans_on_drawn_coverings(q2):
         # the right clause read off the staircase: u*v = 1, so no standard
         # monomial of B<f/g, g/f> holds both u and v
         assert not any(m[-2] and m[-1] for m in cov.joint.staircase(cap))
+
+
+def test_joint_lift_over_b_itself_skips_only_the_elimination(q2):
+    # with no generators and B's own variables below, every standard
+    # monomial is its own preimage: the shortcut's answer is the one the
+    # elimination computes
+    from adickit.localization import _eliminating_lift
+    for B, f, g, cap in _drawn_coverings(q2, 20):
+        cov = binary_covering(B, f, g)
+        short = joint_surjection_lift(cov, [], [], over=B, degree_cap=cap)
+        full = _eliminating_lift(cov, [], [], B.nvars, cap)
+        assert (short.status, short.generators) == \
+            (full.status, full.generators) == ("certified", [])

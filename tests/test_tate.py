@@ -183,7 +183,7 @@ def _staircase_case(label):
 
 
 def test_staircase_is_enumerated_once_per_degree(monkeypatch):
-    import adickit.tate as tate
+    import adickit.groebner as groebner
     from adickit.groebner import staircase_shell
     shells = []
 
@@ -191,7 +191,7 @@ def test_staircase_is_enumerated_once_per_degree(monkeypatch):
         shells.append(args)
         return staircase_shell(*args)
 
-    monkeypatch.setattr(tate, "staircase_shell", counted)
+    monkeypatch.setattr(groebner, "staircase_shell", counted)
     pres = _staircase_case("B2")
     first = pres.staircase(3)
     assert first == full_staircase(pres.nvars, pres.groebner_basis(), 3)
